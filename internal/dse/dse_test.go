@@ -11,6 +11,7 @@ import (
 
 	"cocco/internal/core"
 	"cocco/internal/hw"
+	"cocco/internal/models"
 	"cocco/internal/search"
 	"cocco/internal/serialize"
 	"cocco/internal/tiling"
@@ -74,17 +75,38 @@ func TestGridConfigs(t *testing.T) {
 }
 
 func TestGridConfigsRejectsBadPoints(t *testing.T) {
-	cases := []Grid{
-		{},
-		{Models: []string{"googlenet"}},
-		{Models: []string{"no-such-model"}, GlobalBytes: []int64{1 << 20}, WeightBytes: []int64{1 << 20}},
-		{Models: []string{"googlenet"}, GlobalBytes: []int64{1 << 20}}, // separate kind, no weights
-		{Models: []string{"googlenet"}, GlobalBytes: []int64{-5}, WeightBytes: []int64{1 << 20}},
+	mib := []int64{1 << 20}
+	_, unknown := models.Build("no-such-model")
+	cases := []struct {
+		grid Grid
+		want string
+	}{
+		{Grid{}, "no models"},
+		{Grid{Models: []string{"googlenet"}}, "no global-buffer"},
+		{Grid{Models: []string{"no-such-model"}, GlobalBytes: mib, WeightBytes: mib}, unknown.Error()},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib}, "needs weight capacities"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: []int64{-5}, WeightBytes: mib}, "grid point"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: mib, Cores: []int{0}}, "cores must be >= 1"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: mib, Cores: []int{2, -1}}, "cores must be >= 1"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: mib, Batch: []int{0}}, "batch must be >= 1"},
+		// Repeated values: each pair of points would share one Config.ID.
+		{Grid{Models: []string{"googlenet", "googlenet"}, GlobalBytes: mib, WeightBytes: mib}, "repeats model"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: []int64{256 * hw.KiB, 256 * hw.KiB}, WeightBytes: mib}, "repeats global capacity"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: []int64{1 << 20, 1 << 20}}, "repeats weight capacity"},
+		{Grid{Models: []string{"googlenet"}, Kinds: []hw.BufferKind{hw.SharedBuffer, hw.SharedBuffer}, GlobalBytes: mib}, "repeats buffer kind"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: mib, Cores: []int{1, 2, 1}}, "repeats cores"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: mib, Batch: []int{4, 4}}, "repeats batch"},
 	}
-	for i, g := range cases {
-		if _, err := g.Configs(); err == nil {
-			t.Errorf("case %d: bad grid accepted", i)
+	for i, c := range cases {
+		if _, err := c.grid.Configs(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want it to contain %q", i, err, c.want)
 		}
+	}
+	// Shared-buffer points ignore the weight axis, so its repeats collide on
+	// no ID.
+	shared := Grid{Models: []string{"googlenet"}, Kinds: []hw.BufferKind{hw.SharedBuffer}, GlobalBytes: mib, WeightBytes: []int64{1, 1}}
+	if configs, err := shared.Configs(); err != nil || len(configs) != 1 {
+		t.Errorf("shared grid with an ignored repeated weight: %d configs, %v", len(configs), err)
 	}
 }
 

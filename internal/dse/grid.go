@@ -2,6 +2,7 @@ package dse
 
 import (
 	"fmt"
+	"slices"
 
 	"cocco/internal/hw"
 	"cocco/internal/models"
@@ -72,8 +73,10 @@ func (g Grid) withDefaults() Grid {
 
 // Configs expands the grid into its points, in a fixed deterministic order
 // (model-major, then kind, capacities, cores, batch), validating every
-// memory configuration and model name up front so a sweep never fails
-// halfway through on a malformed point.
+// memory configuration, model name and platform value up front, and
+// rejecting grids whose points would share a Config.ID (a repeated model or
+// axis value), so a sweep never fails halfway through on a malformed point
+// and no two points share checkpoint files.
 func (g Grid) Configs() ([]Config, error) {
 	g = g.withDefaults()
 	if len(g.Models) == 0 {
@@ -83,8 +86,32 @@ func (g Grid) Configs() ([]Config, error) {
 		return nil, fmt.Errorf("dse: grid has no global-buffer capacities")
 	}
 	for _, m := range g.Models {
-		if _, err := models.Build(m); err != nil {
+		if err := models.CheckName(m); err != nil {
 			return nil, fmt.Errorf("dse: grid model: %w", err)
+		}
+	}
+	for _, c := range g.Cores {
+		if c < 1 {
+			return nil, fmt.Errorf("dse: grid cores must be >= 1, got %d", c)
+		}
+	}
+	for _, b := range g.Batch {
+		if b < 1 {
+			return nil, fmt.Errorf("dse: grid batch must be >= 1, got %d", b)
+		}
+	}
+	repeats := []error{
+		noRepeats("model", g.Models), noRepeats("buffer kind", g.Kinds),
+		noRepeats("global capacity", g.GlobalBytes),
+		noRepeats("cores", g.Cores), noRepeats("batch", g.Batch),
+	}
+	if slices.Contains(g.Kinds, hw.SeparateBuffer) {
+		// Weight capacities reach only separate-buffer points' IDs.
+		repeats = append(repeats, noRepeats("weight capacity", g.WeightBytes))
+	}
+	for _, err := range repeats {
+		if err != nil {
+			return nil, err
 		}
 	}
 	var out []Config
@@ -119,4 +146,16 @@ func (g Grid) Configs() ([]Config, error) {
 		}
 	}
 	return out, nil
+}
+
+// noRepeats rejects an axis holding a value twice: the grid points it
+// yields would share a Config.ID, and with it their checkpoint and outcome
+// files.
+func noRepeats[T comparable](axis string, xs []T) error {
+	for i, x := range xs {
+		if slices.Contains(xs[:i], x) {
+			return fmt.Errorf("dse: grid repeats %s %v", axis, x)
+		}
+	}
+	return nil
 }

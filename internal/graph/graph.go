@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -139,15 +141,15 @@ type Graph struct {
 	Name string
 
 	nodes []*Node
-	succ  [][]int // succ[u] = ids of consumers of u, ascending
-	pred  [][]int // pred[v] = ids of producers of v, ascending
-	topo  []int   // a fixed topological order of node ids
-	rank  []int   // rank[id] = position of id in topo
+	topo  []int // a fixed topological order of node ids
+	rank  []int // rank[id] = position of id in topo
 
-	// CSR adjacency view: the per-node pred/succ lists flattened into two
-	// contiguous []int32 arrays with offset tables, so hot paths (tiling
-	// derivation, subgraph costing) walk cache-dense memory instead of
-	// chasing per-node slice headers. Contents mirror succ/pred exactly.
+	// Adjacency in compressed sparse row form: the producers of v are
+	// pred[predOff[v]:predOff[v+1]] and the consumers of u are
+	// succ[succOff[u]:succOff[u+1]], each run ascending. succCSR/predCSR
+	// hold the same ids as int32 under the same offsets, for hot paths
+	// (tiling derivation, subgraph costing) that walk cache-dense memory.
+	succ, pred       []int
 	succCSR, predCSR []int32
 	succOff, predOff []int32
 
@@ -168,13 +170,19 @@ func (g *Graph) Node(id int) *Node { return g.nodes[id] }
 // Nodes returns the underlying node slice. Callers must not mutate it.
 func (g *Graph) Nodes() []*Node { return g.nodes }
 
-// Succ returns the consumer ids of node u in ascending order.
-// Callers must not mutate the returned slice.
-func (g *Graph) Succ(u int) []int { return g.succ[u] }
+// Succ returns the consumer ids of node u in ascending order, as a view
+// capped at its length. Callers must not mutate the returned slice.
+func (g *Graph) Succ(u int) []int {
+	lo, hi := g.succOff[u], g.succOff[u+1]
+	return g.succ[lo:hi:hi]
+}
 
-// Pred returns the producer ids of node v in ascending order.
-// Callers must not mutate the returned slice.
-func (g *Graph) Pred(v int) []int { return g.pred[v] }
+// Pred returns the producer ids of node v in ascending order, as a view
+// capped at its length. Callers must not mutate the returned slice.
+func (g *Graph) Pred(v int) []int {
+	lo, hi := g.predOff[v], g.predOff[v+1]
+	return g.pred[lo:hi:hi]
+}
 
 // SuccIDs returns the consumer ids of node u as a view into the graph's
 // contiguous CSR array, ascending. Identical contents to Succ; preferred on
@@ -204,13 +212,7 @@ func (g *Graph) Topo() []int { return g.topo }
 func (g *Graph) Rank(id int) int { return g.rank[id] }
 
 // Edges returns the number of edges.
-func (g *Graph) Edges() int {
-	n := 0
-	for _, s := range g.succ {
-		n += len(s)
-	}
-	return n
-}
+func (g *Graph) Edges() int { return len(g.succ) }
 
 // ComputeNodes returns the ids of all non-input nodes in topological order.
 // These are the nodes a partition assigns to subgraphs. The returned slice is
@@ -222,8 +224,8 @@ func (g *Graph) ComputeNodes() []int {
 // Outputs returns the ids of nodes with no consumers (model outputs).
 func (g *Graph) Outputs() []int {
 	var out []int
-	for id, s := range g.succ {
-		if len(s) == 0 {
+	for id := range g.nodes {
+		if g.succOff[id] == g.succOff[id+1] {
 			out = append(out, id)
 		}
 	}
@@ -277,13 +279,13 @@ func (g *Graph) IsConnected(set map[int]bool) bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.succ[u] {
+		for _, v := range g.Succ(u) {
 			if set[v] && !seen[v] {
 				seen[v] = true
 				stack = append(stack, v)
 			}
 		}
-		for _, v := range g.pred[u] {
+		for _, v := range g.Pred(u) {
 			if set[v] && !seen[v] {
 				seen[v] = true
 				stack = append(stack, v)
@@ -318,13 +320,13 @@ func (g *Graph) ConnectedComponents(set map[int]bool) [][]int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
-			for _, v := range g.succ[u] {
+			for _, v := range g.Succ(u) {
 				if remaining[v] {
 					delete(remaining, v)
 					stack = append(stack, v)
 				}
 			}
-			for _, v := range g.pred[u] {
+			for _, v := range g.Pred(u) {
 				if remaining[v] {
 					delete(remaining, v)
 					stack = append(stack, v)
@@ -338,7 +340,8 @@ func (g *Graph) ConnectedComponents(set map[int]bool) [][]int {
 }
 
 // Builder constructs a Graph incrementally. It is not safe for concurrent
-// use. Typical usage:
+// use. A successful Finalize hands its storage to the Graph; after it,
+// adding a node returns -1 and Finalize fails. Typical usage:
 //
 //	b := graph.NewBuilder("toy")
 //	in := b.Input("in", 3, 224, 224)
@@ -347,15 +350,26 @@ func (g *Graph) ConnectedComponents(set map[int]bool) [][]int {
 type Builder struct {
 	name  string
 	nodes []*Node
-	succ  [][]int
-	pred  [][]int
-	names map[string]bool
-	err   error
+	// slab is the current block of node storage. A full slab is replaced,
+	// never grown, so *Node pointers stay valid as the builder grows.
+	slab []Node
+	// preds holds every node's producer ids, concatenated in node order:
+	// node v's are preds[predOff[v]:predOff[v+1]].
+	preds   []int
+	predOff []int32
+	names   map[string]bool
+	err     error
 }
+
+// slabNodes is the number of nodes one slab holds.
+const slabNodes = 64
+
+// errFinalized is the sticky error a successful Finalize leaves behind.
+var errFinalized = errors.New("graph: builder used after Finalize")
 
 // NewBuilder returns an empty Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, names: map[string]bool{}}
+	return &Builder{name: name, predOff: []int32{0}, names: map[string]bool{}}
 }
 
 func (b *Builder) fail(format string, args ...any) int {
@@ -365,7 +379,9 @@ func (b *Builder) fail(format string, args ...any) int {
 	return -1
 }
 
-// addNode appends a node and wires edges from the given producer ids.
+// addNode validates n and its producer ids, then stores a copy of n and
+// records its producers. A rejected node leaves the builder unchanged apart
+// from the recorded error.
 func (b *Builder) addNode(n *Node, from ...int) int {
 	if b.err != nil {
 		return -1
@@ -388,17 +404,19 @@ func (b *Builder) addNode(n *Node, from ...int) int {
 		}
 	}
 	n.ID = len(b.nodes)
-	b.names[n.Name] = true
-	b.nodes = append(b.nodes, n)
-	b.succ = append(b.succ, nil)
-	b.pred = append(b.pred, nil)
 	for _, u := range from {
 		if u < 0 || u >= n.ID {
 			return b.fail("node %q: producer id %d out of range (must precede %d)", n.Name, u, n.ID)
 		}
-		b.succ[u] = append(b.succ[u], n.ID)
-		b.pred[n.ID] = append(b.pred[n.ID], u)
 	}
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]Node, 0, slabNodes)
+	}
+	b.slab = append(b.slab, *n)
+	b.nodes = append(b.nodes, &b.slab[len(b.slab)-1])
+	b.names[n.Name] = true
+	b.preds = append(b.preds, from...)
+	b.predOff = append(b.predOff, int32(len(b.preds)))
 	return n.ID
 }
 
@@ -607,10 +625,11 @@ func (b *Builder) producer(id int, consumer string) *Node {
 // Err returns the first construction error, if any.
 func (b *Builder) Err() error { return b.err }
 
-// Finalize validates the graph (acyclicity is by construction since edges
-// only point forward; we additionally require at least one compute node and
-// that every compute node is reachable from an input) and returns the
-// immutable Graph.
+// Finalize validates the graph and returns it as an immutable Graph that
+// takes over the builder's storage. Acyclicity and reachability hold by
+// construction: addNode only accepts producers that precede the node, and
+// every compute node has one. Finalize additionally requires at least one
+// compute node.
 func (b *Builder) Finalize() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -622,62 +641,55 @@ func (b *Builder) Finalize() (*Graph, error) {
 	for _, n := range b.nodes {
 		if n.Kind != OpInput {
 			compute++
-			if len(b.pred[n.ID]) == 0 {
-				return nil, fmt.Errorf("graph %q: compute node %q has no producers", b.name, n.Name)
-			}
 		}
 	}
 	if compute == 0 {
 		return nil, fmt.Errorf("graph %q: no compute nodes", b.name)
 	}
-	g := &Graph{
-		Name:  b.name,
-		nodes: b.nodes,
-		succ:  b.succ,
-		pred:  b.pred,
+	g := &Graph{Name: b.name, nodes: b.nodes, pred: b.preds, predOff: b.predOff}
+	b.err = errFinalized
+	for v := range g.nodes {
+		slices.Sort(g.Pred(v))
 	}
-	// Edges always point from lower to higher id, so the identity order is
-	// topological. Keep it: deterministic and cheap.
-	g.topo = make([]int, len(b.nodes))
-	g.rank = make([]int, len(b.nodes))
-	for i := range g.topo {
-		g.topo[i] = i
-		g.rank[i] = i
-	}
-	for u, ss := range g.succ {
-		sort.Ints(ss)
-		_ = u
-	}
-	for v, pp := range g.pred {
-		sort.Ints(pp)
-		_ = v
-	}
-	g.buildIndexes()
+	g.buildIndexes(compute)
 	return g, nil
 }
 
-// buildIndexes derives the CSR adjacency arrays and the dense compute-node
-// index from the finalized per-node slices.
-func (g *Graph) buildIndexes() {
-	n := len(g.nodes)
-	edges := g.Edges()
-	g.succCSR = make([]int32, 0, edges)
-	g.predCSR = make([]int32, 0, edges)
+// buildIndexes derives the consumer lists, the int32 CSR copies, the
+// topological order, and the dense compute-node index from the sorted
+// producer runs.
+func (g *Graph) buildIndexes(compute int) {
+	n, edges := len(g.nodes), len(g.pred)
+	// One counting sort: succOff[u] first counts u's consumers, then, summed,
+	// marks the end of u's run. Filling from the highest consumer down leaves
+	// every run ascending and succOff[u] at its start.
 	g.succOff = make([]int32, n+1)
-	g.predOff = make([]int32, n+1)
-	for id := 0; id < n; id++ {
-		g.succOff[id] = int32(len(g.succCSR))
-		for _, s := range g.succ[id] {
-			g.succCSR = append(g.succCSR, int32(s))
-		}
-		g.predOff[id] = int32(len(g.predCSR))
-		for _, p := range g.pred[id] {
-			g.predCSR = append(g.predCSR, int32(p))
+	for _, u := range g.pred {
+		g.succOff[u]++
+	}
+	for u := 1; u < n; u++ {
+		g.succOff[u] += g.succOff[u-1]
+	}
+	g.succOff[n] = int32(edges)
+	g.succ = make([]int, edges)
+	for v := n - 1; v >= 0; v-- {
+		for _, u := range g.Pred(v) {
+			g.succOff[u]--
+			g.succ[g.succOff[u]] = v
 		}
 	}
-	g.succOff[n] = int32(len(g.succCSR))
-	g.predOff[n] = int32(len(g.predCSR))
+	g.succCSR = toInt32(g.succ)
+	g.predCSR = toInt32(g.pred)
 
+	// Edges always point from lower to higher id, so the identity order is
+	// topological, and it is its own inverse.
+	g.topo = make([]int, n)
+	for i := range g.topo {
+		g.topo[i] = i
+	}
+	g.rank = g.topo
+
+	g.computeIDs = make([]int, 0, compute)
 	g.denseIdx = make([]int32, n)
 	for _, id := range g.topo {
 		if g.nodes[id].Kind != OpInput {
@@ -687,6 +699,14 @@ func (g *Graph) buildIndexes() {
 			g.denseIdx[id] = -1
 		}
 	}
+}
+
+func toInt32(ids []int) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = int32(id)
+	}
+	return out
 }
 
 // MustFinalize is Finalize that panics on error; for use in model builders

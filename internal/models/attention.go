@@ -1,7 +1,7 @@
 package models
 
 import (
-	"fmt"
+	"strconv"
 
 	"cocco/internal/graph"
 )
@@ -39,7 +39,7 @@ func attentionStack(cfg attentionCfg) *graph.Graph {
 	// The sequence is modeled as a seqLen×1 spatial map with dModel channels.
 	x := b.Input("tokens", cfg.dModel, cfg.seqLen, 1)
 	for l := 1; l <= cfg.layers; l++ {
-		p := fmt.Sprintf("l%d", l)
+		p := "l" + strconv.Itoa(l)
 		// Multi-head attention: Q/K/V projections, scores = Q·Kᵀ
 		// (seqLen×seqLen activation), context = scores·V, output projection,
 		// then the residual join.

@@ -1,7 +1,7 @@
 package models
 
 import (
-	"fmt"
+	"strconv"
 
 	"cocco/internal/graph"
 )
@@ -14,7 +14,7 @@ func VGG16() *graph.Graph {
 	x := b.Input("input", 3, 224, 224)
 	stage := func(prefix string, convs int, c int) {
 		for i := 1; i <= convs; i++ {
-			x = b.Conv(fmt.Sprintf("%s_conv%d", prefix, i), x, c, 3, 1)
+			x = b.Conv(prefix+"_conv"+strconv.Itoa(i), x, c, 3, 1)
 		}
 		x = b.Pool(prefix+"_pool", x, 2, 2)
 	}
@@ -52,7 +52,7 @@ func resnet(name string, blocks []int) *graph.Graph {
 			if blk == 0 && stage > 0 {
 				stride = 2
 			}
-			prefix := fmt.Sprintf("s%d_b%d", stage+1, blk+1)
+			prefix := "s" + strconv.Itoa(stage+1) + "_b" + strconv.Itoa(blk+1)
 			identity := x
 			y := b.Conv(prefix+"_conv1", x, m, 1, 1)
 			y = b.Conv(prefix+"_conv2", y, m, 3, stride)

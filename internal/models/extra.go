@@ -1,7 +1,7 @@
 package models
 
 import (
-	"fmt"
+	"strconv"
 
 	"cocco/internal/graph"
 )
@@ -43,7 +43,7 @@ func MobileNetV2() *graph.Graph {
 			if i == 0 {
 				stride = st.s
 			}
-			p := fmt.Sprintf("b%d_%d", si+1, i+1)
+			p := "b" + strconv.Itoa(si+1) + "_" + strconv.Itoa(i+1)
 			identity := x
 			y := x
 			if st.t != 1 {
@@ -78,9 +78,10 @@ func DenseNet121() *graph.Graph {
 	blocks := []int{6, 12, 24, 16}
 	channels := 64
 	for bi, layers := range blocks {
+		block := strconv.Itoa(bi + 1)
 		features := []int{x}
 		for li := 0; li < layers; li++ {
-			p := fmt.Sprintf("d%d_l%d", bi+1, li+1)
+			p := "d" + block + "_l" + strconv.Itoa(li+1)
 			in := features[0]
 			if len(features) > 1 {
 				in = b.Concat(p+"_cat", features...)
@@ -91,12 +92,12 @@ func DenseNet121() *graph.Graph {
 			features = append(features, y)
 			channels += growth
 		}
-		x = b.Concat(fmt.Sprintf("d%d_out", bi+1), features...)
+		x = b.Concat("d"+block+"_out", features...)
 		if bi < len(blocks)-1 {
 			// Transition: halve channels and spatial size.
 			channels /= 2
-			x = b.Conv(fmt.Sprintf("t%d_conv", bi+1), x, channels, 1, 1)
-			x = b.Pool(fmt.Sprintf("t%d_pool", bi+1), x, 2, 2)
+			x = b.Conv("t"+block+"_conv", x, channels, 1, 1)
+			x = b.Pool("t"+block+"_pool", x, 2, 2)
 		}
 	}
 	x = b.GlobalPool("avgpool", x)

@@ -1,8 +1,8 @@
 package models
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"cocco/internal/graph"
 )
@@ -56,13 +56,13 @@ func NasNet() *graph.Graph {
 	for group := 0; group < 3; group++ {
 		for i := 0; i < 4; i++ {
 			cellIdx++
-			out := cell(fmt.Sprintf("n%d", cellIdx), prev, prevPrev, f, 1)
+			out := cell("n"+strconv.Itoa(cellIdx), prev, prevPrev, f, 1)
 			prevPrev, prev = prev, out
 		}
 		if group < 2 {
 			cellIdx++
 			f *= 2
-			out := cell(fmt.Sprintf("r%d", cellIdx), prev, prevPrev, f, 2)
+			out := cell("r"+strconv.Itoa(cellIdx), prev, prevPrev, f, 2)
 			prevPrev, prev = prev, out
 		}
 	}
@@ -107,18 +107,20 @@ func randWire(name string, seed int64, stages []wsStage) *graph.Graph {
 	x = b.Conv("stem", x, 32, 3, 2)
 
 	for si, st := range stages {
-		prefix := fmt.Sprintf("s%d", si+1)
+		prefix := "s" + strconv.Itoa(si+1)
 		// Stage entry: stride-2 conv to st.channels.
 		entry := b.Conv(prefix+"_entry", x, st.channels, 3, 2)
 		edges := wattsStrogatz(rng, st.nodes, 4, 0.75)
 
 		nodeOut := make([]int, st.nodes)
-		for v := 0; v < st.nodes; v++ {
-			var ins []int
-			for _, e := range edges {
-				if e[1] == v {
-					ins = append(ins, nodeOut[e[0]])
-				}
+		hasOut := make([]bool, st.nodes)
+		var ins []int
+		for v, e := 0, 0; v < st.nodes; v++ {
+			// v's in-edges are the next run of the edge list.
+			ins = ins[:0]
+			for ; e < len(edges) && edges[e][1] == v; e++ {
+				ins = append(ins, nodeOut[edges[e][0]])
+				hasOut[edges[e][0]] = true
 			}
 			src := entry
 			switch len(ins) {
@@ -127,16 +129,12 @@ func randWire(name string, seed int64, stages []wsStage) *graph.Graph {
 			case 1:
 				src = ins[0]
 			default:
-				src = b.Eltwise(fmt.Sprintf("%s_n%d_agg", prefix, v), ins...)
+				src = b.Eltwise(prefix+"_n"+strconv.Itoa(v)+"_agg", ins...)
 			}
-			nodeOut[v] = b.Conv(fmt.Sprintf("%s_n%d_conv", prefix, v), src, st.channels, 3, 1)
+			nodeOut[v] = b.Conv(prefix+"_n"+strconv.Itoa(v)+"_conv", src, st.channels, 3, 1)
 		}
 		// Stage output: join all sinks.
 		var sinks []int
-		hasOut := make([]bool, st.nodes)
-		for _, e := range edges {
-			hasOut[e[0]] = true
-		}
 		for v := 0; v < st.nodes; v++ {
 			if !hasOut[v] {
 				sinks = append(sinks, nodeOut[v])
@@ -155,62 +153,49 @@ func randWire(name string, seed int64, stages []wsStage) *graph.Graph {
 
 // wattsStrogatz generates the WS(n, k, p) small-world graph and orients
 // every edge from the lower to the higher node index, yielding a DAG.
-// Returned edges are [from, to] pairs with from < to, deduplicated.
+// Returned edges are [from, to] pairs with from < to, deduplicated, sorted
+// by to and then from, so each node's in-edges form one run.
 func wattsStrogatz(rng *rand.Rand, n, k int, p float64) [][2]int {
-	type edge = [2]int
-	set := map[edge]bool{}
-	add := func(a, c int) {
-		if a == c {
-			return
-		}
-		if a > c {
-			a, c = c, a
-		}
-		set[edge{a, c}] = true
-	}
+	// adj is the n×n adjacency bitmap, one bool per cell: the undirected
+	// edge a–c is adj[edge(a, c)].
+	adj := make([]bool, n*n)
+	edge := func(a, c int) int { return min(a, c)*n + max(a, c) }
 	// Ring lattice: each node connects to k/2 neighbors on each side.
 	for v := 0; v < n; v++ {
 		for j := 1; j <= k/2; j++ {
-			add(v, (v+j)%n)
+			if c := (v + j) % n; c != v {
+				adj[edge(v, c)] = true
+			}
 		}
 	}
-	// Rewire each lattice edge with probability p.
-	var lattice []edge
-	for e := range set {
-		lattice = append(lattice, e)
+	// Rewire each lattice edge with probability p, visiting the lattice in
+	// (lower, higher) order so the RNG draws are reproducible.
+	var lattice [][2]int
+	for a := 0; a < n; a++ {
+		for c := a + 1; c < n; c++ {
+			if adj[edge(a, c)] {
+				lattice = append(lattice, [2]int{a, c})
+			}
+		}
 	}
-	// Deterministic iteration order for reproducibility.
-	sortEdges(lattice)
 	for _, e := range lattice {
 		if rng.Float64() < p {
-			delete(set, e)
+			adj[edge(e[0], e[1])] = false
 			for {
-				t := rng.Intn(n)
-				if t != e[0] {
-					a, c := e[0], t
-					if a > c {
-						a, c = c, a
-					}
-					if !set[edge{a, c}] {
-						set[edge{a, c}] = true
-						break
-					}
+				if t := rng.Intn(n); t != e[0] && !adj[edge(e[0], t)] {
+					adj[edge(e[0], t)] = true
+					break
 				}
 			}
 		}
 	}
-	out := make([]edge, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sortEdges(out)
-	return out
-}
-
-func sortEdges(es [][2]int) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && (es[j][0] < es[j-1][0] || (es[j][0] == es[j-1][0] && es[j][1] < es[j-1][1])); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
+	out := make([][2]int, 0, len(lattice))
+	for c := 0; c < n; c++ {
+		for a := 0; a < c; a++ {
+			if adj[edge(a, c)] {
+				out = append(out, [2]int{a, c})
+			}
 		}
 	}
+	return out
 }

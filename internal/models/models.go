@@ -41,13 +41,21 @@ func Names() []string {
 	return out
 }
 
+// CheckName returns nil if name is a registered model, and otherwise the
+// error Build returns for it, without building a graph.
+func CheckName(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("models: unknown model %q (have %v)", name, Names())
+	}
+	return nil
+}
+
 // Build constructs the named model or returns an error listing valid names.
 func Build(name string) (*graph.Graph, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
-	return f(), nil
+	return registry[name](), nil
 }
 
 // MustBuild is Build that panics on unknown names; for tests and examples.

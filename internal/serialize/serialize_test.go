@@ -1,6 +1,7 @@
 package serialize
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -44,6 +45,40 @@ func TestGraphRoundTrip(t *testing.T) {
 			t.Errorf("%s: derived totals changed", name)
 		}
 	}
+}
+
+// FuzzDecodeGraph: arbitrary bytes must never panic the graph decoder, and
+// any graph it accepts must re-encode to bytes that decode to an identical
+// graph (one that encodes to the same bytes again).
+func FuzzDecodeGraph(f *testing.F) {
+	for _, name := range []string{"vgg16", "googlenet", "randwire-a"} {
+		data, err := EncodeGraph(models.MustBuild(name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := DecodeGraph(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeGraph(g)
+		if err != nil {
+			t.Fatalf("accepted graph does not re-encode: %v", err)
+		}
+		back, err := DecodeGraph(enc)
+		if err != nil {
+			t.Fatalf("re-encoded graph does not decode: %v", err)
+		}
+		again, err := EncodeGraph(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) || back.Edges() != g.Edges() {
+			t.Fatalf("graph changed across a re-encode:\n%s\nvs\n%s", enc, again)
+		}
+	})
 }
 
 func TestPartitionRoundTrip(t *testing.T) {

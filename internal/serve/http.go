@@ -20,7 +20,7 @@ import (
 //	                         update, ending with the terminal manifest
 //
 // Every error body is {"error": "..."}; unknown job IDs are 404, malformed
-// specs 400, wrong-state requests 409.
+// specs 400, spec bodies over 64 KiB 413, wrong-state requests 409.
 
 // Handler returns the server's HTTP API.
 func (s *Server) Handler() http.Handler {
@@ -58,12 +58,20 @@ func statusFor(err error) int {
 	}
 }
 
+// maxSpecBytes caps a POST /jobs body. A job spec is well under 1 KiB.
+const maxSpecBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec serialize.JobSpecJSON
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decode job spec: %w", err))
 		return
 	}
 	id, err := s.Submit(spec)

@@ -351,6 +351,11 @@ func TestHTTPHandlers(t *testing.T) {
 	if code := httpDo(t, "POST", ts.URL+"/jobs", `{"model":"mobilenetv2"}`, &errBody); code != 400 || !strings.Contains(errBody.Error, "samples") {
 		t.Errorf("invalid spec: %d %q, want 400 naming samples", code, errBody.Error)
 	}
+	// A body over the cap is refused before it is read whole.
+	huge := `{"model":"` + strings.Repeat("m", maxSpecBytes) + `","samples":600}`
+	if code := httpDo(t, "POST", ts.URL+"/jobs", huge, &errBody); code != 413 || !strings.Contains(errBody.Error, "too large") {
+		t.Errorf("oversized body: %d %q, want 413 with error", code, errBody.Error)
+	}
 
 	// Unknown job IDs are 404 on every per-job route.
 	for _, r := range []struct{ method, path string }{

@@ -26,7 +26,7 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	if spec.Model == "" {
 		return spec, fmt.Errorf("serve: job spec: model is required")
 	}
-	if _, err := models.Build(spec.Model); err != nil {
+	if err := models.CheckName(spec.Model); err != nil {
 		return spec, fmt.Errorf("serve: job spec: %w", err)
 	}
 	if spec.Tiling == "" {
