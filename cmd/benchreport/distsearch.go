@@ -23,15 +23,14 @@ import (
 
 // The distsearch workload measures the distributed island search: the same
 // 4-island ring run in-process and across 1, 2, and 4 worker processes
-// (spawned by re-executing this binary in -dist-worker mode), plus the async
-// eventual-migration mode at the widest fleet. Every contender is pinned to
-// ONE CPU per process (GOMAXPROCS=1 — the in-process baseline would
-// otherwise overlap its islands across cores and hide exactly the axis being
-// measured), so process count is the scaling axis: the in-process row is
-// what one process-slot does, and a K-process row shows what K slots buy. On
-// a 1-CPU host all rows sit at parity or below (the protocol adds
-// serialization without adding silicon); the >=1.8x floor for the 4-process
-// fleet is asserted only on hosts with at least 4 CPUs.
+// (spawned by re-executing this binary in -dist-worker mode). Every
+// contender is pinned to ONE CPU per process (GOMAXPROCS=1 — the in-process
+// baseline would otherwise overlap its islands across cores and hide exactly
+// the axis being measured), so process count is the scaling axis: the
+// in-process row is what one process-slot does, and a K-process row shows
+// what K slots buy. On a 1-CPU host all rows sit at parity or below (the
+// protocol adds serialization without adding silicon); the >=1.8x floor for
+// the 4-process fleet is asserted only on hosts with at least 4 CPUs.
 
 // distSearchModel is the model the workload runs on; distSearchIslands the
 // ring width (GA islands, no scouts — divisible across 1/2/4 processes).
@@ -42,7 +41,7 @@ const (
 
 // distRow is one contender of the distsearch workload.
 type distRow struct {
-	// Mode is "inprocess", "deterministic", or "async".
+	// Mode is "inprocess" or "deterministic" (a worker fleet).
 	Mode string `json:"mode"`
 	// WorkerProcs is the number of worker processes (0 for the in-process row).
 	WorkerProcs   int     `json:"worker_procs"`
@@ -63,9 +62,6 @@ type distReport struct {
 	Islands int       `json:"islands"`
 	Note    string    `json:"note"`
 	Rows    []distRow `json:"distsearch"`
-	// AsyncVsDeterministic is the async fleet's samples/s over the
-	// deterministic fleet's at the same process count.
-	AsyncVsDeterministic float64 `json:"async_vs_deterministic,omitempty"`
 }
 
 // runDistWorker is the hidden worker mode: benchreport re-executes itself
@@ -182,7 +178,7 @@ func runDistSearchWorkload(out string, samples int) bool {
 		NumCPU:  runtime.NumCPU(),
 		Model:   distSearchModel,
 		Islands: distSearchIslands,
-		Note:    "aggregate samples/s for the same 4-island ring: in-process vs 1/2/4 worker processes (deterministic barrier schedule, bit-identical results) and async eventual migration at the widest fleet; every process is pinned to one CPU (GOMAXPROCS=1), so process count is the scaling axis; on a 1-CPU host all rows sit at parity or below (the protocol adds serialization without adding silicon) — the >=1.8x floor for 4 processes vs in-process is asserted only on >=4-CPU hosts",
+		Note:    "aggregate samples/s for the same 4-island ring: in-process vs 1/2/4 worker processes (bit-identical results); every process is pinned to one CPU (GOMAXPROCS=1), so process count is the scaling axis; on a 1-CPU host all rows sit at parity or below (the protocol adds serialization without adding silicon) — the >=1.8x floor for 4 processes vs in-process is asserted only on >=4-CPU hosts",
 	}
 
 	// One long-lived evaluator per process slot, like the worker processes
@@ -208,52 +204,36 @@ func runDistSearchWorkload(out string, samples int) bool {
 	fmt.Printf("dists %-13s procs=0 %10.0f samples/s  (baseline)\n", base.Mode, base.SamplesPerSec)
 	rep.Rows = append(rep.Rows, base)
 
-	var det4, async4 float64
+	var det4 float64
 	for _, k := range []int{1, 2, 4} {
 		addrs, cleanup, err := spawnBenchWorkers(distSearchModel, k)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: distsearch: %v\n", err)
 			os.Exit(1)
 		}
-		for _, async := range []bool{false, true} {
-			if async && k != 4 {
-				continue // the async delta is reported at the widest fleet only
-			}
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := dist.Run(inprocEv, dist.Options{Search: opt, Workers: addrs, Async: async}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			row := distRow{
-				Mode:          "deterministic",
-				WorkerProcs:   k,
-				SamplesPerSec: total * float64(res.N) / res.T.Seconds(),
-				NsPerOp:       float64(res.NsPerOp()),
-			}
-			if async {
-				row.Mode = "async"
-			}
-			if base.SamplesPerSec > 0 {
-				row.SpeedupVsInProcess = row.SamplesPerSec / base.SamplesPerSec
-			}
-			fmt.Printf("dists %-13s procs=%d %10.0f samples/s  (%.2fx vs in-process)\n",
-				row.Mode, row.WorkerProcs, row.SamplesPerSec, row.SpeedupVsInProcess)
-			rep.Rows = append(rep.Rows, row)
-			if k == 4 {
-				if async {
-					async4 = row.SamplesPerSec
-				} else {
-					det4 = row.SamplesPerSec
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := dist.Run(inprocEv, dist.Options{Search: opt, Workers: addrs}); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
+		})
 		cleanup()
-	}
-	if det4 > 0 {
-		rep.AsyncVsDeterministic = async4 / det4
-		fmt.Printf("dists async-vs-deterministic at 4 procs: %.2fx\n", rep.AsyncVsDeterministic)
+		row := distRow{
+			Mode:          "deterministic",
+			WorkerProcs:   k,
+			SamplesPerSec: total * float64(res.N) / res.T.Seconds(),
+			NsPerOp:       float64(res.NsPerOp()),
+		}
+		if base.SamplesPerSec > 0 {
+			row.SpeedupVsInProcess = row.SamplesPerSec / base.SamplesPerSec
+		}
+		fmt.Printf("dists %-13s procs=%d %10.0f samples/s  (%.2fx vs in-process)\n",
+			row.Mode, row.WorkerProcs, row.SamplesPerSec, row.SpeedupVsInProcess)
+		rep.Rows = append(rep.Rows, row)
+		if k == 4 {
+			det4 = row.SamplesPerSec
+		}
 	}
 
 	failed := false

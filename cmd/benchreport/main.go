@@ -38,8 +38,7 @@
 // A seventh workload, distsearch (-distsearch, BENCH_distsearch.json),
 // measures the distributed island search: aggregate samples/s for the same
 // 4-island ring run in-process vs across 1/2/4 worker processes (the binary
-// re-executes itself in a hidden -dist-worker mode), plus the async
-// eventual-migration fleet at the widest process count. Every contender is
+// re-executes itself in a hidden -dist-worker mode). Every contender is
 // pinned to one evaluation goroutine per process, so process count is the
 // scaling axis; the >=1.8x floor for the 4-process fleet is asserted only on
 // hosts with at least 4 CPUs (a 1-CPU host honestly reports parity or

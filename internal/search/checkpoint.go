@@ -18,8 +18,9 @@ import (
 
 // Fingerprint folds every option that shapes the search trajectory into a
 // stable string, applying defaults first so raw and normalized Options
-// agree. The distributed coordinator (internal/search/dist) embeds it in
-// its handshake and checkpoints; Resume checks it before restoring.
+// agree. Checkpoints carry it and Resume checks it before restoring; the
+// distributed coordinator (internal/search/dist) also sends it with every
+// worker's assignment.
 func Fingerprint(opt Options) string { return fingerprint(opt.WithDefaults()) }
 
 // fingerprint folds every option that shapes the search trajectory into a
@@ -85,8 +86,7 @@ func DecodeGenome(gr *graph.Graph, j *serialize.GenomeJSON, needRes bool) (*core
 // CheckCheckpoint verifies that a decoded snapshot belongs to the given
 // graph and configuration: graph name, options fingerprint, and ring
 // geometry must all match, because a resumed trajectory is only meaningful
-// under the exact configuration that produced it. Shared by the
-// single-process restore and the distributed coordinator.
+// under the exact configuration that produced it.
 func CheckCheckpoint(cp *serialize.CheckpointJSON, graphName string, opt Options) error {
 	opt = opt.WithDefaults()
 	if cp.Graph != graphName {
@@ -108,42 +108,28 @@ func CheckCheckpoint(cp *serialize.CheckpointJSON, graphName string, opt Options
 	return nil
 }
 
-// save writes the orchestrator snapshot atomically.
-func (h *orchestrator) save(path string) error {
-	cp := &serialize.CheckpointJSON{
-		Graph:            h.ev.Graph().Name,
-		Config:           fingerprint(h.opt),
-		Round:            h.rounds,
-		Migrations:       h.migrations,
-		MigrantsSent:     h.sent,
-		MigrantsReceived: h.recv,
-		Islands:          h.host.Snapshots(),
-	}
-	data, err := serialize.EncodeCheckpoint(cp)
-	if err != nil {
-		return fmt.Errorf("search: checkpoint: %w", err)
-	}
-	if err := serialize.AtomicWriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("search: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// restore loads a snapshot into a freshly constructed orchestrator.
-func (h *orchestrator) restore(snapshot []byte) error {
-	cp, err := serialize.DecodeCheckpoint(snapshot)
+// save writes the ring's barrier snapshot atomically. The bytes depend
+// only on the island snapshots and counters, so a fleet writes the file an
+// in-process run would write at the same barrier, and either resumes it.
+func (l *loop) save() error {
+	islands, err := l.ring.Snapshots()
 	if err != nil {
 		return err
 	}
-	if err := CheckCheckpoint(cp, h.ev.Graph().Name, h.opt); err != nil {
-		return err
+	data, err := serialize.EncodeCheckpoint(&serialize.CheckpointJSON{
+		Graph:            l.ev.Graph().Name,
+		Config:           fingerprint(l.opt),
+		Round:            l.rounds,
+		Migrations:       l.migrations,
+		MigrantsSent:     l.sent,
+		MigrantsReceived: l.recv,
+		Islands:          islands,
+	})
+	if err == nil {
+		err = serialize.AtomicWriteFile(l.opt.Checkpoint, data, 0o644)
 	}
-	if err := h.host.Restore(cp.Islands); err != nil {
-		return err
+	if err != nil {
+		return fmt.Errorf("search: checkpoint: %w", err)
 	}
-	h.rounds = cp.Round
-	h.migrations = cp.Migrations
-	h.sent = cp.MigrantsSent
-	h.recv = cp.MigrantsReceived
 	return nil
 }

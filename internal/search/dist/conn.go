@@ -16,10 +16,11 @@ type frameWriter interface {
 }
 
 // wire wraps one connection with buffered reads, mutex-serialized writes,
-// and optional per-frame I/O deadlines. The mutex matters in async mode,
-// where commit frames for a worker are forwarded by other workers' driver
-// goroutines and must not interleave bytes with that worker's own request
-// stream.
+// and optional per-frame I/O deadlines. The write mutex pairs each frame's
+// write deadline with its single Write, so two writers on one connection
+// could neither interleave frame bytes nor re-arm each other's deadline.
+// Each connection has one writer at a time today, so the lock is
+// uncontended.
 //
 // The deadline matters for liveness: without one, a hung or half-open peer
 // socket blocks a frame read (or a write into a full kernel buffer)
@@ -41,8 +42,8 @@ func newWire(c net.Conn, timeout time.Duration) *wire {
 
 // wrapTimeout makes deadline expiry actionable: the raw error is a bare
 // "i/o timeout" with no hint of which side gave up or after how long. The
-// caller (coordinator each/eachIndexed, worker session log) prefixes the
-// peer address.
+// caller (the coordinator's per-worker fan-out, the worker's session log)
+// prefixes the peer address.
 func (w *wire) wrapTimeout(op string, err error) error {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {

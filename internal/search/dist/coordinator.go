@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -20,15 +19,10 @@ type Options struct {
 	// single-process search.Run would take. Core.Workers is NOT sent to
 	// workers; each worker process spends its own -workers budget.
 	Search search.Options
-	// Workers lists worker addresses (host:port). The ring is split into
-	// contiguous slices across them in order: the first ring%K workers host
-	// one extra island.
+	// Workers lists worker addresses (host:port), each at most once. The
+	// ring is split into contiguous slices across them in order: the first
+	// ring%K workers host one extra island.
 	Workers []string
-	// Async drops the migration barrier: each worker's emigrants are
-	// forwarded to their ring successors as soon as that worker reports
-	// them, while other workers may still be stepping. Lower coordination
-	// latency, non-deterministic results; checkpoints are unsupported.
-	Async bool
 	// DialTimeout bounds each worker connection attempt (default 10s).
 	DialTimeout time.Duration
 	// IOTimeout, when positive, sets a deadline on every frame read and
@@ -46,6 +40,17 @@ type peer struct {
 	addr   string
 	w      *wire
 	lo, hi int
+}
+
+// hosts checks that every per-island list of a reply has one entry per
+// island p hosts.
+func (p *peer) hosts(what string, counts ...int) error {
+	for _, n := range counts {
+		if n != p.hi-p.lo {
+			return fmt.Errorf("sent %d %s, hosts %d islands", n, what, p.hi-p.lo)
+		}
+	}
+	return nil
 }
 
 // splitRing partitions ring islands into contiguous slices over k workers,
@@ -66,87 +71,40 @@ func splitRing(ring, k int) [][2]int {
 	return out
 }
 
+// coordinator is the fleet's search.Ring: it fans each barrier call out to
+// every worker and reassembles the replies in ring order. When to step,
+// migrate, checkpoint, or pause, and how results aggregate, is the search
+// loop's business, shared with in-process runs.
 type coordinator struct {
 	ev    *eval.Evaluator
 	opt   Options
 	sopt  search.Options // normalized
 	ring  int
 	peers []*peer
-
-	rounds     int
-	migrations int
-	paused     bool
-	sent, recv []int
-
-	// closeOnce guarantees every peer connection is closed exactly once,
-	// whichever of the (handshake-failure, run-failure, normal-finish)
-	// paths gets there first.
-	closeOnce sync.Once
 }
 
 // Run executes a distributed search from scratch. With the same
 // search.Options, any worker partitioning is bit-identical to the
-// single-process search.Run (async mode excepted).
+// single-process search.Run.
 func Run(ev *eval.Evaluator, opt Options) (*core.Genome, *search.Stats, error) {
-	return run(ev, opt, nil)
-}
-
-// Resume continues a distributed search from a checkpoint snapshot written
-// by a previous Run — or by a single-process search.Run with the same
-// options: the checkpoint format is shared, so a fleet can pick up a
-// single-process run and vice versa.
-func Resume(ev *eval.Evaluator, opt Options, snapshot []byte) (*core.Genome, *search.Stats, error) {
-	cp, err := serialize.DecodeCheckpoint(snapshot)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := search.CheckCheckpoint(cp, ev.Graph().Name, opt.Search); err != nil {
-		return nil, nil, err
-	}
-	return run(ev, opt, cp)
+	return RunOrResume(ev, opt, "")
 }
 
 // RunOrResume resumes from resumePath when the file exists, otherwise starts
-// fresh — the same crash-restart contract as search.RunOrResume, including
-// the corrupt-checkpoint error wrapping.
+// fresh: search.RunOrResume over the fleet. The checkpoint format is shared,
+// so a fleet resumes a single-process run's file and vice versa, under any
+// partitioning.
 func RunOrResume(ev *eval.Evaluator, opt Options, resumePath string) (*core.Genome, *search.Stats, error) {
-	if resumePath != "" {
-		data, err := os.ReadFile(resumePath)
-		if err == nil {
-			best, stats, rerr := Resume(ev, opt, data)
-			if rerr != nil && stats == nil {
-				rerr = fmt.Errorf("dist: resume from checkpoint %s: %w (delete the file to restart the search from scratch)", resumePath, rerr)
-			}
-			return best, stats, rerr
-		}
-		if !os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("dist: read checkpoint: %w", err)
-		}
-	}
-	return Run(ev, opt)
-}
-
-func run(ev *eval.Evaluator, opt Options, cp *serialize.CheckpointJSON) (*core.Genome, *search.Stats, error) {
-	c, err := newCoordinator(ev, opt, cp)
-	if c != nil {
-		defer c.close()
-	}
+	c, err := newCoordinator(ev, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Async {
-		if err := c.roundsAsync(); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		if err := c.roundsSync(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return c.finish()
+	defer c.close()
+	return search.RunOrResumeOn(ev, opt.Search, resumePath, c.open)
 }
 
-func newCoordinator(ev *eval.Evaluator, opt Options, cp *serialize.CheckpointJSON) (*coordinator, error) {
+// newCoordinator checks the options; it dials nobody.
+func newCoordinator(ev *eval.Evaluator, opt Options) (*coordinator, error) {
 	sopt := opt.Search.WithDefaults()
 	if sopt.Core.Init != nil || sopt.Core.Trace != nil {
 		return nil, errors.New("dist: Core.Init and Core.Trace are not supported in distributed runs")
@@ -163,36 +121,38 @@ func newCoordinator(ev *eval.Evaluator, opt Options, cp *serialize.CheckpointJSO
 	if len(opt.Workers) > ring {
 		return nil, fmt.Errorf("dist: %d workers for a %d-island ring; grow -islands/-scouts or drop workers", len(opt.Workers), ring)
 	}
-	if sopt.MaxRounds > 0 && sopt.Checkpoint == "" {
-		return nil, errors.New("dist: MaxRounds requires a Checkpoint path to resume from")
+	seen := make(map[string]bool, len(opt.Workers))
+	for _, addr := range opt.Workers {
+		if seen[addr] {
+			// A worker serves one session at a time, so it would never read
+			// the second connection's hello.
+			return nil, fmt.Errorf("dist: worker %s listed twice; list each worker process once", addr)
+		}
+		seen[addr] = true
 	}
-	if opt.Async && (sopt.Checkpoint != "" || cp != nil) {
-		return nil, errors.New("dist: async mode is non-deterministic and does not support checkpoints; drop -dist-async or the checkpoint")
-	}
-	c := &coordinator{ev: ev, opt: opt, sopt: sopt, ring: ring}
-	if cp != nil {
-		c.rounds = cp.Round
-		c.migrations = cp.Migrations
-		c.sent = cp.MigrantsSent
-		c.recv = cp.MigrantsReceived
-	}
+	return &coordinator{ev: ev, opt: opt, sopt: sopt, ring: ring}, nil
+}
 
-	dialTimeout := opt.DialTimeout
+// open dials every worker, checks evaluator fingerprints both ways, and
+// assigns each worker its ring slice — with the slice's island snapshots
+// when resuming cp.
+func (c *coordinator) open(cp *serialize.CheckpointJSON) (search.Ring, error) {
+	dialTimeout := c.opt.DialTimeout
 	if dialTimeout <= 0 {
 		dialTimeout = 10 * time.Second
 	}
-	slices := splitRing(ring, len(opt.Workers))
-	for i, addr := range opt.Workers {
+	for i, s := range splitRing(c.ring, len(c.opt.Workers)) {
+		addr := c.opt.Workers[i]
 		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
-			return c, fmt.Errorf("dist: worker %s: %w", addr, err)
+			return nil, fmt.Errorf("dist: worker %s: %w", addr, err)
 		}
-		c.peers = append(c.peers, &peer{addr: addr, w: newWire(conn, opt.IOTimeout), lo: slices[i][0], hi: slices[i][1]})
+		c.peers = append(c.peers, &peer{addr: addr, w: newWire(conn, c.opt.IOTimeout), lo: s[0], hi: s[1]})
 	}
 
-	hello := helloMsg{Proto: ProtocolVersion, Fingerprint: evFingerprint(ev)}
-	wireOpt := encodeOptions(sopt)
-	config := search.Fingerprint(sopt)
+	hello := helloMsg{Proto: ProtocolVersion, Fingerprint: evFingerprint(c.ev)}
+	wireOpt := encodeOptions(c.sopt)
+	config := search.Fingerprint(c.sopt)
 	err := c.each(func(p *peer) error {
 		var ack helloMsg
 		if err := p.w.request(MsgHello, hello, MsgHelloAck, &ack); err != nil {
@@ -203,37 +163,30 @@ func newCoordinator(ev *eval.Evaluator, opt Options, cp *serialize.CheckpointJSO
 		}
 		assign := assignMsg{Options: wireOpt, Config: config, Lo: p.lo, Hi: p.hi}
 		if cp != nil {
-			assign.Round = cp.Round
-			assign.Migrations = cp.Migrations
+			assign.Round, assign.Migrations = cp.Round, cp.Migrations
 			assign.Islands = cp.Islands[p.lo:p.hi]
 		}
 		return p.w.request(MsgAssign, assign, MsgAssignAck, nil)
 	})
 	if err != nil {
-		return c, err
+		return nil, err
 	}
 	return c, nil
 }
 
-// close tears down every worker connection exactly once. It is reached from
-// run's deferred cleanup on every path — handshake/assign failure (including
-// the partial-fleet case where some workers connected and one failed),
-// mid-run errors, and normal completion — and the Once keeps a second
-// arrival from double-closing peers. Closing the connection is also what
-// releases the surviving workers: their sequential frame loops see EOF and
-// go back to accepting.
+// close tears down every worker connection. RunOrResume defers it, so it
+// runs exactly once on every path — a failed dial or handshake (including a
+// partial fleet where some workers connected), a failed round, a normal
+// finish. Closing is also what releases the surviving workers: their
+// sequential frame loops see EOF and go back to accepting.
 func (c *coordinator) close() {
-	c.closeOnce.Do(func() {
-		for _, p := range c.peers {
-			if p.w != nil {
-				p.w.c.Close()
-			}
-		}
-	})
+	for _, p := range c.peers {
+		p.w.c.Close()
+	}
 }
 
-// each runs fn once per connected peer, concurrently, and joins errors
-// annotated with the worker address.
+// each runs fn once per peer, concurrently, and joins the errors, each
+// annotated with its worker's address.
 func (c *coordinator) each(fn func(p *peer) error) error {
 	errs := make([]error, len(c.peers))
 	var wg sync.WaitGroup
@@ -250,279 +203,119 @@ func (c *coordinator) each(fn func(p *peer) error) error {
 	return errors.Join(errs...)
 }
 
-// ownerOf returns the peer hosting a global ring index.
-func (c *coordinator) ownerOf(idx int) *peer {
-	for _, p := range c.peers {
-		if idx >= p.lo && idx < p.hi {
-			return p
-		}
-	}
-	return nil // unreachable: slices cover [0,ring)
-}
-
-// roundsSync is the deterministic schedule: step everyone, then hold the
-// migration barrier — collect every worker's emigrants before committing
-// any — then checkpoint, exactly like orchestrator.run.
-func (c *coordinator) roundsSync() error {
-	stepped := make([]steppedMsg, len(c.peers))
-	startRound := c.rounds
-	for {
-		if err := c.eachIndexed(func(i int, p *peer) error {
-			return p.w.request(MsgStep, struct{}{}, MsgStepped, &stepped[i])
-		}); err != nil {
+// Step steps every worker's islands one round. The step frame carries no
+// body: each worker steps the MigrateEvery it was assigned.
+func (c *coordinator) Step() (progressed, done bool, err error) {
+	prog, fin := make([]bool, c.ring), make([]bool, c.ring)
+	err = c.each(func(p *peer) error {
+		var st steppedMsg
+		if err := p.w.request(MsgStep, struct{}{}, MsgStepped, &st); err != nil {
 			return err
 		}
-		any := false
-		for i, st := range stepped {
-			if want := c.peers[i].hi - c.peers[i].lo; len(st.Progressed) != want || len(st.Done) != want {
-				return fmt.Errorf("dist: worker %s reported %d islands, hosts %d", c.peers[i].addr, len(st.Progressed), want)
-			}
-			for _, b := range st.Progressed {
-				any = any || b
-			}
+		if err := p.hosts("step reports", len(st.Progressed), len(st.Done)); err != nil {
+			return err
 		}
-		if !any {
-			return nil
-		}
-		c.rounds++
-		if c.ring > 1 {
-			if err := c.migrate(); err != nil {
-				return err
-			}
-		}
-		if c.sopt.Checkpoint != "" && c.rounds%c.sopt.CheckpointEvery == 0 {
-			if err := c.save(c.sopt.Checkpoint); err != nil {
-				return err
-			}
-		}
-		if c.sopt.MaxRounds > 0 && c.rounds-startRound >= c.sopt.MaxRounds {
-			c.paused = !allDone(stepped)
-			if c.paused && c.rounds%c.sopt.CheckpointEvery != 0 {
-				if err := c.save(c.sopt.Checkpoint); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-}
-
-// eachIndexed is each with the peer's index exposed.
-func (c *coordinator) eachIndexed(fn func(i int, p *peer) error) error {
-	errs := make([]error, len(c.peers))
-	var wg sync.WaitGroup
-	for i, p := range c.peers {
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			if err := fn(i, p); err != nil {
-				errs[i] = fmt.Errorf("dist: worker %s: %w", p.addr, err)
-			}
-		}(i, p)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// allDone reports whether every island across every worker is exhausted.
-// Exhaustion is unaffected by migration (immigrants consume no samples), so
-// the pre-barrier flags are valid post-barrier too.
-func allDone(stepped []steppedMsg) bool {
-	for _, st := range stepped {
-		for _, d := range st.Done {
-			if !d {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// migrate holds the barrier: every worker's emigrant payloads are collected
-// before any commit is sent, then each payload goes to its ring successor.
-// Selection and commit are island-local, so once the barrier ordering holds,
-// the exchange is the single-process one.
-func (c *coordinator) migrate() error {
-	ems := make([]emigrantsMsg, len(c.peers))
-	if err := c.eachIndexed(func(i int, p *peer) error {
-		return p.w.request(MsgEmigrantsReq, struct{}{}, MsgEmigrants, &ems[i])
-	}); err != nil {
-		return err
-	}
-	// Barrier held: every selection is in hand. Route payloads.
-	out := make([][]serialize.GenomeJSON, c.ring)
-	for i, p := range c.peers {
-		if len(ems[i].Out) != p.hi-p.lo {
-			return fmt.Errorf("dist: worker %s sent %d emigrant sets, hosts %d islands", p.addr, len(ems[i].Out), p.hi-p.lo)
-		}
-		for j, gs := range ems[i].Out {
-			out[p.lo+j] = gs
-		}
-	}
-	if c.sent == nil {
-		c.sent = make([]int, c.ring)
-		c.recv = make([]int, c.ring)
-	}
-	commits := make(map[*peer]*commitMsg, len(c.peers))
-	for i := 0; i < c.ring; i++ {
-		dest := (i + 1) % c.ring
-		p := c.ownerOf(dest)
-		m := commits[p]
-		if m == nil {
-			m = &commitMsg{}
-			commits[p] = m
-		}
-		m.Islands = append(m.Islands, commitIsland{Island: dest, Genomes: out[i]})
-		c.sent[i] += len(out[i])
-		c.recv[dest] += len(out[i])
-	}
-	if err := c.each(func(p *peer) error {
-		m := commits[p]
-		if m == nil {
-			return nil
-		}
-		return writeMsg(p.w, MsgCommit, *m)
-	}); err != nil {
-		return err
-	}
-	c.migrations++
-	return nil
-}
-
-// save aggregates per-worker island snapshots into one standard checkpoint,
-// byte-identical to what a single-process run would write at this barrier.
-// Commits were written to each worker before the snapshot request on the
-// same ordered connection, so every snapshot is post-migration.
-func (c *coordinator) save(path string) error {
-	snaps := make([]snapshotMsg, len(c.peers))
-	if err := c.eachIndexed(func(i int, p *peer) error {
-		return p.w.request(MsgSnapshotReq, struct{}{}, MsgSnapshot, &snaps[i])
-	}); err != nil {
-		return err
-	}
-	cp := &serialize.CheckpointJSON{
-		Graph:            c.ev.Graph().Name,
-		Config:           search.Fingerprint(c.sopt),
-		Round:            c.rounds,
-		Migrations:       c.migrations,
-		MigrantsSent:     c.sent,
-		MigrantsReceived: c.recv,
-	}
-	for i, p := range c.peers {
-		if len(snaps[i].Islands) != p.hi-p.lo {
-			return fmt.Errorf("dist: worker %s sent %d snapshots, hosts %d islands", p.addr, len(snaps[i].Islands), p.hi-p.lo)
-		}
-		cp.Islands = append(cp.Islands, snaps[i].Islands...)
-	}
-	data, err := serialize.EncodeCheckpoint(cp)
-	if err != nil {
-		return fmt.Errorf("dist: checkpoint: %w", err)
-	}
-	if err := serialize.AtomicWriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("dist: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// roundsAsync drops the barrier: one driver goroutine per worker steps it
-// and forwards its emigrants to ring successors the moment they arrive,
-// while other workers are mid-step. Immigrants land whenever the
-// destination worker next drains its connection — "eventual migration".
-// Arrival order depends on scheduling, so results are not reproducible;
-// this is the throughput mode, benchmarked against the deterministic one.
-func (c *coordinator) roundsAsync() error {
-	var mu sync.Mutex // rounds/migrations/sent/recv
-	if c.ring > 1 {
-		c.sent = make([]int, c.ring)
-		c.recv = make([]int, c.ring)
-	}
-	err := c.each(func(p *peer) error {
-		localRounds := 0
-		for {
-			var st steppedMsg
-			if err := p.w.request(MsgStep, struct{}{}, MsgStepped, &st); err != nil {
-				return err
-			}
-			any := false
-			for _, b := range st.Progressed {
-				any = any || b
-			}
-			if !any {
-				mu.Lock()
-				if localRounds > c.rounds {
-					c.rounds = localRounds
-				}
-				mu.Unlock()
-				return nil
-			}
-			localRounds++
-			if c.ring == 1 {
-				continue
-			}
-			var em emigrantsMsg
-			if err := p.w.request(MsgEmigrantsReq, struct{}{}, MsgEmigrants, &em); err != nil {
-				return err
-			}
-			for j, gs := range em.Out {
-				src := p.lo + j
-				dest := (src + 1) % c.ring
-				dp := c.ownerOf(dest)
-				if err := writeMsg(dp.w, MsgCommit, commitMsg{Islands: []commitIsland{{Island: dest, Genomes: gs}}}); err != nil {
-					return err
-				}
-				mu.Lock()
-				c.sent[src] += len(gs)
-				c.recv[dest] += len(gs)
-				mu.Unlock()
-			}
-			mu.Lock()
-			c.migrations++
-			mu.Unlock()
-		}
+		copy(prog[p.lo:], st.Progressed)
+		copy(fin[p.lo:], st.Done)
+		return nil
 	})
-	return err
+	if err != nil {
+		return false, false, err
+	}
+	done = true
+	for i := range prog {
+		progressed = progressed || prog[i]
+		done = done && fin[i]
+	}
+	return progressed, done, nil
 }
 
-// finish aggregates per-worker results with the orchestrator's exact rules:
-// strict-< best over ring order, summed sample counters.
-func (c *coordinator) finish() (*core.Genome, *search.Stats, error) {
-	results := make([]resultMsg, len(c.peers))
-	if err := c.eachIndexed(func(i int, p *peer) error {
-		return p.w.request(MsgResultReq, struct{}{}, MsgResult, &results[i])
-	}); err != nil {
+// Migrate holds the barrier: every worker's emigrant payloads are collected
+// before any commit is sent. Each payload then goes, still encoded, to the
+// worker hosting its ring successor, in ascending source order as the
+// in-process ring commits. Commits need no reply: a worker applies them
+// before any later request on the same ordered connection.
+func (c *coordinator) Migrate() ([]int, error) {
+	out := make([][]serialize.GenomeJSON, c.ring)
+	err := c.each(func(p *peer) error {
+		var em emigrantsMsg
+		if err := p.w.request(MsgEmigrantsReq, struct{}{}, MsgEmigrants, &em); err != nil {
+			return err
+		}
+		if err := p.hosts("emigrant sets", len(em.Out)); err != nil {
+			return err
+		}
+		copy(out[p.lo:], em.Out)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = c.each(func(p *peer) error {
+		var m commitMsg
+		for i, gs := range out {
+			if dest := (i + 1) % c.ring; dest >= p.lo && dest < p.hi {
+				m.Islands = append(m.Islands, commitIsland{Island: dest, Genomes: gs})
+			}
+		}
+		return writeMsg(p.w, MsgCommit, m)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sent := make([]int, c.ring)
+	for i, gs := range out {
+		sent[i] = len(gs)
+	}
+	return sent, nil
+}
+
+// Snapshots gathers every worker's island snapshots in ring order. Commits
+// precede the snapshot request on each ordered connection, so every
+// snapshot is post-migration.
+func (c *coordinator) Snapshots() ([]serialize.IslandJSON, error) {
+	islands := make([]serialize.IslandJSON, c.ring)
+	err := c.each(func(p *peer) error {
+		var s snapshotMsg
+		if err := p.w.request(MsgSnapshotReq, struct{}{}, MsgSnapshot, &s); err != nil {
+			return err
+		}
+		if err := p.hosts("snapshots", len(s.Islands)); err != nil {
+			return err
+		}
+		copy(islands[p.lo:], s.Islands)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return islands, nil
+}
+
+// Results gathers every worker's island statistics and best genomes in ring
+// order.
+func (c *coordinator) Results() ([]*core.Genome, []core.Stats, error) {
+	bests, stats := make([]*core.Genome, c.ring), make([]core.Stats, c.ring)
+	err := c.each(func(p *peer) error {
+		var r resultMsg
+		if err := p.w.request(MsgResultReq, struct{}{}, MsgResult, &r); err != nil {
+			return err
+		}
+		if err := p.hosts("results", len(r.Stats), len(r.Bests)); err != nil {
+			return err
+		}
+		copy(stats[p.lo:], r.Stats)
+		for j, b := range r.Bests {
+			g, err := search.DecodeGenome(c.ev.Graph(), b, true)
+			if err != nil {
+				return fmt.Errorf("island %d best: %w", p.lo+j, err)
+			}
+			bests[p.lo+j] = g
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	st := &search.Stats{
-		Rounds: c.rounds, Migrations: c.migrations, BestIsland: -1, Paused: c.paused,
-		MigrantsSent: c.sent, MigrantsReceived: c.recv,
-	}
-	gr := c.ev.Graph()
-	bests := make([]*core.Genome, 0, c.ring)
-	for i, p := range c.peers {
-		if len(results[i].Stats) != p.hi-p.lo || len(results[i].Bests) != p.hi-p.lo {
-			return nil, nil, fmt.Errorf("dist: worker %s sent %d results, hosts %d islands", p.addr, len(results[i].Stats), p.hi-p.lo)
-		}
-		for j, is := range results[i].Stats {
-			st.IslandStats = append(st.IslandStats, is)
-			st.Samples += is.Samples
-			st.FeasibleSamples += is.FeasibleSamples
-			st.MemoHits += is.MemoHits
-			b, err := search.DecodeGenome(gr, results[i].Bests[j], true)
-			if err != nil {
-				return nil, nil, fmt.Errorf("dist: worker %s island %d best: %w", p.addr, p.lo+j, err)
-			}
-			bests = append(bests, b)
-		}
-	}
-	best, bestIdx := search.AggregateBest(bests)
-	st.BestIsland = bestIdx
-	if best == nil {
-		if c.paused {
-			return nil, st, fmt.Errorf("dist: paused after %d rounds with no feasible genome yet (%d samples); resume to continue",
-				st.Rounds, st.Samples)
-		}
-		return nil, st, fmt.Errorf("dist: no feasible genome found in %d samples across %d islands",
-			st.Samples, c.ring)
-	}
-	return best, st, nil
+	return bests, stats, nil
 }

@@ -241,21 +241,56 @@ func TestDistResumesSingleProcessCheckpoint(t *testing.T) {
 	sameStats(t, "fleet-resumed", wantStats, gotStats)
 }
 
-// TestDistAsyncSmoke: async mode finds a feasible genome; no determinism
-// claim — that is exactly what async gives up.
-func TestDistAsyncSmoke(t *testing.T) {
+// TestDistPauseOffCheckpointCadence pauses a fleet and an in-process run
+// at MaxRounds 2 under CheckpointEvery 3, so no cadence checkpoint has been
+// written yet and the pause writes its own: the two files must be
+// byte-identical, and a fleet resuming the fleet's file must finish like
+// the uninterrupted run.
+func TestDistPauseOffCheckpointCadence(t *testing.T) {
 	model := "mobilenetv2"
-	best, st, err := Run(evaluatorFor(t, model), Options{
-		Search:  testOptions(),
-		Workers: startWorkers(t, model, 2),
-		Async:   true,
-	})
+	wantBest, wantStats, err := search.Run(evaluatorFor(t, model), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best == nil || st.Samples == 0 || st.Rounds == 0 {
-		t.Fatalf("async run produced no work: best=%v stats=%+v", best != nil, st)
+	dir := t.TempDir()
+	offCadence := func(ckpt string, maxRounds int) search.Options {
+		o := testOptions()
+		o.Checkpoint, o.CheckpointEvery, o.MaxRounds = ckpt, 3, maxRounds
+		return o
 	}
+
+	single := filepath.Join(dir, "single.ckpt")
+	if _, st, err := search.Run(evaluatorFor(t, model), offCadence(single, 2)); st == nil || !st.Paused {
+		t.Fatalf("in-process leg did not pause (stats %+v, err %v)", st, err)
+	}
+	fleet := filepath.Join(dir, "fleet.ckpt")
+	if _, st, err := Run(evaluatorFor(t, model), Options{
+		Search:  offCadence(fleet, 2),
+		Workers: startWorkers(t, model, 2),
+	}); st == nil || !st.Paused {
+		t.Fatalf("fleet leg did not pause (stats %+v, err %v)", st, err)
+	}
+	want, err := os.ReadFile(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("paused checkpoint bytes differ: fleet %d bytes, in-process %d", len(got), len(want))
+	}
+
+	gotBest, gotStats, err := RunOrResume(evaluatorFor(t, model), Options{
+		Search:  offCadence(fleet, 0),
+		Workers: startWorkers(t, model, 2),
+	}, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGenome(t, "resumed", wantBest, gotBest)
+	sameStats(t, "resumed", wantStats, gotStats)
 }
 
 func TestDistOptionValidation(t *testing.T) {
@@ -272,11 +307,7 @@ func TestDistOptionValidation(t *testing.T) {
 			Search:  func() search.Options { o := base; o.MaxRounds = 1; return o }(),
 			Workers: []string{"a"},
 		}, "MaxRounds requires a Checkpoint"},
-		{"async checkpoint", Options{
-			Search:  func() search.Options { o := base; o.Checkpoint = "x.ckpt"; return o }(),
-			Workers: []string{"a"},
-			Async:   true,
-		}, "async mode is non-deterministic"},
+		{"repeated address", Options{Search: base, Workers: []string{"a:1", "b:2", "a:1"}}, "worker a:1 listed twice"},
 	}
 	for _, tc := range cases {
 		if _, _, err := Run(ev, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -1,20 +1,18 @@
-// Package dist runs the island-model search across processes: a coordinator
-// drives round barriers over a fleet of worker processes, each hosting a
-// contiguous slice of the migration ring (search.RingHost), connected over
+// Package dist runs the island-model search across processes: a fleet of
+// worker processes each hosts a contiguous slice of the migration ring
+// (search.RingHost), and a coordinator connects to them over
 // length-prefixed binary frames on localhost TCP.
 //
-// Determinism contract. The coordinator replays the single-process ring
-// schedule exactly: every worker steps its islands MigrateEvery generations,
-// then the coordinator collects EVERY worker's emigrant payloads before
-// committing any of them, and delivers each payload to the ring successor —
-// the same select-all-then-commit-all barrier as the in-process
-// orchestrator. Because emigrant selection and commit are both island-local
-// (each island draws only from its own StreamMigration RNG), the barrier
-// ordering is the only cross-process invariant needed, and Run with any
-// worker partitioning is bit-identical to search.Run with the same Options:
-// same best genome, same Stats, byte-identical checkpoints. The async mode
-// (Options.Async) gives the barrier up for lower coordination latency and is
-// correspondingly non-deterministic.
+// Determinism contract. The coordinator is a search.Ring: the barrier
+// schedule it runs under is search's own loop, the one in-process searches
+// run. Its Migrate collects EVERY worker's emigrant payloads before
+// committing any of them and delivers each payload to the ring successor —
+// the same select-all-then-commit-all barrier as the in-process ring.
+// Because emigrant selection and commit are both island-local (each island
+// draws only from its own StreamMigration RNG), the barrier ordering is the
+// only cross-process invariant needed, and Run with any worker partitioning
+// is bit-identical to search.Run with the same Options: same best genome,
+// same Stats, byte-identical checkpoints.
 package dist
 
 import (

@@ -34,8 +34,8 @@ func splitWorkers(total, ring int) []int {
 }
 
 // RingHost builds and drives a contiguous slice [lo,hi) of the migration
-// ring. The single-process orchestrator is a RingHost over the whole ring;
-// a distributed worker process (internal/search/dist) is a RingHost over
+// ring. An in-process search drives a RingHost over the whole ring; a
+// distributed worker process (internal/search/dist) is a RingHost over
 // its assigned slice. Both construct islands from the same Options with the
 // same ChildSeedStream-derived seeds per global ring index, which is what
 // makes any worker partitioning replay the single-process trajectory.
@@ -87,13 +87,6 @@ func NewRingHost(ev *eval.Evaluator, opt Options, lo, hi int) (*RingHost, error)
 	}
 	return h, nil
 }
-
-// RingSize is the global ring length (GA islands plus scouts).
-func (h *RingHost) RingSize() int { return h.opt.Islands + len(h.opt.Scouts) }
-
-// Lo and Hi bound the hosted global ring indices.
-func (h *RingHost) Lo() int { return h.lo }
-func (h *RingHost) Hi() int { return h.hi }
 
 // Options returns the normalized options the host was built with.
 func (h *RingHost) Options() Options { return h.opt }

@@ -2,7 +2,8 @@
 // K independent GA populations (plus optional SA/greedy "scout" islands)
 // explore concurrently over one shared evaluator, exchanging genomes by
 // deterministic ring migration every few generations, with versioned
-// checkpoint/resume snapshots.
+// checkpoint/resume snapshots. One barrier loop schedules the ring, whether
+// its islands live in this process or in dist worker processes (Ring).
 //
 // Determinism contract. Every island's randomness comes from its own
 // ChildSeedStream-derived stream (StreamIslands for GA masters beyond
@@ -176,11 +177,98 @@ type island interface {
 	restore(j serialize.IslandJSON) error
 }
 
-// orchestrator drives the ring.
-type orchestrator struct {
+// Ring is the island ring a search drives, barrier by barrier. In one
+// process it is a RingHost over the whole ring; internal/search/dist
+// implements it over a fleet of worker processes that each host a slice.
+// Both run under the one loop behind RunOrResumeOn — step, migrate,
+// checkpoint cadence, pause, aggregation, resume — so any partitioning of
+// the ring replays the in-process trajectory by construction.
+//
+// The loop calls one Step per round; after a Step that did work, Migrate
+// (on a ring of two or more islands), Snapshots on checkpointing rounds,
+// and Results when Options.Progress is set; Results once more at the end.
+type Ring interface {
+	// Step advances every island by one round of MigrateEvery optimizer
+	// steps (or a scout's equivalent). It reports whether any island did
+	// work and whether every island's budget is now exhausted.
+	Step() (progressed, done bool, err error)
+	// Migrate runs one whole migration barrier: every island's emigrants
+	// are selected before any is committed to its ring successor. It
+	// returns how many genomes each island sent, in ring order.
+	Migrate() (sent []int, err error)
+	// Snapshots serializes every island, in ring order.
+	Snapshots() ([]serialize.IslandJSON, error)
+	// Results returns every island's best feasible genome (nil for none)
+	// and statistics, in ring order.
+	Results() ([]*core.Genome, []core.Stats, error)
+}
+
+// OpenRing builds the ring a search runs on: restored from cp's island
+// snapshots, which have already been checked against the search's graph and
+// options, or fresh when cp is nil.
+type OpenRing func(cp *serialize.CheckpointJSON) (Ring, error)
+
+// Run executes an orchestrated search from scratch.
+func Run(ev *eval.Evaluator, opt Options) (*core.Genome, *Stats, error) {
+	return RunOrResume(ev, opt, "")
+}
+
+// Resume continues a search from a checkpoint snapshot previously written
+// by Run (or Resume) with the same options and evaluator.
+func Resume(ev *eval.Evaluator, opt Options, snapshot []byte) (*core.Genome, *Stats, error) {
+	l, err := newLoop(ev, opt, nil)
+	if err == nil {
+		err = l.resume(snapshot)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return l.run()
+}
+
+// RunOrResume resumes from resumePath when the file exists, otherwise starts
+// fresh. This is the cmd-level entry point: crash-interrupted jobs restart
+// with the same command line and pick up where the last checkpoint left off.
+func RunOrResume(ev *eval.Evaluator, opt Options, resumePath string) (*core.Genome, *Stats, error) {
+	return RunOrResumeOn(ev, opt, resumePath, nil)
+}
+
+// RunOrResumeOn is RunOrResume over the ring open builds; a nil open runs
+// the whole ring in this process.
+func RunOrResumeOn(ev *eval.Evaluator, opt Options, resumePath string, open OpenRing) (*core.Genome, *Stats, error) {
+	l, err := newLoop(ev, opt, open)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resumePath != "" {
+		data, err := os.ReadFile(resumePath)
+		if err == nil {
+			if err := l.resume(data); err != nil {
+				// The snapshot never loaded (corrupt, truncated, or for a
+				// different configuration) — as opposed to a search that
+				// resumed fine but ended without a feasible genome, which
+				// reports Stats. Name the file and the way out.
+				return nil, nil, fmt.Errorf("search: resume from checkpoint %s: %w (delete the file to restart the search from scratch)", resumePath, err)
+			}
+			return l.run()
+		}
+		if !os.IsNotExist(err) {
+			return nil, nil, fmt.Errorf("search: read checkpoint: %w", err)
+		}
+	}
+	if err := l.start(nil); err != nil {
+		return nil, nil, err
+	}
+	return l.run()
+}
+
+// loop is the ring's barrier schedule and its counters.
+type loop struct {
 	ev   *eval.Evaluator
-	opt  Options
-	host *RingHost
+	opt  Options // normalized by WithDefaults
+	size int     // ring length: GA islands plus scouts
+	open OpenRing
+	ring Ring
 
 	rounds     int
 	migrations int
@@ -188,171 +276,113 @@ type orchestrator struct {
 	sent, recv []int // per ring island, allocated at the first barrier
 }
 
-// Run executes an orchestrated search from scratch.
-func Run(ev *eval.Evaluator, opt Options) (*core.Genome, *Stats, error) {
-	h, err := newOrchestrator(ev, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h.run()
-}
-
-// Resume continues a search from a checkpoint snapshot previously written
-// by Run (or Resume) with the same options and evaluator.
-func Resume(ev *eval.Evaluator, opt Options, snapshot []byte) (*core.Genome, *Stats, error) {
-	h, err := newOrchestrator(ev, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := h.restore(snapshot); err != nil {
-		return nil, nil, err
-	}
-	return h.run()
-}
-
-// RunOrResume resumes from resumePath when the file exists, otherwise starts
-// fresh. This is the cmd-level entry point: crash-interrupted jobs restart
-// with the same command line and pick up where the last checkpoint left off.
-func RunOrResume(ev *eval.Evaluator, opt Options, resumePath string) (*core.Genome, *Stats, error) {
-	if resumePath != "" {
-		data, err := os.ReadFile(resumePath)
-		if err == nil {
-			best, stats, rerr := Resume(ev, opt, data)
-			if rerr != nil && stats == nil {
-				// The snapshot never loaded (corrupt, truncated, or for a
-				// different configuration) — as opposed to a search that
-				// resumed fine but ended without a feasible genome, which
-				// reports Stats. Name the file and the way out.
-				rerr = fmt.Errorf("search: resume from checkpoint %s: %w (delete the file to restart the search from scratch)", resumePath, rerr)
-			}
-			return best, stats, rerr
-		}
-		if !os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("search: read checkpoint: %w", err)
-		}
-	}
-	return Run(ev, opt)
-}
-
-func newOrchestrator(ev *eval.Evaluator, opt Options) (*orchestrator, error) {
+func newLoop(ev *eval.Evaluator, opt Options, open OpenRing) (*loop, error) {
 	opt = opt.WithDefaults()
 	if opt.MaxRounds > 0 && opt.Checkpoint == "" {
 		// A pause without a snapshot discards the whole trajectory — the
 		// remaining budget could never be resumed. Always a mistake.
 		return nil, fmt.Errorf("search: MaxRounds requires a Checkpoint path to resume from")
 	}
-	host, err := NewRingHost(ev, opt, 0, opt.Islands+len(opt.Scouts))
+	l := &loop{ev: ev, opt: opt, size: opt.Islands + len(opt.Scouts), open: open}
+	if l.open == nil {
+		l.open = l.openLocal
+	}
+	return l, nil
+}
+
+// openLocal builds the whole ring in this process.
+func (l *loop) openLocal(cp *serialize.CheckpointJSON) (Ring, error) {
+	h, err := NewRingHost(l.ev, l.opt, 0, l.size)
 	if err != nil {
 		return nil, err
 	}
-	return &orchestrator{ev: ev, opt: opt, host: host}, nil
+	if cp != nil {
+		if err := h.Restore(cp.Islands); err != nil {
+			return nil, err
+		}
+	}
+	return localRing{h}, nil
 }
 
-func (h *orchestrator) run() (*core.Genome, *Stats, error) {
-	ring := h.host.RingSize()
-	startRound := h.rounds
+// resume decodes a checkpoint, checks it against the graph and options,
+// and starts the loop from it.
+func (l *loop) resume(snapshot []byte) error {
+	cp, err := serialize.DecodeCheckpoint(snapshot)
+	if err != nil {
+		return err
+	}
+	if err := CheckCheckpoint(cp, l.ev.Graph().Name, l.opt); err != nil {
+		return err
+	}
+	return l.start(cp)
+}
+
+// start opens the ring, fresh or from cp, and restores the barrier
+// counters cp carries.
+func (l *loop) start(cp *serialize.CheckpointJSON) error {
+	ring, err := l.open(cp)
+	if err != nil {
+		return err
+	}
+	l.ring = ring
+	if cp != nil {
+		l.rounds, l.migrations = cp.Round, cp.Migrations
+		l.sent, l.recv = cp.MigrantsSent, cp.MigrantsReceived
+	}
+	return nil
+}
+
+// run holds barriers until no island progresses or MaxRounds pauses the
+// run, then aggregates the result.
+func (l *loop) run() (*core.Genome, *Stats, error) {
+	startRound := l.rounds
 	for {
-		progressed := h.host.Step(h.opt.MigrateEvery)
-		any := false
-		for _, p := range progressed {
-			any = any || p
+		progressed, done, err := l.ring.Step()
+		if err != nil {
+			return nil, nil, err
 		}
-		if !any {
+		if !progressed {
 			break
 		}
-		h.rounds++
-		if ring > 1 {
-			h.migrate()
-		}
-		if h.opt.Checkpoint != "" && h.rounds%h.opt.CheckpointEvery == 0 {
-			if err := h.save(h.opt.Checkpoint); err != nil {
+		l.rounds++
+		if l.size > 1 {
+			if err := l.migrate(); err != nil {
 				return nil, nil, err
 			}
 		}
-		if h.opt.Progress != nil {
+		if l.opt.Checkpoint != "" && l.rounds%l.opt.CheckpointEvery == 0 {
+			if err := l.save(); err != nil {
+				return nil, nil, err
+			}
+		}
+		if l.opt.Progress != nil {
 			// After the checkpoint write, so a reported round is also a
 			// durable one whenever checkpointing is on.
-			h.opt.Progress(h.progressNow())
+			best, st, err := l.tally()
+			if err != nil {
+				return nil, nil, err
+			}
+			l.opt.Progress(progressOf(best, st))
 		}
-		if h.opt.MaxRounds > 0 && h.rounds-startRound >= h.opt.MaxRounds {
+		if l.opt.MaxRounds > 0 && l.rounds-startRound >= l.opt.MaxRounds {
 			// Pause: snapshot the barrier state so the job can resume later.
 			// If the final allowed round happened to exhaust every island,
 			// the run is simply complete — not paused.
-			h.paused = !h.allDone()
-			if h.paused && h.rounds%h.opt.CheckpointEvery != 0 {
-				if err := h.save(h.opt.Checkpoint); err != nil {
+			l.paused = !done
+			if l.paused && l.rounds%l.opt.CheckpointEvery != 0 {
+				if err := l.save(); err != nil {
 					return nil, nil, err
 				}
 			}
 			break
 		}
 	}
-	return h.finish()
-}
-
-// allDone reports whether every island has exhausted its budget.
-func (h *orchestrator) allDone() bool {
-	for _, d := range h.host.Done() {
-		if !d {
-			return false
-		}
-	}
-	return true
-}
-
-// migrate runs one ring-migration barrier: every island's emigrants are
-// selected first (so selection sees only pre-barrier populations), then
-// committed to each ring successor, both passes in ascending island order.
-func (h *orchestrator) migrate() {
-	ring := h.host.RingSize()
-	if h.sent == nil {
-		h.sent = make([]int, ring)
-		h.recv = make([]int, ring)
-	}
-	out := h.host.Emigrants()
-	for i, gs := range out {
-		h.host.Immigrate((i+1)%ring, gs)
-		h.sent[i] += len(gs)
-		h.recv[(i+1)%ring] += len(gs)
-	}
-	h.migrations++
-}
-
-// progressNow aggregates the ring's current state into a Progress snapshot,
-// using the exact rules finish applies to a completed run (AggregateBest for
-// the winner, per-island sums for the counters).
-func (h *orchestrator) progressNow() Progress {
-	p := Progress{Rounds: h.rounds, Migrations: h.migrations, BestIsland: -1}
-	best, bestIdx := AggregateBest(h.host.Bests())
-	if best != nil {
-		p.HasBest = true
-		p.BestCost = best.Cost
-		p.BestIsland = bestIdx
-	}
-	for _, is := range h.host.Stats() {
-		p.IslandStats = append(p.IslandStats, is)
-		p.Samples += is.Samples
-		p.FeasibleSamples += is.FeasibleSamples
-		p.MemoHits += is.MemoHits
-	}
-	return p
-}
-
-func (h *orchestrator) finish() (*core.Genome, *Stats, error) {
-	st := &Stats{
-		Rounds: h.rounds, Migrations: h.migrations, BestIsland: -1, Paused: h.paused,
-		MigrantsSent: h.sent, MigrantsReceived: h.recv,
-	}
-	best, bestIdx := AggregateBest(h.host.Bests())
-	st.BestIsland = bestIdx
-	for _, is := range h.host.Stats() {
-		st.IslandStats = append(st.IslandStats, is)
-		st.Samples += is.Samples
-		st.FeasibleSamples += is.FeasibleSamples
-		st.MemoHits += is.MemoHits
+	best, st, err := l.tally()
+	if err != nil {
+		return nil, nil, err
 	}
 	if best == nil {
-		if h.paused {
+		if l.paused {
 			// A pause is not a failed search: the checkpoint is resumable and
 			// budget remains. The distinct error (plus Stats.Paused) keeps
 			// callers from reading it as exhaustion.
@@ -360,15 +390,100 @@ func (h *orchestrator) finish() (*core.Genome, *Stats, error) {
 				st.Rounds, st.Samples)
 		}
 		return nil, st, fmt.Errorf("search: no feasible genome found in %d samples across %d islands",
-			st.Samples, h.host.RingSize())
+			st.Samples, l.size)
 	}
 	return best, st, nil
 }
 
+// migrate runs one barrier on the ring and counts its exchange: each
+// island's migrants go to its ring successor.
+func (l *loop) migrate() error {
+	sent, err := l.ring.Migrate()
+	if err != nil {
+		return err
+	}
+	if l.sent == nil {
+		l.sent, l.recv = make([]int, l.size), make([]int, l.size)
+	}
+	for i, n := range sent {
+		l.sent[i] += n
+		l.recv[(i+1)%l.size] += n
+	}
+	l.migrations++
+	return nil
+}
+
+// tally aggregates the ring's islands the way every report does:
+// AggregateBest crowns the winner, the sample counters sum over islands.
+func (l *loop) tally() (*core.Genome, *Stats, error) {
+	bests, islands, err := l.ring.Results()
+	if err != nil {
+		return nil, nil, err
+	}
+	st := &Stats{
+		Rounds: l.rounds, Migrations: l.migrations, Paused: l.paused,
+		IslandStats: islands, MigrantsSent: l.sent, MigrantsReceived: l.recv,
+	}
+	best, bestIdx := AggregateBest(bests)
+	st.BestIsland = bestIdx
+	for _, is := range islands {
+		st.Samples += is.Samples
+		st.FeasibleSamples += is.FeasibleSamples
+		st.MemoHits += is.MemoHits
+	}
+	return best, st, nil
+}
+
+// progressOf is the Progress view of a mid-run tally.
+func progressOf(best *core.Genome, st *Stats) Progress {
+	p := Progress{
+		Rounds: st.Rounds, Migrations: st.Migrations,
+		Samples: st.Samples, FeasibleSamples: st.FeasibleSamples, MemoHits: st.MemoHits,
+		BestIsland: st.BestIsland, IslandStats: st.IslandStats,
+	}
+	if best != nil {
+		p.HasBest, p.BestCost = true, best.Cost
+	}
+	return p
+}
+
+// localRing is a RingHost over the whole ring, driven in this process.
+// Migration hands each emigrant clone itself to the successor island, cost
+// handles included.
+type localRing struct{ h *RingHost }
+
+func (r localRing) Step() (progressed, done bool, err error) {
+	for _, p := range r.h.Step(r.h.opt.MigrateEvery) {
+		progressed = progressed || p
+	}
+	done = true
+	for _, d := range r.h.Done() {
+		done = done && d
+	}
+	return progressed, done, nil
+}
+
+func (r localRing) Migrate() ([]int, error) {
+	out := r.h.Emigrants()
+	sent := make([]int, len(out))
+	for i, gs := range out {
+		if err := r.h.Immigrate((i+1)%len(out), gs); err != nil {
+			return nil, err
+		}
+		sent[i] = len(gs)
+	}
+	return sent, nil
+}
+
+func (r localRing) Snapshots() ([]serialize.IslandJSON, error) { return r.h.Snapshots(), nil }
+
+func (r localRing) Results() ([]*core.Genome, []core.Stats, error) {
+	return r.h.Bests(), r.h.Stats(), nil
+}
+
 // AggregateBest picks the run's winner from per-island bests in ring order:
 // strict cost comparison, first island wins ties. Returns (nil, -1) when no
-// island has a feasible best. The distributed coordinator applies the same
-// rule to bests collected over the wire, so both paths crown one winner.
+// island has a feasible best.
 func AggregateBest(bests []*core.Genome) (*core.Genome, int) {
 	var best *core.Genome
 	idx := -1

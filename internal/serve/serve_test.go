@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -296,6 +297,17 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad scout", func(sp *serialize.JobSpecJSON) { sp.Scouts = []string{"psychic"} }, "scout"},
 		{"mem search without alpha", func(sp *serialize.JobSpecJSON) { sp.MemSearch = true }, "alpha"},
 		{"tiny population", func(sp *serialize.JobSpecJSON) { sp.Population = 1 }, "population"},
+		{"huge population", func(sp *serialize.JobSpecJSON) { sp.Population = 2_000_000_000 }, "population"},
+		{"huge samples", func(sp *serialize.JobSpecJSON) { sp.Samples = MaxSamples + 1 }, "samples"},
+		{"huge ring", func(sp *serialize.JobSpecJSON) {
+			sp.Islands, sp.Scouts = MaxRing, []string{"sa"}
+		}, "islands + scouts"},
+		{"overflowing ring", func(sp *serialize.JobSpecJSON) {
+			sp.Islands, sp.Scouts = math.MaxInt, []string{"sa"}
+		}, "islands + scouts"},
+		{"huge migrants", func(sp *serialize.JobSpecJSON) { sp.Migrants = MaxMigrants + 1 }, "migrants"},
+		{"huge cores", func(sp *serialize.JobSpecJSON) { sp.Cores = MaxCores + 1 }, "cores"},
+		{"huge batch", func(sp *serialize.JobSpecJSON) { sp.Batch = MaxBatch + 1 }, "batch"},
 	}
 	for _, tc := range cases {
 		spec := testSpec(11)

@@ -18,6 +18,21 @@ import (
 // therefore a pure function, which is what lets a restarted server resume a
 // job under the exact fingerprint that produced its checkpoint.
 
+// Admission caps. A spec asking for more is rejected (HTTP 400) before the
+// daemon reserves anything for it: one request for a two-billion-genome
+// population would otherwise take the whole process, and every job on it,
+// down with an out-of-memory crash. Each cap sits well above every value
+// the CLI defaults, examples, tests, and the paper's 400k-sample budgets
+// use.
+const (
+	MaxPopulation = 2_000     // genomes per island; cocco's default is 100
+	MaxSamples    = 4_000_000 // per island; 10x the paper's 400k budget
+	MaxRing       = 64        // GA islands plus scouts
+	MaxMigrants   = 1_000     // per island per barrier
+	MaxCores      = 256
+	MaxBatch      = 1_024
+)
+
 // NormalizeSpec fills defaults and validates every field of a submitted job
 // spec, mirroring cmd/cocco's flag defaults. The returned spec is what the
 // manifest stores; normalizing before persisting keeps spec→options a pure
@@ -43,6 +58,12 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	}
 	if spec.Cores < 1 || spec.Batch < 1 {
 		return spec, fmt.Errorf("serve: job spec: cores and batch must be >= 1")
+	}
+	if spec.Cores > MaxCores {
+		return spec, fmt.Errorf("serve: job spec: cores must be <= %d", MaxCores)
+	}
+	if spec.Batch > MaxBatch {
+		return spec, fmt.Errorf("serve: job spec: batch must be <= %d", MaxBatch)
 	}
 	switch spec.Metric {
 	case "":
@@ -75,11 +96,11 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	if spec.Population == 0 {
 		spec.Population = 100
 	}
-	if spec.Population < 2 {
-		return spec, fmt.Errorf("serve: job spec: population must be >= 2")
+	if spec.Population < 2 || spec.Population > MaxPopulation {
+		return spec, fmt.Errorf("serve: job spec: population must be in [2, %d]", MaxPopulation)
 	}
-	if spec.Samples <= 0 {
-		return spec, fmt.Errorf("serve: job spec: samples must be > 0")
+	if spec.Samples <= 0 || spec.Samples > MaxSamples {
+		return spec, fmt.Errorf("serve: job spec: samples must be in [1, %d]", MaxSamples)
 	}
 	if spec.Islands == 0 {
 		spec.Islands = 1
@@ -95,6 +116,12 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	}
 	if spec.MigrateEvery < 1 || spec.Migrants < 1 {
 		return spec, fmt.Errorf("serve: job spec: migrate_every and migrants must be >= 1")
+	}
+	if spec.Migrants > MaxMigrants {
+		return spec, fmt.Errorf("serve: job spec: migrants must be <= %d", MaxMigrants)
+	}
+	if spec.Islands > MaxRing || len(spec.Scouts) > MaxRing-spec.Islands { // no overflowing sum
+		return spec, fmt.Errorf("serve: job spec: islands + scouts must be <= %d", MaxRing)
 	}
 	for _, s := range spec.Scouts {
 		if s != "sa" && s != "greedy" {
