@@ -60,13 +60,13 @@ func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric, opt Enu
 	preds := make([][]int, n)
 	succs := make([][]int, n)
 	for i, id := range nodes {
-		for _, p := range g.Pred(id) {
-			if g.Node(p).Kind != graph.OpInput {
-				preds[i] = append(preds[i], idx[p])
+		for _, p := range g.PredIDs(id) {
+			if g.Node(int(p)).Kind != graph.OpInput {
+				preds[i] = append(preds[i], idx[int(p)])
 			}
 		}
-		for _, s := range g.Succ(id) {
-			succs[i] = append(succs[i], idx[s])
+		for _, s := range g.SuccIDs(id) {
+			succs[i] = append(succs[i], idx[int(s)])
 		}
 	}
 

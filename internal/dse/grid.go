@@ -114,7 +114,15 @@ func (g Grid) Configs() ([]Config, error) {
 			return nil, err
 		}
 	}
-	var out []Config
+	points := 0 // (capacity, weight) points per model
+	for _, kind := range g.Kinds {
+		if kind == hw.SharedBuffer {
+			points += len(g.GlobalBytes)
+		} else {
+			points += len(g.GlobalBytes) * len(g.WeightBytes)
+		}
+	}
+	out := make([]Config, 0, len(g.Models)*points*len(g.Cores)*len(g.Batch))
 	for _, model := range g.Models {
 		for _, kind := range g.Kinds {
 			wgts := g.WeightBytes

@@ -7,6 +7,7 @@ import (
 
 	"cocco/internal/graph"
 	"cocco/internal/models"
+	"cocco/internal/tiling"
 )
 
 // windows enumerates the contiguous compute-node windows of a chain-shaped
@@ -23,6 +24,23 @@ func windows(g *graph.Graph) [][]int {
 		}
 	}
 	return out
+}
+
+// TestNewGraphContextAllocs pins a context's construction to its own tables:
+// the struct, two empty registries, and four per-node tables, 7 allocations
+// with go1.24. Per-goroutine tiling scratch is built by each evaluator's
+// pool on first use, so a Deriver built here (17 allocations for resnet50)
+// would be thrown away.
+func TestNewGraphContextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins describe the build without the race detector")
+	}
+	for _, name := range []string{"resnet50", "googlenet"} {
+		g := models.MustBuild(name)
+		if got := testing.AllocsPerRun(20, func() { NewGraphContext(g, tiling.DefaultConfig()) }); got > 8 {
+			t.Errorf("NewGraphContext(%s) allocates %.0f times, want at most 8", name, got)
+		}
+	}
 }
 
 // TestColdPathAllocs pins the tentpole contract: a steady-state cold

@@ -12,11 +12,10 @@ import (
 // GraphContext is the immutable, platform-independent half of an Evaluator:
 // everything New derives from the graph (and the tiling config) alone —
 // per-node weight/output-byte/MAC tables, the GLB window-replication
-// factors, the CSR adjacency views the graph already caches, and one
-// validated tiling Deriver template. It is computed once per graph and
-// shared read-only by any number of Evaluators, which is what makes batched
-// multi-config DSE cheap: sweeping N hardware configs over one model pays
-// the graph-derived cold path once instead of N times.
+// factors, and the tiling config's validation result. It is computed once
+// per graph and shared read-only by any number of Evaluators, which is what
+// makes batched multi-config DSE cheap: sweeping N hardware configs over one
+// model pays the graph-derived cold path once instead of N times.
 //
 // The context also owns the shared subgraph-cost caches, one per core
 // geometry (hw.Core) — the only part of a platform subgraph costing depends
@@ -43,10 +42,6 @@ type GraphContext struct {
 	macs        []int64
 	rep         []int64
 
-	// template is the Deriver validated at construction; evaluators clone it
-	// into their per-goroutine scratch (nil when tcfgErr != nil).
-	template *tiling.Deriver
-
 	// cycles memoizes the mapper.NodeCycles table per core geometry — the
 	// only per-platform table an Evaluator needs. A DSE sweep varies buffer
 	// capacities, kinds, core counts, and batch sizes while the core itself
@@ -65,15 +60,9 @@ type GraphContext struct {
 // exactly as eval.New always behaved.
 func NewGraphContext(g *graph.Graph, tcfg tiling.Config) *GraphContext {
 	gc := &GraphContext{
-		g: g, tcfg: tcfg,
+		g: g, tcfg: tcfg, tcfgErr: tcfg.Validate(),
 		cycles: make(map[hw.Core][]int64),
 		caches: make(map[hw.Core]*costCache),
-	}
-	der, derr := tiling.NewDeriver(g, tcfg)
-	if derr != nil {
-		gc.tcfgErr = derr
-	} else {
-		gc.template = der
 	}
 	n := g.Len()
 	gc.weightBytes = make([]int64, n)
@@ -162,7 +151,8 @@ func (gc *GraphContext) NewEvaluator(p hw.Platform) (*Evaluator, error) {
 			members: make([]int, 0, n),
 		}
 		if gc.tcfgErr == nil {
-			sc.der = gc.template.Clone()
+			// The config is valid, so NewDeriver cannot fail.
+			sc.der, _ = tiling.NewDeriver(gc.g, gc.tcfg)
 		}
 		return sc
 	}

@@ -265,8 +265,8 @@ func (cc *costCache) entries() int64 {
 //
 // An Evaluator is a thin per-(platform, tiling-config) layer over a shared,
 // immutable GraphContext: the context owns every graph-derived table, the
-// Deriver template, and the per-core-geometry cost caches, while the
-// evaluator adds only its platform, hit/call counters, and scratch pools.
+// tiling config's validation, and the per-core-geometry cost caches, while
+// the evaluator adds only its platform, hit/call counters, and scratch pools.
 // New builds a private context; GraphContext.NewEvaluator shares one across
 // many evaluators (the batched-DSE fast path), and evaluators with the same
 // core geometry share one cost cache through it.

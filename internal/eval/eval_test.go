@@ -310,6 +310,21 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestInvalidTilingErrorText pins the error an invalid tiling config gives
+// every subgraph: the config's own validation error, as NewDeriver words it,
+// under the subgraph's members.
+func TestInvalidTilingErrorText(t *testing.T) {
+	g, ids := toy(t)
+	ev, err := New(g, hw.DefaultPlatform(), tiling.Config{BaseTileH: 0, BaseTileW: 2})
+	if err != nil {
+		t.Fatalf("invalid tiling config must not fail construction: %v", err)
+	}
+	const want = "eval: subgraph [1 2]: tiling: base tile must be >= 1, got 0x2"
+	if c := ev.Subgraph(ids[1:3]); c.Err == nil || c.Err.Error() != want {
+		t.Fatalf("err = %v, want %q", c.Err, want)
+	}
+}
+
 func TestConcurrentSubgraphEvaluation(t *testing.T) {
 	g, ids := toy(t)
 	ev := testEvaluator(t, g)

@@ -78,9 +78,9 @@ func Simulate(g *graph.Graph, s *tiling.Scheme, numOps int) (*Trace, error) {
 
 	internalConsumers := func(u int) []int {
 		var out []int
-		for _, c := range g.Succ(u) {
-			if cs, ok := s.Nodes[c]; ok && !cs.External {
-				out = append(out, c)
+		for _, c := range g.SuccIDs(u) {
+			if cs, ok := s.Nodes[int(c)]; ok && !cs.External {
+				out = append(out, int(c))
 			}
 		}
 		return out

@@ -59,8 +59,8 @@ func refAdjacency(s spec) (succ, pred [][]int) {
 	return succ, pred
 }
 
-// checkAgainstReference compares every adjacency, topo and dense-index
-// accessor of g with what the reference derives from s.
+// checkAgainstReference compares every adjacency and compute-node accessor
+// of g with what the reference derives from s.
 func checkAgainstReference(t *testing.T, g *graph.Graph, s spec) {
 	t.Helper()
 	succ, pred := refAdjacency(s)
@@ -93,43 +93,32 @@ func checkAgainstReference(t *testing.T, g *graph.Graph, s spec) {
 	if !slices.Equal(g.ComputeIDs(), compute) {
 		t.Errorf("ComputeIDs = %v, want %v", g.ComputeIDs(), compute)
 	}
-	dense := 0
 	for v := 0; v < n; v++ {
 		for _, c := range []struct {
-			what      string
-			got, want []int
-			ids       []int32
+			what string
+			got  []int32
+			want []int
 		}{
-			{"Succ", g.Succ(v), succ[v], g.SuccIDs(v)},
-			{"Pred", g.Pred(v), pred[v], g.PredIDs(v)},
+			{"SuccIDs", g.SuccIDs(v), succ[v]},
+			{"PredIDs", g.PredIDs(v), pred[v]},
 		} {
-			if !slices.Equal(c.got, c.want) {
+			if !slices.Equal(ints(c.got), c.want) {
 				t.Fatalf("%s(%d) = %v, want %v", c.what, v, c.got, c.want)
 			}
 			if cap(c.got) != len(c.got) {
 				t.Fatalf("%s(%d) has cap %d > len %d: an append would overwrite a neighbour", c.what, v, cap(c.got), len(c.got))
 			}
-			if len(c.ids) != len(c.want) {
-				t.Fatalf("%sIDs(%d) = %v, want %v", c.what, v, c.ids, c.want)
-			}
-			for i, id := range c.ids {
-				if int(id) != c.want[i] {
-					t.Fatalf("%sIDs(%d) = %v, want %v", c.what, v, c.ids, c.want)
-				}
-			}
-		}
-		if g.Topo()[v] != v || g.Rank(v) != v {
-			t.Fatalf("Topo()[%d] = %d, Rank(%d) = %d, want the identity order", v, g.Topo()[v], v, g.Rank(v))
-		}
-		want := -1
-		if s.kinds[v] != graph.OpInput {
-			want = dense
-			dense++
-		}
-		if g.DenseIndex(v) != want {
-			t.Fatalf("DenseIndex(%d) = %d, want %d", v, g.DenseIndex(v), want)
 		}
 	}
+}
+
+// ints converts an id run to []int; nil stays nil, matching the reference.
+func ints(ids []int32) []int {
+	var out []int
+	for _, id := range ids {
+		out = append(out, int(id))
+	}
+	return out
 }
 
 // randomSpec draws a graph of n nodes: node 0 and about one in eight of the
@@ -170,7 +159,7 @@ func TestBuilderMatchesReferenceOnZoo(t *testing.T) {
 			s := spec{kinds: make([]graph.OpKind, g.Len()), producers: make([][]int, g.Len())}
 			for v := 0; v < g.Len(); v++ {
 				s.kinds[v] = g.Node(v).Kind
-				s.producers[v] = slices.Clone(g.Pred(v))
+				s.producers[v] = ints(g.PredIDs(v))
 				rng.Shuffle(len(s.producers[v]), func(i, j int) {
 					p := s.producers[v]
 					p[i], p[j] = p[j], p[i]

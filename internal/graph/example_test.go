@@ -21,7 +21,7 @@ func ExampleBuilder() {
 	}
 	fmt.Printf("nodes=%d edges=%d weights=%dB\n", g.Len(), g.Edges(), g.TotalWeightBytes())
 	fmt.Printf("add consumes %d producers; c1 feeds %d consumers\n",
-		len(g.Pred(add)), len(g.Succ(c1)))
+		len(g.PredIDs(add)), len(g.SuccIDs(c1)))
 	// Output:
 	// nodes=5 edges=5 weights=2992B
 	// add consumes 2 producers; c1 feeds 2 consumers

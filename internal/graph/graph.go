@@ -11,8 +11,10 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // OpKind identifies the operator class of a layer. Following the paper
@@ -133,31 +135,22 @@ func (n *Node) MACs() int64 {
 }
 
 // Graph is an immutable directed acyclic computation graph. Build one with a
-// Builder; after Finalize the structure never changes, so the adjacency,
-// topological order, and per-node metadata can be shared freely across
-// goroutines.
+// Builder; after Finalize the structure never changes, so the adjacency and
+// per-node metadata can be shared freely across goroutines.
 type Graph struct {
 	// Name identifies the model (e.g. "resnet50").
 	Name string
 
 	nodes []*Node
-	topo  []int // a fixed topological order of node ids
-	rank  []int // rank[id] = position of id in topo
 
 	// Adjacency in compressed sparse row form: the producers of v are
 	// pred[predOff[v]:predOff[v+1]] and the consumers of u are
-	// succ[succOff[u]:succOff[u+1]], each run ascending. succCSR/predCSR
-	// hold the same ids as int32 under the same offsets, for hot paths
-	// (tiling derivation, subgraph costing) that walk cache-dense memory.
-	succ, pred       []int
-	succCSR, predCSR []int32
+	// succ[succOff[u]:succOff[u+1]], each run ascending.
+	succ, pred       []int32
 	succOff, predOff []int32
 
-	// computeIDs caches ComputeNodes' result, and denseIdx maps a node id to
-	// its position in computeIDs (-1 for inputs) — the dense compute-node
-	// indexing used by per-node cost tables.
+	// computeIDs caches ComputeNodes' result.
 	computeIDs []int
-	denseIdx   []int32
 }
 
 // Len returns the number of nodes, including OpInput nodes.
@@ -170,46 +163,24 @@ func (g *Graph) Node(id int) *Node { return g.nodes[id] }
 // Nodes returns the underlying node slice. Callers must not mutate it.
 func (g *Graph) Nodes() []*Node { return g.nodes }
 
-// Succ returns the consumer ids of node u in ascending order, as a view
+// SuccIDs returns the consumer ids of node u in ascending order, as a view
 // capped at its length. Callers must not mutate the returned slice.
-func (g *Graph) Succ(u int) []int {
+func (g *Graph) SuccIDs(u int) []int32 {
 	lo, hi := g.succOff[u], g.succOff[u+1]
 	return g.succ[lo:hi:hi]
 }
 
-// Pred returns the producer ids of node v in ascending order, as a view
+// PredIDs returns the producer ids of node v in ascending order, as a view
 // capped at its length. Callers must not mutate the returned slice.
-func (g *Graph) Pred(v int) []int {
+func (g *Graph) PredIDs(v int) []int32 {
 	lo, hi := g.predOff[v], g.predOff[v+1]
 	return g.pred[lo:hi:hi]
 }
-
-// SuccIDs returns the consumer ids of node u as a view into the graph's
-// contiguous CSR array, ascending. Identical contents to Succ; preferred on
-// hot paths. Callers must not mutate the returned slice.
-func (g *Graph) SuccIDs(u int) []int32 { return g.succCSR[g.succOff[u]:g.succOff[u+1]] }
-
-// PredIDs returns the producer ids of node v as a view into the graph's
-// contiguous CSR array, ascending. Identical contents to Pred; preferred on
-// hot paths. Callers must not mutate the returned slice.
-func (g *Graph) PredIDs(v int) []int32 { return g.predCSR[g.predOff[v]:g.predOff[v+1]] }
 
 // ComputeIDs returns the cached ids of all non-input nodes in topological
 // order — the same contents as ComputeNodes without the per-call allocation.
 // Callers must not mutate the returned slice.
 func (g *Graph) ComputeIDs() []int { return g.computeIDs }
-
-// DenseIndex returns node id's position among the compute nodes (its index
-// in ComputeIDs), or -1 for OpInput nodes. Per-node tables indexed densely
-// over compute nodes use this to translate ids.
-func (g *Graph) DenseIndex(id int) int { return int(g.denseIdx[id]) }
-
-// Topo returns a fixed topological order of node ids. Callers must not
-// mutate the returned slice.
-func (g *Graph) Topo() []int { return g.topo }
-
-// Rank returns the position of node id in the fixed topological order.
-func (g *Graph) Rank(id int) int { return g.rank[id] }
 
 // Edges returns the number of edges.
 func (g *Graph) Edges() int { return len(g.succ) }
@@ -279,16 +250,12 @@ func (g *Graph) IsConnected(set map[int]bool) bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.Succ(u) {
-			if set[v] && !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-		for _, v := range g.Pred(u) {
-			if set[v] && !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
+		for _, run := range [2][]int32{g.SuccIDs(u), g.PredIDs(u)} {
+			for _, w := range run {
+				if v := int(w); set[v] && !seen[v] {
+					seen[v] = true
+					stack = append(stack, v)
+				}
 			}
 		}
 	}
@@ -320,16 +287,12 @@ func (g *Graph) ConnectedComponents(set map[int]bool) [][]int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
-			for _, v := range g.Succ(u) {
-				if remaining[v] {
-					delete(remaining, v)
-					stack = append(stack, v)
-				}
-			}
-			for _, v := range g.Pred(u) {
-				if remaining[v] {
-					delete(remaining, v)
-					stack = append(stack, v)
+			for _, run := range [2][]int32{g.SuccIDs(u), g.PredIDs(u)} {
+				for _, w := range run {
+					if v := int(w); remaining[v] {
+						delete(remaining, v)
+						stack = append(stack, v)
+					}
 				}
 			}
 		}
@@ -348,28 +311,38 @@ func (g *Graph) ConnectedComponents(set map[int]bool) [][]int {
 //	c1 := b.Conv("c1", in, 64, 7, 2)
 //	b.MustFinalize()
 type Builder struct {
-	name  string
-	nodes []*Node
-	// slab is the current block of node storage. A full slab is replaced,
-	// never grown, so *Node pointers stay valid as the builder grows.
-	slab []Node
+	name string
+	// slabs hold the nodes, node id at slabs[id/slabNodes][id%slabNodes]. A
+	// full slab is followed by a new one, never grown, so *Node pointers
+	// stay valid as the builder grows.
+	slabs [][]Node
+	// names holds every node's name, concatenated in node order: node v's
+	// ends at nameEnd[v], where node v-1's ends. No caller's string is kept,
+	// so a name built by concatenation can stay on the caller's stack.
+	names   []byte
+	nameEnd []int32
 	// preds holds every node's producer ids, concatenated in node order:
 	// node v's are preds[predOff[v]:predOff[v+1]].
-	preds   []int
+	preds   []int32
 	predOff []int32
-	names   map[string]bool
 	err     error
 }
 
-// slabNodes is the number of nodes one slab holds.
-const slabNodes = 64
+// slabNodes is the number of nodes one slab holds: few slabs per zoo model,
+// and a small empty tail in the last one.
+const slabNodes = 32
+
+// maxNodeSize caps each node's OutBytes, WeightBytes and MACs. It sits far
+// above the zoo's largest node (4.8e9 MACs, 102.8 MB of weights) and leaves
+// room in an int64 for sums over many such nodes.
+const maxNodeSize = 1 << 48
 
 // errFinalized is the sticky error a successful Finalize leaves behind.
 var errFinalized = errors.New("graph: builder used after Finalize")
 
 // NewBuilder returns an empty Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, predOff: []int32{0}, names: map[string]bool{}}
+	return &Builder{name: name, predOff: []int32{0}}
 }
 
 func (b *Builder) fail(format string, args ...any) int {
@@ -379,50 +352,105 @@ func (b *Builder) fail(format string, args ...any) int {
 	return -1
 }
 
-// addNode validates n and its producer ids, then stores a copy of n and
-// records its producers. A rejected node leaves the builder unchanged apart
-// from the recorded error.
-func (b *Builder) addNode(n *Node, from ...int) int {
+// len returns the number of nodes added so far.
+func (b *Builder) len() int { return len(b.predOff) - 1 }
+
+// node returns the stored node id, which must be in [0, b.len()).
+func (b *Builder) node(id int) *Node { return &b.slabs[id/slabNodes][id%slabNodes] }
+
+// nameOf copies node id's name out of the name buffer, for error messages.
+func (b *Builder) nameOf(id int) string {
+	var start int32
+	if id > 0 {
+		start = b.nameEnd[id-1]
+	}
+	return string(b.names[start:b.nameEnd[id]])
+}
+
+// addNode validates n, named name, and its producer ids, then stores n, the
+// name and the producers. A rejected node leaves the builder unchanged apart
+// from the recorded error. Duplicate names are found by Finalize. Error
+// paths format a copy of name, never name itself: storing it anywhere would
+// move every caller's name concatenation to the heap.
+func (b *Builder) addNode(name string, n Node, from ...int) int {
 	if b.err != nil {
 		return -1
 	}
-	if n.Name == "" {
+	if name == "" {
 		return b.fail("node with empty name")
 	}
-	if b.names[n.Name] {
-		return b.fail("duplicate node name %q", n.Name)
-	}
 	if n.OutH <= 0 || n.OutW <= 0 || n.OutC <= 0 {
-		return b.fail("node %q: non-positive output shape %dx%dx%d", n.Name, n.OutH, n.OutW, n.OutC)
+		return b.fail("node %q: non-positive output shape %dx%dx%d", strings.Clone(name), n.OutH, n.OutW, n.OutC)
 	}
-	if n.Kind != OpInput {
+	if n.Kind == OpInput {
+		if len(from) > 0 {
+			return b.fail("node %q: input node with producers", strings.Clone(name))
+		}
+	} else {
 		if n.KernelH <= 0 || n.KernelW <= 0 || n.StrideH <= 0 || n.StrideW <= 0 {
-			return b.fail("node %q: non-positive kernel/stride", n.Name)
+			return b.fail("node %q: non-positive kernel/stride", strings.Clone(name))
+		}
+		if n.InC <= 0 {
+			return b.fail("node %q: non-positive input channels %d", strings.Clone(name), n.InC)
 		}
 		if len(from) == 0 {
-			return b.fail("node %q: compute node without producers", n.Name)
+			return b.fail("node %q: compute node without producers", strings.Clone(name))
 		}
 	}
-	n.ID = len(b.nodes)
+	if !n.sizesFit() {
+		return b.fail("node %q: output bytes, weight bytes or MACs above %d", strings.Clone(name), int64(maxNodeSize))
+	}
+	n.ID = b.len()
 	for _, u := range from {
 		if u < 0 || u >= n.ID {
-			return b.fail("node %q: producer id %d out of range (must precede %d)", n.Name, u, n.ID)
+			return b.fail("node %q: producer id %d out of range (must precede %d)", strings.Clone(name), u, n.ID)
 		}
 	}
-	if len(b.slab) == cap(b.slab) {
-		b.slab = make([]Node, 0, slabNodes)
+	if n.ID%slabNodes == 0 {
+		b.slabs = append(b.slabs, make([]Node, 0, slabNodes))
 	}
-	b.slab = append(b.slab, *n)
-	b.nodes = append(b.nodes, &b.slab[len(b.slab)-1])
-	b.names[n.Name] = true
-	b.preds = append(b.preds, from...)
+	last := &b.slabs[len(b.slabs)-1]
+	*last = append(*last, n)
+	b.names = append(b.names, name...)
+	b.nameEnd = append(b.nameEnd, int32(len(b.names)))
+	for _, u := range from {
+		b.preds = append(b.preds, int32(u))
+	}
 	b.predOff = append(b.predOff, int32(len(b.preds)))
 	return n.ID
 }
 
+// sizesFit reports whether n's OutBytes, WeightBytes and MACs stay within
+// maxNodeSize, computed without overflow. Every factor is positive here, so
+// a kind's MACs product also bounds its OutBytes and WeightBytes.
+func (n *Node) sizesFit() bool {
+	switch n.Kind {
+	case OpConv, OpMatmul:
+		return sizeProduct(n.OutH, n.OutW, n.KernelH, n.KernelW, n.InC, n.OutC) >= 0
+	case OpDWConv, OpPool, OpEltwise:
+		return sizeProduct(n.OutH, n.OutW, n.KernelH, n.KernelW, n.OutC) >= 0
+	default:
+		return sizeProduct(n.OutH, n.OutW, n.OutC) >= 0
+	}
+}
+
+// sizeProduct returns the product of the positive factors xs, or -1 if it
+// exceeds maxNodeSize.
+func sizeProduct(xs ...int) int64 {
+	p := uint64(1)
+	for _, x := range xs {
+		hi, lo := bits.Mul64(p, uint64(x))
+		if hi != 0 || lo > maxNodeSize {
+			return -1
+		}
+		p = lo
+	}
+	return int64(p)
+}
+
 // Input adds an external input tensor of shape c×h×w and returns its id.
 func (b *Builder) Input(name string, c, h, w int) int {
-	return b.addNode(&Node{Name: name, Kind: OpInput, OutC: c, OutH: h, OutW: w,
+	return b.addNode(name, Node{Kind: OpInput, OutC: c, OutH: h, OutW: w,
 		KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, InC: c})
 }
 
@@ -430,14 +458,11 @@ func (b *Builder) Input(name string, c, h, w int) int {
 // spatial size is derived from the producer assuming "same"-style padding:
 // out = ceil(in/stride). Returns the new node id.
 func (b *Builder) Conv(name string, from int, outC, k, stride int) int {
-	if b.err != nil {
-		return -1
-	}
 	p := b.producer(from, name)
 	if p == nil {
 		return -1
 	}
-	return b.addNode(&Node{Name: name, Kind: OpConv,
+	return b.addNode(name, Node{Kind: OpConv,
 		KernelH: k, KernelW: k, StrideH: stride, StrideW: stride,
 		InC: p.OutC, OutC: outC,
 		OutH: ceilDiv(p.OutH, stride), OutW: ceilDiv(p.OutW, stride)}, from)
@@ -445,14 +470,11 @@ func (b *Builder) Conv(name string, from int, outC, k, stride int) int {
 
 // DWConv adds a depth-wise k×k/stride convolution (channels preserved).
 func (b *Builder) DWConv(name string, from int, k, stride int) int {
-	if b.err != nil {
-		return -1
-	}
 	p := b.producer(from, name)
 	if p == nil {
 		return -1
 	}
-	return b.addNode(&Node{Name: name, Kind: OpDWConv,
+	return b.addNode(name, Node{Kind: OpDWConv,
 		KernelH: k, KernelW: k, StrideH: stride, StrideW: stride,
 		InC: p.OutC, OutC: p.OutC,
 		OutH: ceilDiv(p.OutH, stride), OutW: ceilDiv(p.OutW, stride)}, from)
@@ -460,14 +482,11 @@ func (b *Builder) DWConv(name string, from int, k, stride int) int {
 
 // Pool adds a k×k/stride pooling layer (weight-less depth-wise).
 func (b *Builder) Pool(name string, from int, k, stride int) int {
-	if b.err != nil {
-		return -1
-	}
 	p := b.producer(from, name)
 	if p == nil {
 		return -1
 	}
-	return b.addNode(&Node{Name: name, Kind: OpPool,
+	return b.addNode(name, Node{Kind: OpPool,
 		KernelH: k, KernelW: k, StrideH: stride, StrideW: stride,
 		InC: p.OutC, OutC: p.OutC,
 		OutH: ceilDiv(p.OutH, stride), OutW: ceilDiv(p.OutW, stride)}, from)
@@ -475,14 +494,11 @@ func (b *Builder) Pool(name string, from int, k, stride int) int {
 
 // GlobalPool adds a pooling layer that collapses the spatial dims to 1×1.
 func (b *Builder) GlobalPool(name string, from int) int {
-	if b.err != nil {
-		return -1
-	}
 	p := b.producer(from, name)
 	if p == nil {
 		return -1
 	}
-	return b.addNode(&Node{Name: name, Kind: OpPool,
+	return b.addNode(name, Node{Kind: OpPool,
 		KernelH: p.OutH, KernelW: p.OutW, StrideH: p.OutH, StrideW: p.OutW,
 		InC: p.OutC, OutC: p.OutC, OutH: 1, OutW: 1}, from)
 }
@@ -490,11 +506,8 @@ func (b *Builder) GlobalPool(name string, from int) int {
 // Eltwise adds an element-wise join (e.g. residual add) of the producers.
 // All producers must agree on output shape; the result preserves it.
 func (b *Builder) Eltwise(name string, from ...int) int {
-	if b.err != nil {
-		return -1
-	}
 	if len(from) == 0 {
-		return b.fail("eltwise %q: no producers", name)
+		return b.fail("eltwise %q: no producers", strings.Clone(name))
 	}
 	p0 := b.producer(from[0], name)
 	if p0 == nil {
@@ -507,10 +520,10 @@ func (b *Builder) Eltwise(name string, from ...int) int {
 		}
 		if p.OutH != p0.OutH || p.OutW != p0.OutW || p.OutC != p0.OutC {
 			return b.fail("eltwise %q: shape mismatch %dx%dx%d vs %dx%dx%d from %q and %q",
-				name, p0.OutH, p0.OutW, p0.OutC, p.OutH, p.OutW, p.OutC, p0.Name, p.Name)
+				strings.Clone(name), p0.OutH, p0.OutW, p0.OutC, p.OutH, p.OutW, p.OutC, b.nameOf(from[0]), b.nameOf(f))
 		}
 	}
-	return b.addNode(&Node{Name: name, Kind: OpEltwise,
+	return b.addNode(name, Node{Kind: OpEltwise,
 		KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
 		InC: p0.OutC, OutC: p0.OutC, OutH: p0.OutH, OutW: p0.OutW}, from...)
 }
@@ -518,11 +531,8 @@ func (b *Builder) Eltwise(name string, from ...int) int {
 // Concat adds a channel-dimension concatenation of the producers, which must
 // agree on spatial shape.
 func (b *Builder) Concat(name string, from ...int) int {
-	if b.err != nil {
-		return -1
-	}
 	if len(from) == 0 {
-		return b.fail("concat %q: no producers", name)
+		return b.fail("concat %q: no producers", strings.Clone(name))
 	}
 	p0 := b.producer(from[0], name)
 	if p0 == nil {
@@ -535,11 +545,15 @@ func (b *Builder) Concat(name string, from ...int) int {
 			return -1
 		}
 		if p.OutH != p0.OutH || p.OutW != p0.OutW {
-			return b.fail("concat %q: spatial mismatch from %q and %q", name, p0.Name, p.Name)
+			return b.fail("concat %q: spatial mismatch from %q and %q", strings.Clone(name), b.nameOf(from[0]), b.nameOf(f))
 		}
-		c += p.OutC
+		// Each producer's OutC is at most maxNodeSize, so checking the sum
+		// as it grows keeps it from wrapping.
+		if c += p.OutC; int64(c) > maxNodeSize {
+			return b.fail("concat %q: output bytes above %d", strings.Clone(name), int64(maxNodeSize))
+		}
 	}
-	return b.addNode(&Node{Name: name, Kind: OpConcat,
+	return b.addNode(name, Node{Kind: OpConcat,
 		KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
 		InC: c, OutC: c, OutH: p0.OutH, OutW: p0.OutW}, from...)
 }
@@ -547,15 +561,12 @@ func (b *Builder) Concat(name string, from ...int) int {
 // FC adds a fully-connected layer lowered to a 1×1 convolution over a 1×1
 // spatial map (paper §5.1.1).
 func (b *Builder) FC(name string, from int, outC int) int {
-	if b.err != nil {
-		return -1
-	}
 	p := b.producer(from, name)
 	if p == nil {
 		return -1
 	}
-	inC := p.OutC * p.OutH * p.OutW // flatten
-	return b.addNode(&Node{Name: name, Kind: OpConv,
+	inC := p.OutC * p.OutH * p.OutW // flatten: the producer's OutBytes, within maxNodeSize
+	return b.addNode(name, Node{Kind: OpConv,
 		KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
 		InC: inC, OutC: outC, OutH: 1, OutW: 1}, from)
 }
@@ -564,14 +575,11 @@ func (b *Builder) FC(name string, from int, outC int) int {
 // treated as a seqLen×1 map with inC channels and the result has outC
 // channels (1×1 conv lowering of Transformer/GPT projections).
 func (b *Builder) Matmul(name string, from int, outC int) int {
-	if b.err != nil {
-		return -1
-	}
 	p := b.producer(from, name)
 	if p == nil {
 		return -1
 	}
-	return b.addNode(&Node{Name: name, Kind: OpMatmul,
+	return b.addNode(name, Node{Kind: OpMatmul,
 		KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
 		InC: p.OutC, OutC: outC, OutH: p.OutH, OutW: p.OutW}, from)
 }
@@ -581,15 +589,12 @@ func (b *Builder) Matmul(name string, from int, outC int) int {
 // producer's spatial map. Modeled as a 1×1 op whose MAC count uses the sum of
 // producer channels as the reduction depth.
 func (b *Builder) MatmulJoin(name string, a, c int, outC int) int {
-	if b.err != nil {
-		return -1
-	}
 	pa := b.producer(a, name)
 	pc := b.producer(c, name)
 	if pa == nil || pc == nil {
 		return -1
 	}
-	return b.addNode(&Node{Name: name, Kind: OpMatmul,
+	return b.addNode(name, Node{Kind: OpMatmul,
 		KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
 		InC: pa.OutC + pc.OutC, OutC: outC, OutH: pa.OutH, OutW: pa.OutW}, a, c)
 }
@@ -598,7 +603,7 @@ func (b *Builder) MatmulJoin(name string, a, c int, outC int) int {
 // generators that need consumption patterns the shape-deriving helpers do
 // not cover (e.g. a convolution reading several producers).
 func (b *Builder) Custom(name string, kind OpKind, k, stride, inC, outC, outH, outW int, from ...int) int {
-	return b.addNode(&Node{Name: name, Kind: kind,
+	return b.addNode(name, Node{Kind: kind,
 		KernelH: k, KernelW: k, StrideH: stride, StrideW: stride,
 		InC: inC, OutC: outC, OutH: outH, OutW: outW}, from...)
 }
@@ -607,57 +612,77 @@ func (b *Builder) Custom(name string, kind OpKind, k, stride, inC, outC, outH, o
 // far, for builders (e.g. cell-based generators) that need to align shapes.
 // ok is false if id is out of range.
 func (b *Builder) OutShape(id int) (c, h, w int, ok bool) {
-	if id < 0 || id >= len(b.nodes) {
+	if id < 0 || id >= b.len() {
 		return 0, 0, 0, false
 	}
-	n := b.nodes[id]
+	n := b.node(id)
 	return n.OutC, n.OutH, n.OutW, true
 }
 
+// producer returns node id for the consumer named consumer, or nil if the
+// builder has failed or id is out of range (recording that error).
 func (b *Builder) producer(id int, consumer string) *Node {
-	if id < 0 || id >= len(b.nodes) {
-		b.fail("node %q: producer id %d out of range", consumer, id)
+	if b.err != nil {
 		return nil
 	}
-	return b.nodes[id]
+	if id < 0 || id >= b.len() {
+		b.fail("node %q: producer id %d out of range", strings.Clone(consumer), id)
+		return nil
+	}
+	return b.node(id)
 }
 
-// Err returns the first construction error, if any.
+// Err returns the first construction error, if any. Duplicate node names
+// surface only at Finalize, which records them here too.
 func (b *Builder) Err() error { return b.err }
 
 // Finalize validates the graph and returns it as an immutable Graph that
 // takes over the builder's storage. Acyclicity and reachability hold by
 // construction: addNode only accepts producers that precede the node, and
-// every compute node has one. Finalize additionally requires at least one
+// every compute node has one. Finalize additionally requires unique node
+// names, failing the builder for good on a duplicate, and at least one
 // compute node.
 func (b *Builder) Finalize() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.nodes) == 0 {
+	n := b.len()
+	if n == 0 {
 		return nil, fmt.Errorf("graph %q: empty", b.name)
 	}
+	// One string holds every name; each Node.Name is a slice of it.
+	names := string(b.names)
+	nodes := make([]*Node, n)
+	seen := make(map[string]struct{}, n)
 	compute := 0
-	for _, n := range b.nodes {
-		if n.Kind != OpInput {
+	var start int32
+	for id := range nodes {
+		nd := b.node(id)
+		nd.Name, start = names[start:b.nameEnd[id]], b.nameEnd[id]
+		if _, dup := seen[nd.Name]; dup {
+			b.err = fmt.Errorf("graph %q: duplicate node name %q", b.name, nd.Name)
+			return nil, b.err
+		}
+		seen[nd.Name] = struct{}{}
+		if nd.Kind != OpInput {
 			compute++
 		}
+		nodes[id] = nd
 	}
 	if compute == 0 {
 		return nil, fmt.Errorf("graph %q: no compute nodes", b.name)
 	}
-	g := &Graph{Name: b.name, nodes: b.nodes, pred: b.preds, predOff: b.predOff}
+	g := &Graph{Name: b.name, nodes: nodes, pred: b.preds, predOff: b.predOff}
 	b.err = errFinalized
-	for v := range g.nodes {
-		slices.Sort(g.Pred(v))
+	for v := range nodes {
+		slices.Sort(g.PredIDs(v))
 	}
 	g.buildIndexes(compute)
 	return g, nil
 }
 
-// buildIndexes derives the consumer lists, the int32 CSR copies, the
-// topological order, and the dense compute-node index from the sorted
-// producer runs.
+// buildIndexes derives the consumer runs and the compute-node list from the
+// sorted producer runs.
 func (g *Graph) buildIndexes(compute int) {
 	n, edges := len(g.nodes), len(g.pred)
 	// One counting sort: succOff[u] first counts u's consumers, then, summed,
@@ -671,42 +696,22 @@ func (g *Graph) buildIndexes(compute int) {
 		g.succOff[u] += g.succOff[u-1]
 	}
 	g.succOff[n] = int32(edges)
-	g.succ = make([]int, edges)
+	g.succ = make([]int32, edges)
 	for v := n - 1; v >= 0; v-- {
-		for _, u := range g.Pred(v) {
+		for _, u := range g.PredIDs(v) {
 			g.succOff[u]--
-			g.succ[g.succOff[u]] = v
+			g.succ[g.succOff[u]] = int32(v)
 		}
 	}
-	g.succCSR = toInt32(g.succ)
-	g.predCSR = toInt32(g.pred)
 
-	// Edges always point from lower to higher id, so the identity order is
-	// topological, and it is its own inverse.
-	g.topo = make([]int, n)
-	for i := range g.topo {
-		g.topo[i] = i
-	}
-	g.rank = g.topo
-
+	// Edges always point from lower to higher id, so id order is
+	// topological.
 	g.computeIDs = make([]int, 0, compute)
-	g.denseIdx = make([]int32, n)
-	for _, id := range g.topo {
-		if g.nodes[id].Kind != OpInput {
-			g.denseIdx[id] = int32(len(g.computeIDs))
+	for id, nd := range g.nodes {
+		if nd.Kind != OpInput {
 			g.computeIDs = append(g.computeIDs, id)
-		} else {
-			g.denseIdx[id] = -1
 		}
 	}
-}
-
-func toInt32(ids []int) []int32 {
-	out := make([]int32, len(ids))
-	for i, id := range ids {
-		out[i] = int32(id)
-	}
-	return out
 }
 
 // MustFinalize is Finalize that panics on error; for use in model builders

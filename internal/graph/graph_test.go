@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -79,11 +80,11 @@ func TestGraphStructure(t *testing.T) {
 	if g.Edges() != 5 {
 		t.Errorf("Edges = %d", g.Edges())
 	}
-	if got := g.Succ(c1); len(got) != 2 || got[0] != l || got[1] != r {
-		t.Errorf("Succ(c1) = %v", got)
+	if got := g.SuccIDs(c1); len(got) != 2 || int(got[0]) != l || int(got[1]) != r {
+		t.Errorf("SuccIDs(c1) = %v", got)
 	}
-	if got := g.Pred(add); len(got) != 2 {
-		t.Errorf("Pred(add) = %v", got)
+	if got := g.PredIDs(add); len(got) != 2 {
+		t.Errorf("PredIDs(add) = %v", got)
 	}
 	if got := g.Outputs(); len(got) != 1 || got[0] != add {
 		t.Errorf("Outputs = %v", got)
@@ -94,18 +95,15 @@ func TestGraphStructure(t *testing.T) {
 	if got := g.ComputeNodes(); len(got) != 4 {
 		t.Errorf("ComputeNodes = %v", got)
 	}
-	for i, id := range g.Topo() {
-		if g.Rank(id) != i {
-			t.Errorf("Rank(%d) = %d, want %d", id, g.Rank(id), i)
-		}
-	}
 }
 
+// TestTopoOrderRespectsEdges checks that id order is topological: every
+// edge points from a lower id to a higher one.
 func TestTopoOrderRespectsEdges(t *testing.T) {
 	g, _ := diamond(t)
-	for _, u := range g.Topo() {
-		for _, v := range g.Succ(u) {
-			if g.Rank(u) >= g.Rank(v) {
+	for u := 0; u < g.Len(); u++ {
+		for _, v := range g.SuccIDs(u) {
+			if u >= int(v) {
 				t.Errorf("edge %d->%d violates topological order", u, v)
 			}
 		}
@@ -175,13 +173,42 @@ func TestBuilderErrors(t *testing.T) {
 			a := b.Conv("a", in, 4, 3, 1)
 			c := b.Conv("c", in, 4, 3, 2)
 			b.Eltwise("e", a, c)
-		}, "shape mismatch"},
+		}, `eltwise "e": shape mismatch 8x8x4 vs 4x4x4 from "a" and "c"`},
 		{"concat-mismatch", func(b *Builder) {
 			in := b.Input("in", 3, 8, 8)
 			a := b.Conv("a", in, 4, 3, 1)
 			c := b.Conv("c", in, 4, 3, 2)
 			b.Concat("e", a, c)
-		}, "spatial mismatch"},
+		}, `spatial mismatch from "a" and "c"`},
+		{"input-with-producer", func(b *Builder) {
+			in := b.Input("in", 3, 8, 8)
+			b.Custom("in2", OpInput, 1, 1, 3, 3, 8, 8, in)
+			b.Conv("c", in, 4, 3, 1)
+		}, `node "in2": input node with producers`},
+		{"non-positive-in-c", func(b *Builder) {
+			in := b.Input("in", 3, 8, 8)
+			b.Custom("c", OpConv, 3, 1, -3, 4, 8, 8, in)
+		}, `node "c": non-positive input channels -3`},
+		{"size-overflow", func(b *Builder) {
+			// OutBytes is 2^63: it would wrap to math.MinInt64.
+			in := b.Input("in", 1<<21, 1<<21, 1<<21)
+			b.Custom("c", OpConv, 1, 1, 1<<21, 1<<21, 1<<21, 1<<21, in)
+		}, `node "in": output bytes, weight bytes or MACs above`},
+		{"macs-overflow", func(b *Builder) {
+			// The output (2^32 bytes) and weights (2^48, the cap) fit; the
+			// MACs (2^64) do not.
+			in := b.Input("in", 1<<16, 1<<8, 1<<8)
+			b.Custom("c", OpConv, 1, 1, 1<<32, 1<<16, 1<<8, 1<<8, in)
+		}, `node "c": output bytes, weight bytes or MACs above`},
+		{"concat-overflow", func(b *Builder) {
+			// 2^16+1 producers of 2^48 channels: unchecked, the channel sum
+			// would wrap around to 2^48.
+			from := make([]int, 1<<16+1)
+			for i := range from {
+				from[i] = b.Input("in"+strconv.Itoa(i), 1<<48, 1, 1)
+			}
+			b.Concat("cat", from...)
+		}, `concat "cat": output bytes above`},
 	}
 	for _, c := range cases {
 		b := NewBuilder(c.name)
@@ -191,10 +218,23 @@ func TestBuilderErrors(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
 		}
 	}
+	// A duplicate name fails Finalize, and the builder stays failed.
+	b := NewBuilder("dup")
+	in := b.Input("x", 3, 8, 8)
+	c := b.Conv("c", in, 4, 3, 1)
+	b.Conv("x", c, 4, 3, 1)
+	for i := 0; i < 2; i++ {
+		if _, err := b.Finalize(); err == nil || err.Error() != `graph "dup": duplicate node name "x"` {
+			t.Fatalf("Finalize #%d: err = %v, want the duplicate", i+1, err)
+		}
+	}
+	if id := b.Conv("late", c, 4, 3, 1); id != -1 || b.Err() == nil {
+		t.Errorf("Conv after a failed Finalize = %d (err %v), want -1", id, b.Err())
+	}
 	if _, err := NewBuilder("empty").Finalize(); err == nil {
 		t.Error("empty graph should fail")
 	}
-	b := NewBuilder("inputs-only")
+	b = NewBuilder("inputs-only")
 	b.Input("in", 3, 8, 8)
 	if _, err := b.Finalize(); err == nil {
 		t.Error("inputs-only graph should fail")
@@ -257,43 +297,16 @@ func TestMustFinalizePanics(t *testing.T) {
 	NewBuilder("bad").MustFinalize()
 }
 
-func TestCSRViewsMatchSlices(t *testing.T) {
-	g, _ := diamond(t)
-	for id := 0; id < g.Len(); id++ {
-		succ, pred := g.Succ(id), g.Pred(id)
-		succV, predV := g.SuccIDs(id), g.PredIDs(id)
-		if len(succ) != len(succV) || len(pred) != len(predV) {
-			t.Fatalf("node %d: CSR lengths differ", id)
-		}
-		for i := range succ {
-			if succ[i] != int(succV[i]) {
-				t.Errorf("node %d: succ[%d] = %d vs CSR %d", id, i, succ[i], succV[i])
-			}
-		}
-		for i := range pred {
-			if pred[i] != int(predV[i]) {
-				t.Errorf("node %d: pred[%d] = %d vs CSR %d", id, i, pred[i], predV[i])
-			}
-		}
-	}
-}
-
-func TestDenseIndex(t *testing.T) {
+func TestComputeIDs(t *testing.T) {
 	g, ids := diamond(t)
-	if g.DenseIndex(ids[0]) != -1 {
-		t.Errorf("input dense index = %d, want -1", g.DenseIndex(ids[0]))
-	}
 	cached := g.ComputeIDs()
 	copied := g.ComputeNodes()
 	if len(cached) != len(copied) || len(cached) != 4 {
 		t.Fatalf("compute ids = %v / %v", cached, copied)
 	}
 	for i, id := range cached {
-		if copied[i] != id {
-			t.Errorf("ComputeNodes[%d] = %d, want %d", i, copied[i], id)
-		}
-		if g.DenseIndex(id) != i {
-			t.Errorf("DenseIndex(%d) = %d, want %d", id, g.DenseIndex(id), i)
+		if copied[i] != id || id != ids[i+1] {
+			t.Errorf("ComputeIDs[%d] = %d, ComputeNodes[%d] = %d, want %d", i, id, i, copied[i], ids[i+1])
 		}
 	}
 	// ComputeNodes must hand out a private copy.

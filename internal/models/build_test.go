@@ -2,20 +2,27 @@ package models
 
 import "testing"
 
-// setupModels are the models a cocco-coexplore search draws from, so their
-// construction is that surface's whole set-up.
-var setupModels = []string{"nasnet", "randwire-a", "randwire-b", "densenet121"}
+// setupModels are the models whose construction is a surface's whole graph
+// set-up: a cocco-coexplore search draws from nasnet, randwire-a,
+// randwire-b and densenet121, and a dse-sweep sweeps resnet50 and
+// googlenet.
+var setupModels = []string{"nasnet", "randwire-a", "randwire-b", "densenet121", "resnet50", "googlenet"}
 
-// TestBuildAllocs pins the allocations of building each set-up model. Almost
-// all that remain are node names, one per node; per-node or per-edge slices
-// coming back would add hundreds. The ceilings sit ~5% above the counts
-// measured with go1.24 (352, 188, 267, 250), so a toolchain's own
-// allocation changes do not trip them.
+// TestBuildAllocs pins the allocations of building each set-up model. What
+// remains is per-chunk builder storage: slabs, the name buffer, the edge
+// and offset arrays, and the finished graph's few arrays. A node name the
+// builder kept instead of copying would move every name concatenation to
+// the heap, and per-node or per-edge slices would add hundreds. The
+// ceilings sit ~5% above the counts measured with go1.24 (63, 86, 112, 73,
+// 45, 45), so a toolchain's own allocation changes do not trip them.
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins describe the build without the race detector")
 	}
-	ceiling := map[string]float64{"nasnet": 370, "randwire-a": 198, "randwire-b": 280, "densenet121": 263}
+	ceiling := map[string]float64{
+		"nasnet": 66, "randwire-a": 90, "randwire-b": 118, "densenet121": 77,
+		"resnet50": 47, "googlenet": 47,
+	}
 	for _, name := range setupModels {
 		if got := testing.AllocsPerRun(20, func() { MustBuild(name) }); got > ceiling[name] {
 			t.Errorf("Build(%q) allocates %.0f times, want at most %.0f", name, got, ceiling[name])

@@ -50,8 +50,8 @@ func TestDenseNet121Structure(t *testing.T) {
 		if n.Kind == graph.OpConv && n.KernelH == 3 {
 			convs3++
 		}
-		if n.Kind == graph.OpConcat && len(g.Pred(n.ID)) > maxFanIn {
-			maxFanIn = len(g.Pred(n.ID))
+		if n.Kind == graph.OpConcat && len(g.PredIDs(n.ID)) > maxFanIn {
+			maxFanIn = len(g.PredIDs(n.ID))
 		}
 	}
 	if convs3 != 58 {
@@ -74,8 +74,8 @@ func TestUNetSkipConnections(t *testing.T) {
 	for _, n := range g.Nodes() {
 		if n.Kind == graph.OpConcat {
 			concats++
-			if len(g.Pred(n.ID)) != 2 {
-				t.Errorf("%s fan-in = %d", n.Name, len(g.Pred(n.ID)))
+			if len(g.PredIDs(n.ID)) != 2 {
+				t.Errorf("%s fan-in = %d", n.Name, len(g.PredIDs(n.ID)))
 			}
 		}
 	}
@@ -90,8 +90,8 @@ func TestUNetSkipConnections(t *testing.T) {
 		}
 	}
 	maxDist := 0
-	for _, c := range g.Succ(e1) {
-		if d := c - e1; d > maxDist {
+	for _, c := range g.SuccIDs(e1) {
+		if d := int(c) - e1; d > maxDist {
 			maxDist = d
 		}
 	}

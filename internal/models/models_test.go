@@ -68,9 +68,9 @@ func TestStructuralInvariants(t *testing.T) {
 			if !g.IsConnected(set) {
 				t.Error("compute nodes not weakly connected")
 			}
-			for _, u := range g.Topo() {
-				for _, v := range g.Succ(u) {
-					if u >= v {
+			for u := 0; u < g.Len(); u++ {
+				for _, v := range g.SuccIDs(u) {
+					if u >= int(v) {
 						t.Fatalf("edge %d->%d not forward", u, v)
 					}
 				}
@@ -95,8 +95,8 @@ func TestVGG16Shape(t *testing.T) {
 	}
 	// Plain structure: every compute node has exactly one producer.
 	for _, id := range g.ComputeNodes() {
-		if len(g.Pred(id)) != 1 {
-			t.Errorf("node %d has %d producers in a plain network", id, len(g.Pred(id)))
+		if len(g.PredIDs(id)) != 1 {
+			t.Errorf("node %d has %d producers in a plain network", id, len(g.PredIDs(id)))
 		}
 	}
 }
@@ -111,7 +111,7 @@ func TestResNetShapes(t *testing.T) {
 	// Residual adds exist: some eltwise nodes with 2 producers.
 	adds := 0
 	for _, n := range r50.Nodes() {
-		if n.Kind == graph.OpEltwise && len(r50.Pred(n.ID)) == 2 {
+		if n.Kind == graph.OpEltwise && len(r50.PredIDs(n.ID)) == 2 {
 			adds++
 		}
 	}
@@ -133,8 +133,8 @@ func TestGoogleNetBranching(t *testing.T) {
 	concats := 0
 	for _, n := range g.Nodes() {
 		if n.Kind == graph.OpConcat {
-			if len(g.Pred(n.ID)) != 4 {
-				t.Errorf("concat %s has %d branches", n.Name, len(g.Pred(n.ID)))
+			if len(g.PredIDs(n.ID)) != 4 {
+				t.Errorf("concat %s has %d branches", n.Name, len(g.PredIDs(n.ID)))
 			}
 			concats++
 		}
@@ -158,7 +158,7 @@ func TestAttentionStacks(t *testing.T) {
 	// Attention joins: two per layer (scores, context).
 	joins := 0
 	for _, n := range tr.Nodes() {
-		if n.Kind == graph.OpMatmul && len(tr.Pred(n.ID)) == 2 {
+		if n.Kind == graph.OpMatmul && len(tr.PredIDs(n.ID)) == 2 {
 			joins++
 		}
 	}

@@ -74,7 +74,7 @@ func oracleNormalize(p *Partition) error {
 	}
 	for _, u := range p.g.ComputeIDs() {
 		su := dense[u]
-		for _, v := range p.g.Succ(u) {
+		for _, v := range p.g.SuccIDs(u) {
 			sv := dense[v]
 			if sv == Unassigned || sv == su {
 				continue

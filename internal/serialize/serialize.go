@@ -59,12 +59,16 @@ func EncodeGraph(g *graph.Graph) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("serialize: unknown kind %v on node %d", n.Kind, n.ID)
 		}
+		var preds []int
+		for _, p := range g.PredIDs(n.ID) {
+			preds = append(preds, int(p))
+		}
 		out.Nodes = append(out.Nodes, NodeJSON{
 			ID: n.ID, Name: n.Name, Kind: kn,
 			KernelH: n.KernelH, KernelW: n.KernelW,
 			StrideH: n.StrideH, StrideW: n.StrideW,
 			InC: n.InC, OutC: n.OutC, OutH: n.OutH, OutW: n.OutW,
-			Preds: append([]int(nil), g.Pred(n.ID)...),
+			Preds: preds,
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")
@@ -88,6 +92,9 @@ func DecodeGraph(data []byte) (*graph.Graph, error) {
 		}
 		var id int
 		if kind == graph.OpInput {
+			if len(n.Preds) > 0 {
+				return nil, fmt.Errorf("serialize: node %q: input node with preds %v", n.Name, n.Preds)
+			}
 			id = b.Input(n.Name, n.OutC, n.OutH, n.OutW)
 		} else {
 			k := n.KernelH
@@ -99,8 +106,10 @@ func DecodeGraph(data []byte) (*graph.Graph, error) {
 			}
 			id = b.Custom(n.Name, kind, k, s, n.InC, n.OutC, n.OutH, n.OutW, n.Preds...)
 		}
-		if id != n.ID {
-			return nil, fmt.Errorf("serialize: node %q: rebuilt id %d != %d", n.Name, id, n.ID)
+		if id < 0 {
+			// Ids are dense and in order, so only a rejected node gets an
+			// id other than n.ID; the builder's error names it.
+			return nil, fmt.Errorf("serialize: %w", b.Err())
 		}
 	}
 	return b.Finalize()

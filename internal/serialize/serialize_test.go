@@ -30,7 +30,7 @@ func TestGraphRoundTrip(t *testing.T) {
 			if *a != *b {
 				t.Fatalf("%s: node %d differs: %+v vs %+v", name, i, a, b)
 			}
-			pa, pb := g.Pred(i), back.Pred(i)
+			pa, pb := g.PredIDs(i), back.PredIDs(i)
 			if len(pa) != len(pb) {
 				t.Fatalf("%s: node %d preds differ", name, i)
 			}
@@ -47,9 +47,10 @@ func TestGraphRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeGraph: arbitrary bytes must never panic the graph decoder, and
-// any graph it accepts must re-encode to bytes that decode to an identical
-// graph (one that encodes to the same bytes again).
+// FuzzDecodeGraph: arbitrary bytes must never panic the graph decoder, any
+// graph it accepts must have non-negative node sizes, and it must re-encode
+// to bytes that decode to an identical graph (one that encodes to the same
+// bytes again).
 func FuzzDecodeGraph(f *testing.F) {
 	for _, name := range []string{"vgg16", "googlenet", "randwire-a"} {
 		data, err := EncodeGraph(models.MustBuild(name))
@@ -62,6 +63,11 @@ func FuzzDecodeGraph(f *testing.F) {
 		g, err := DecodeGraph(data)
 		if err != nil {
 			return
+		}
+		for _, n := range g.Nodes() {
+			if n.OutBytes() < 0 || n.WeightBytes() < 0 || n.MACs() < 0 {
+				t.Fatalf("node %q: negative size: out %d, weights %d, MACs %d", n.Name, n.OutBytes(), n.WeightBytes(), n.MACs())
+			}
 		}
 		enc, err := EncodeGraph(g)
 		if err != nil {
@@ -128,6 +134,19 @@ func TestDecodeGraphErrors(t *testing.T) {
 	  {"id":1,"name":"b","kind":"conv","kernel_h":3,"kernel_w":5,"stride_h":1,"stride_w":1,"in_c":1,"out_c":1,"out_h":8,"out_w":8,"preds":[0]}]}`
 	if _, err := DecodeGraph([]byte(aniso)); err == nil {
 		t.Error("anisotropic kernel accepted")
+	}
+	inputPreds := `{"name":"x","nodes":[
+	  {"id":0,"name":"a","kind":"input","out_c":1,"out_h":8,"out_w":8},
+	  {"id":1,"name":"b","kind":"input","out_c":1,"out_h":8,"out_w":8,"preds":[0]},
+	  {"id":2,"name":"c","kind":"conv","kernel_h":1,"kernel_w":1,"stride_h":1,"stride_w":1,"in_c":1,"out_c":1,"out_h":8,"out_w":8,"preds":[1]}]}`
+	if _, err := DecodeGraph([]byte(inputPreds)); err == nil || !strings.Contains(err.Error(), `node "b": input node with preds`) {
+		t.Errorf("input node with preds: err = %v, want it rejected by name", err)
+	}
+	huge := `{"name":"x","nodes":[
+	  {"id":0,"name":"a","kind":"input","out_c":2097152,"out_h":2097152,"out_w":2097152},
+	  {"id":1,"name":"b","kind":"conv","kernel_h":1,"kernel_w":1,"stride_h":1,"stride_w":1,"in_c":1,"out_c":1,"out_h":8,"out_w":8,"preds":[0]}]}`
+	if _, err := DecodeGraph([]byte(huge)); err == nil || !strings.Contains(err.Error(), `node "a": output bytes`) {
+		t.Errorf("2^63-byte input: err = %v, want it rejected by name", err)
 	}
 }
 

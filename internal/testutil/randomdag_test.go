@@ -60,8 +60,8 @@ func TestRandomDAGShapes(t *testing.T) {
 		for _, id := range g.ComputeNodes() {
 			nd := g.Node(id)
 			if nd.Kind == graph.OpEltwise || nd.Kind == graph.OpConcat {
-				if len(g.Pred(id)) > 1+opts.MaxFanIn {
-					t.Fatalf("seed %d: join %d has fan-in %d > %d", seed, id, len(g.Pred(id)), 1+opts.MaxFanIn)
+				if len(g.PredIDs(id)) > 1+opts.MaxFanIn {
+					t.Fatalf("seed %d: join %d has fan-in %d > %d", seed, id, len(g.PredIDs(id)), 1+opts.MaxFanIn)
 				}
 			}
 		}

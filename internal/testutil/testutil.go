@@ -77,14 +77,18 @@ func RandomConnectedSubgraph(rng *rand.Rand, g *graph.Graph, maxSize int) []int 
 		u := frontier[i]
 		frontier[i] = frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
-		for _, v := range append(append([]int(nil), g.Pred(u)...), g.Succ(u)...) {
-			if g.Node(v).Kind == graph.OpInput || set[v] {
-				continue
-			}
-			set[v] = true
-			frontier = append(frontier, v)
-			if len(set) >= target {
-				break
+	grow:
+		for _, run := range [2][]int32{g.PredIDs(u), g.SuccIDs(u)} {
+			for _, w := range run {
+				v := int(w)
+				if g.Node(v).Kind == graph.OpInput || set[v] {
+					continue
+				}
+				set[v] = true
+				frontier = append(frontier, v)
+				if len(set) >= target {
+					break grow
+				}
 			}
 		}
 	}

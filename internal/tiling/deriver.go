@@ -39,7 +39,7 @@ type Deriver struct {
 
 // NewDeriver returns a Deriver for g with the given config.
 func NewDeriver(g *graph.Graph, cfg Config) (*Deriver, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := g.Len()
@@ -60,32 +60,6 @@ func NewDeriver(g *graph.Graph, cfg Config) (*Deriver, error) {
 		updNum:  make([]int64, n),
 		updDen:  make([]int64, n),
 	}, nil
-}
-
-// Clone returns a fresh Deriver for the same graph and config, with its own
-// scratch buffers. The config was validated when the receiver was built, so
-// cloning never fails — this is how a shared, already-validated template
-// (eval.GraphContext keeps one per graph) fans out into per-goroutine
-// scratch without re-running NewDeriver's validation per pool entry.
-func (d *Deriver) Clone() *Deriver {
-	n := d.g.Len()
-	return &Deriver{
-		g:       d.g,
-		cfg:     d.cfg,
-		member:  graph.NewMarks(n),
-		inUniv:  graph.NewMarks(n),
-		ids:     make([]int, 0, n),
-		ns:      make([]NodeScheme, n),
-		prodSet: graph.NewMarks(n),
-		prodNum: make([]int64, n),
-		prodDen: make([]int64, n),
-		deg:     make([]int32, n),
-		cursor:  make([]int32, n),
-		adjOff:  make([]int32, n),
-		queue:   make([]int, 0, n),
-		updNum:  make([]int64, n),
-		updDen:  make([]int64, n),
-	}
 }
 
 // derive runs the full three-stage flow into the scratch buffers. On return

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cocco/internal/graph"
@@ -48,8 +49,8 @@ func TestDeriveInvariantsOnRandomGraphs(t *testing.T) {
 			for _, v := range members {
 				nv := g.Node(v)
 				vs := s.Nodes[v]
-				for _, u := range g.Pred(v) {
-					us, ok := s.Nodes[u]
+				for _, u := range g.PredIDs(v) {
+					us, ok := s.Nodes[int(u)]
 					if !ok {
 						continue
 					}
@@ -90,7 +91,8 @@ func TestFootprintMonotoneUnderGrowth(t *testing.T) {
 			}
 			// Try every adjacent extension.
 			for _, id := range members {
-				for _, nb := range append(append([]int(nil), g.Pred(id)...), g.Succ(id)...) {
+				for _, w := range append(slices.Clone(g.PredIDs(id)), g.SuccIDs(id)...) {
+					nb := int(w)
 					if inSet[nb] || g.Node(nb).Kind == graph.OpInput {
 						continue
 					}

@@ -44,13 +44,15 @@ func ParseConfig(s string) (Config, error) {
 	if _, err := fmt.Sscanf(s, "%dx%d", &c.BaseTileH, &c.BaseTileW); err != nil {
 		return c, fmt.Errorf("tiling: config %q: want HxW (e.g. 2x2)", s)
 	}
-	if err := c.validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		return c, err
 	}
 	return c, nil
 }
 
-func (c Config) validate() error {
+// Validate reports whether c is usable: both base tiles must be at least 1.
+// Its error is the one NewDeriver returns for c.
+func (c Config) Validate() error {
 	if c.BaseTileH < 1 || c.BaseTileW < 1 {
 		return fmt.Errorf("tiling: base tile must be >= 1, got %dx%d", c.BaseTileH, c.BaseTileW)
 	}
@@ -180,8 +182,8 @@ func (s *Scheme) FootprintBytes(g *graph.Graph, id int) int64 {
 }
 
 func hasInternalConsumer(g *graph.Graph, s *Scheme, id int) bool {
-	for _, c := range g.Succ(id) {
-		if ns, ok := s.Nodes[c]; ok && !ns.External {
+	for _, c := range g.SuccIDs(id) {
+		if ns, ok := s.Nodes[int(c)]; ok && !ns.External {
 			return true
 		}
 	}
@@ -249,7 +251,8 @@ func ProductionFootprintBytes(g *graph.Graph, members []int, cons *Scheme) int64
 		ns := cons.Nodes[id]
 		var d dims
 		hasInternal := false
-		for _, c := range g.Succ(id) {
+		for _, cc := range g.SuccIDs(id) {
+			c := int(cc)
 			cns, ok := cons.Nodes[c]
 			if !ok || cns.External {
 				continue
@@ -286,8 +289,8 @@ func ProductionFootprintBytes(g *graph.Graph, members []int, cons *Scheme) int64
 			d = need[id]
 		} else {
 			d = dims{1 << 62, 1 << 62}
-			for _, p := range g.Pred(id) {
-				pt, ok := tiles[p]
+			for _, p := range g.PredIDs(id) {
+				pt, ok := tiles[int(p)]
 				if !ok {
 					continue
 				}
