@@ -2,10 +2,12 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"cocco/internal/graph"
+	"cocco/internal/hw"
 	"cocco/internal/models"
 	"cocco/internal/tiling"
 )
@@ -41,6 +43,50 @@ func TestNewGraphContextAllocs(t *testing.T) {
 			t.Errorf("NewGraphContext(%s) allocates %.0f times, want at most 8", name, got)
 		}
 	}
+}
+
+// TestNewEvaluatorAllocs pins what a DSE sweep's second and later configs
+// pay for their evaluators: from a warm context, NewEvaluator allocates only
+// the Evaluator and its scratch constructor, a constant whatever the model's
+// size, because the cycle table and the cost cache are memoized on the
+// context per core geometry. With go1.24 that is 2 allocations and 312 B on
+// every zoo model, where eval.New, building a context each time, takes 13
+// allocations and 8–21 KB, growing with the node count.
+func TestNewEvaluatorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins describe the build without the race detector")
+	}
+	p := hw.DefaultPlatform()
+	var first string
+	var firstBytes uint64
+	for _, name := range models.Names() {
+		gc := NewGraphContext(models.MustBuild(name), tiling.DefaultConfig())
+		newEvaluator := func() { gc.MustNewEvaluator(p) }
+		newEvaluator() // warm the context's cycle table and cache registry
+		if got := testing.AllocsPerRun(100, newEvaluator); got > 2 {
+			t.Errorf("%s: warm NewEvaluator allocates %.0f times, want at most 2", name, got)
+		}
+		bytes := bytesPerRun(100, newEvaluator)
+		if first == "" {
+			first, firstBytes = name, bytes
+		} else if bytes != firstBytes {
+			t.Errorf("%s: warm NewEvaluator allocates %d B, %s %d B; want the same on every model", name, bytes, first, firstBytes)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the average bytes f
+// allocates over runs calls, after one warm-up call, on one CPU.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestColdPathAllocs pins the tentpole contract: a steady-state cold

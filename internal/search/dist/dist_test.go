@@ -40,7 +40,7 @@ func startWorker(t testing.TB, model string) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go Serve(ln, evaluatorFor(t, model), 1)
+	go ServeWith(ln, evaluatorFor(t, model), ServeConfig{Workers: 1})
 	return ln.Addr().String()
 }
 
@@ -334,8 +334,9 @@ func TestSplitRing(t *testing.T) {
 }
 
 // TestDistWorkerProcess is not a test: it is the worker main for the
-// kill-and-resume fault-injection test, entered when the test binary is
-// re-executed with COCCO_DIST_TEST_WORKER set. It serves until killed.
+// kill-and-resume fault-injection test and BenchmarkDistFleet, entered when
+// the test binary is re-executed with COCCO_DIST_TEST_WORKER set. It serves
+// one evaluator until killed.
 func TestDistWorkerProcess(t *testing.T) {
 	if os.Getenv("COCCO_DIST_TEST_WORKER") == "" {
 		t.Skip("worker-process helper; set COCCO_DIST_TEST_WORKER to run")
@@ -353,14 +354,14 @@ func TestDistWorkerProcess(t *testing.T) {
 	if err := os.Rename(tmp, addrFile); err != nil {
 		t.Fatal(err)
 	}
-	if err := Serve(ln, evaluatorFor(t, model), 1); err != nil {
+	if err := ServeWith(ln, evaluatorFor(t, model), ServeConfig{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// spawnWorkerProc re-executes this test binary as a real worker process and
-// returns its published address.
-func spawnWorkerProc(t *testing.T, model, dir string, i int) (string, *exec.Cmd) {
+// spawnWorkerProc re-executes this test binary as a real worker process,
+// pinned to one CPU (GOMAXPROCS=1), and returns its published address.
+func spawnWorkerProc(t testing.TB, model, dir string, i int) (string, *exec.Cmd) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -369,6 +370,7 @@ func spawnWorkerProc(t *testing.T, model, dir string, i int) (string, *exec.Cmd)
 	addrFile := filepath.Join(dir, fmt.Sprintf("worker%d.addr", i))
 	cmd := exec.Command(exe, "-test.run", "^TestDistWorkerProcess$")
 	cmd.Env = append(os.Environ(),
+		"GOMAXPROCS=1",
 		"COCCO_DIST_TEST_WORKER=1",
 		"COCCO_DIST_TEST_MODEL="+model,
 		"COCCO_DIST_TEST_ADDRFILE="+addrFile,

@@ -22,7 +22,7 @@ import (
 // its next frame boundary with a best-effort MsgError to the coordinator.
 var ErrDraining = errors.New("dist: worker draining (shutdown signal)")
 
-// ServeConfig tunes a worker's Serve loop.
+// ServeConfig tunes a worker's ServeWith loop.
 type ServeConfig struct {
 	// Workers is the scoring-goroutine budget (0 = all CPUs).
 	Workers int
@@ -35,21 +35,17 @@ type ServeConfig struct {
 	// Stop, when non-nil, drains the worker once closed: the accept loop
 	// refuses new sessions and an in-flight session is aborted at its next
 	// frame boundary (the current frame handler — possibly a multi-
-	// generation Step — finishes first). Serve then returns ErrDraining.
+	// generation Step — finishes first). ServeWith then returns ErrDraining.
 	Stop <-chan struct{}
 }
 
-// Serve accepts coordinator sessions on ln, one at a time, each driving a
-// fresh search.RingHost over this process's evaluator. workers is the
-// scoring-goroutine budget for this process (0 = all CPUs). Serve returns
-// when the listener closes; a failed session is logged and the worker goes
-// back to accepting, so a crashed-and-restarted coordinator can reconnect
-// and resume from its checkpoint.
-func Serve(ln net.Listener, ev *eval.Evaluator, workers int) error {
-	return ServeWith(ln, ev, ServeConfig{Workers: workers})
-}
-
-// ServeWith is Serve with drain and I/O-deadline control.
+// ServeWith accepts coordinator sessions on ln, one at a time, each driving
+// a fresh search.RingHost over this process's evaluator; cfg sets the
+// scoring-goroutine budget, the frame deadlines, and the drain signal.
+// ServeWith returns when the listener closes (ErrDraining if cfg.Stop closed
+// it); a failed session is logged and the worker goes back to accepting, so
+// a crashed-and-restarted coordinator can reconnect and resume from its
+// checkpoint.
 func ServeWith(ln net.Listener, ev *eval.Evaluator, cfg ServeConfig) error {
 	var draining atomic.Bool
 	if cfg.Stop != nil {

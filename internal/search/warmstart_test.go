@@ -20,6 +20,11 @@ import (
 // primed by a different-seed run (partial overlap, the realistic case), and
 // one primed by a sibling hardware config sharing the core geometry (the
 // cross-config warm start the geometry-keyed fingerprint exists for).
+//
+// A fourth, Workers: 1 full-overlap leg counts what the snapshot saves:
+// LoadCache adds every exported entry, and the warm search misses exactly
+// on the subgraphs ExportCache leaves out (those whose costing failed), so
+// every other cold subgraph costing of the search became a hit.
 func TestWarmStartBitIdentical(t *testing.T) {
 	for _, model := range models.Names() {
 		t.Run(model, func(t *testing.T) {
@@ -94,6 +99,30 @@ func TestWarmStartBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(coldStats, warmStats) {
 					t.Errorf("%s: stats differ: cold %+v warm %+v", tc.name, coldStats, warmStats)
 				}
+			}
+
+			// Workers: 1 full overlap: exact counts, no racing duplicate misses.
+			serialOpt := opt
+			serialOpt.Core.Workers = 1
+			cold := evaluatorFor(t, model)
+			if _, _, err := Run(cold, serialOpt); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := cold.ExportCache()
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := evaluatorFor(t, model)
+			if added, err := warm.LoadCache(snap); err != nil || added != len(snap.Entries) {
+				t.Fatalf("LoadCache added %d (err %v), want all %d snapshot entries", added, err, len(snap.Entries))
+			}
+			if _, _, err := Run(warm, serialOpt); err != nil {
+				t.Fatal(err)
+			}
+			hits, calls := warm.CacheStats()
+			if misses, unexported := calls-hits, cold.CacheEntries()-int64(len(snap.Entries)); misses != unexported {
+				t.Errorf("warm serial search missed %d times, want %d (the cold run's %d entries less the %d exported)",
+					misses, unexported, cold.CacheEntries(), len(snap.Entries))
 			}
 
 			// A geometry-mismatched snapshot must be refused, not loaded.

@@ -308,6 +308,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"huge migrants", func(sp *serialize.JobSpecJSON) { sp.Migrants = MaxMigrants + 1 }, "migrants"},
 		{"huge cores", func(sp *serialize.JobSpecJSON) { sp.Cores = MaxCores + 1 }, "cores"},
 		{"huge batch", func(sp *serialize.JobSpecJSON) { sp.Batch = MaxBatch + 1 }, "batch"},
+		// 2^54+1 KiB is 2^64+1024 bytes: unchecked, it wraps to a 1 KiB buffer.
+		{"wrapping glb", func(sp *serialize.JobSpecJSON) { sp.GLBKiB = 1<<54 + 1 }, "glb_kib"},
+		{"huge wgt", func(sp *serialize.JobSpecJSON) { sp.WGTKiB = MaxBufferKiB + 1 }, "wgt_kib"},
 	}
 	for _, tc := range cases {
 		spec := testSpec(11)

@@ -31,6 +31,7 @@ const (
 	MaxMigrants   = 1_000     // per island per barrier
 	MaxCores      = 256
 	MaxBatch      = 1_024
+	MaxBufferKiB  = 1 << 30 // glb_kib and wgt_kib: 1 TiB, so ×1024 stays far from overflow
 )
 
 // NormalizeSpec fills defaults and validates every field of a submitted job
@@ -91,6 +92,12 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 		}
 		if spec.GLBKiB < 0 || spec.WGTKiB < 0 {
 			return spec, fmt.Errorf("serve: job spec: buffer capacities must be positive")
+		}
+		if spec.GLBKiB > MaxBufferKiB {
+			return spec, fmt.Errorf("serve: job spec: glb_kib must be <= %d", MaxBufferKiB)
+		}
+		if spec.WGTKiB > MaxBufferKiB {
+			return spec, fmt.Errorf("serve: job spec: wgt_kib must be <= %d", MaxBufferKiB)
 		}
 	}
 	if spec.Population == 0 {
