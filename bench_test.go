@@ -416,7 +416,7 @@ func BenchmarkEnumeration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := baselines.Enumerate(ev, mem, eval.MetricEMA, baselines.DefaultEnumOptions()); err != nil {
+		if _, _, err := baselines.Enumerate(ev, mem, eval.MetricEMA); err != nil {
 			b.Fatal(err)
 		}
 	}

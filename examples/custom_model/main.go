@@ -57,7 +57,7 @@ func main() {
 	mem := hw.MemConfig{Kind: hw.SeparateBuffer, GlobalBytes: 256 * hw.KiB, WeightBytes: 256 * hw.KiB}
 
 	// Exact optimum by downset-lattice enumeration.
-	opt, samples, err := baselines.Enumerate(ev, mem, eval.MetricEMA, baselines.DefaultEnumOptions())
+	opt, samples, err := baselines.Enumerate(ev, mem, eval.MetricEMA)
 	if err != nil {
 		log.Fatal(err)
 	}

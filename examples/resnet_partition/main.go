@@ -40,7 +40,7 @@ func main() {
 	dp, _ := baselines.DP(ev, mem, eval.MetricEMA)
 	show("Irregular-NN (DP)", dp)
 
-	ep, _, err := baselines.Enumerate(ev, mem, eval.MetricEMA, baselines.DefaultEnumOptions())
+	ep, _, err := baselines.Enumerate(ev, mem, eval.MetricEMA)
 	if err != nil {
 		fmt.Printf("%-18s %v\n", "enumeration", err)
 	} else {

@@ -57,7 +57,7 @@ func TestDPValidAndAtLeastGreedyOnChains(t *testing.T) {
 	if err := dpP.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	enP, _, err := Enumerate(ev, mem, eval.MetricEMA, DefaultEnumOptions())
+	enP, _, err := Enumerate(ev, mem, eval.MetricEMA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEnumerationIsOptimal(t *testing.T) {
 	for _, model := range []string{"vgg16", "resnet50", "googlenet"} {
 		ev := testEval(t, model)
 		mem := paperMem()
-		enP, samples, err := Enumerate(ev, mem, eval.MetricEMA, DefaultEnumOptions())
+		enP, samples, err := Enumerate(ev, mem, eval.MetricEMA)
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
@@ -107,7 +107,7 @@ func TestEnumerationIsOptimal(t *testing.T) {
 func TestEnumerationBudgetOnIrregular(t *testing.T) {
 	// Randomly wired graphs exhaust the downset budget, as in the paper.
 	ev := testEval(t, "randwire-a")
-	_, _, err := Enumerate(ev, paperMem(), eval.MetricEMA, DefaultEnumOptions())
+	_, _, err := Enumerate(ev, paperMem(), eval.MetricEMA)
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("expected ErrBudget, got %v", err)
 	}
@@ -116,7 +116,7 @@ func TestEnumerationBudgetOnIrregular(t *testing.T) {
 func TestEnumerationRespectsFeasibility(t *testing.T) {
 	ev := testEval(t, "resnet50")
 	mem := paperMem()
-	p, _, err := Enumerate(ev, mem, eval.MetricEMA, DefaultEnumOptions())
+	p, _, err := Enumerate(ev, mem, eval.MetricEMA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,31 +128,9 @@ func TestEnumerationRespectsFeasibility(t *testing.T) {
 func TestSAFindsFeasibleAndDeterministic(t *testing.T) {
 	run := func() float64 {
 		ev := testEval(t, "googlenet")
-		best, err := SA(ev, SAOptions{
-			Seed: 5, MaxSamples: 2000,
-			Objective: eval.Objective{Metric: eval.MetricEnergy, Alpha: 0.002},
-			Mem: core.MemSearch{Search: true, Kind: hw.SeparateBuffer,
-				Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !best.Res.Feasible() {
-			t.Fatal("SA best infeasible")
-		}
-		return best.Cost
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("SA not deterministic: %g vs %g", a, b)
-	}
-}
-
-func TestSARestartsDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (float64, []core.TracePoint) {
-		ev := testEval(t, "googlenet")
 		var trace []core.TracePoint
 		best, err := SA(ev, SAOptions{
-			Seed: 5, MaxSamples: 2000, Restarts: 4, Workers: workers,
+			Seed: 5, MaxSamples: 2000,
 			Objective: eval.Objective{Metric: eval.MetricEnergy, Alpha: 0.002},
 			Mem: core.MemSearch{Search: true, Kind: hw.SeparateBuffer,
 				Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()},
@@ -161,23 +139,22 @@ func TestSARestartsDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return best.Cost, trace
-	}
-	c1, tr1 := run(1)
-	c4, tr4 := run(4)
-	if c1 != c4 {
-		t.Errorf("best cost differs: Workers=1 %g vs Workers=4 %g", c1, c4)
-	}
-	if len(tr1) != 2000 || len(tr4) != 2000 {
-		t.Fatalf("trace lengths = %d, %d; want 2000 (budget split across restarts)", len(tr1), len(tr4))
-	}
-	for i := range tr1 {
-		if tr1[i] != tr4[i] {
-			t.Fatalf("trace[%d] differs: %+v vs %+v", i, tr1[i], tr4[i])
+		if !best.Res.Feasible() {
+			t.Fatal("SA best infeasible")
 		}
+		// One chain: exactly MaxSamples trace points, numbered 1…N.
+		if len(trace) != 2000 {
+			t.Fatalf("trace has %d points, want 2000", len(trace))
+		}
+		for i, tp := range trace {
+			if tp.Sample != i+1 {
+				t.Fatalf("trace[%d].Sample = %d, want %d", i, tp.Sample, i+1)
+			}
+		}
+		return best.Cost
 	}
-	if tr1[0].Sample != 1 || tr1[1999].Sample != 2000 {
-		t.Errorf("trace not rebased globally: first %d, last %d", tr1[0].Sample, tr1[1999].Sample)
+	if a, b := run(), run(); a != b {
+		t.Errorf("SA not deterministic: %g vs %g", a, b)
 	}
 }
 

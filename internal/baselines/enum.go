@@ -17,20 +17,15 @@ import (
 // the large irregular models.
 var ErrBudget = errors.New("baselines: enumeration budget exceeded")
 
-// EnumOptions bounds the exact search.
-type EnumOptions struct {
-	// MaxDownsets caps the number of downsets (schedulable prefixes) of the
+// The exact search's budgets, as in the evaluation setup.
+const (
+	// maxDownsets caps the number of downsets (schedulable prefixes) of the
 	// DAG. Narrow graphs (plain/residual/inception) have few; randomly
 	// wired graphs explode and abort with ErrBudget.
-	MaxDownsets int
-	// MaxPairs caps the number of downset pairs examined as transitions.
-	MaxPairs int
-}
-
-// DefaultEnumOptions matches the evaluation setup.
-func DefaultEnumOptions() EnumOptions {
-	return EnumOptions{MaxDownsets: 30_000, MaxPairs: 30_000_000}
-}
+	maxDownsets = 30_000
+	// maxPairs caps the number of downset pairs examined as transitions.
+	maxPairs = 30_000_000
+)
 
 // Enumerate implements the enumeration-based optimizer (§4.2.1, after
 // Fused-CNN and Jangda et al.'s state-compression dynamic programming) as an
@@ -46,7 +41,7 @@ func DefaultEnumOptions() EnumOptions {
 //
 // Returns the optimal partition under the metric, the number of
 // candidate-subgraph evaluations, or ErrBudget.
-func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric, opt EnumOptions) (*partition.Partition, int, error) {
+func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric) (*partition.Partition, int, error) {
 	g := ev.Graph()
 	nodes := g.ComputeNodes()
 	n := len(nodes)
@@ -104,7 +99,7 @@ func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric, opt Enu
 			if _, ok := index[k]; ok {
 				continue
 			}
-			if len(all) >= opt.MaxDownsets {
+			if len(all) >= maxDownsets {
 				return nil, 0, ErrBudget
 			}
 			index[k] = len(all)
@@ -163,7 +158,7 @@ func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric, opt Enu
 				break // order is descending; no more strict supersets
 			}
 			pairs++
-			if pairs > opt.MaxPairs {
+			if pairs > maxPairs {
 				return nil, 0, ErrBudget
 			}
 			if math.IsInf(cost[ei], 1) {

@@ -3,7 +3,6 @@ package baselines
 import (
 	"math"
 	"math/rand"
-	"runtime"
 
 	"cocco/internal/core"
 	"cocco/internal/eval"
@@ -11,133 +10,34 @@ import (
 )
 
 // SAOptions configures the simulated-annealing co-optimizer (§4.2.4), which
-// uses Cocco's mutation operators as its neighborhood moves.
+// uses Cocco's mutation operators as its neighborhood moves. It anneals one
+// chain of MaxSamples samples (default 50,000) from Seed, cooling
+// geometrically from DefaultSAInitialTemp to DefaultSAFinalTemp.
 type SAOptions struct {
 	Seed       int64
 	MaxSamples int
-	// Restarts is the number of independent annealing chains (default 1).
-	// The sample budget is split evenly across chains and the best chain
-	// wins, with ties broken toward the lowest chain index.
-	Restarts int
-	// Workers is the number of chains annealed concurrently (default
-	// runtime.NumCPU()); with the default single restart the search is
-	// inherently serial and Workers has no effect. Each chain's RNG is
-	// derived from (Seed, chain index) and trace points are replayed in
-	// chain order once every chain has finished, so results are
-	// bit-identical for every worker count.
-	Workers int
-	// InitialTemp and FinalTemp bound the geometric cooling schedule; the
-	// temperature is expressed as a fraction of the current cost so the
-	// schedule is scale-free across metrics.
-	InitialTemp, FinalTemp float64
-	Objective              eval.Objective
-	Mem                    core.MemSearch
-	Trace                  func(core.TracePoint)
+	Objective  eval.Objective
+	Mem        core.MemSearch
+	Trace      func(core.TracePoint)
 }
 
-// DefaultSAInitialTemp and DefaultSAFinalTemp bound the default geometric
-// cooling schedule, as fractions of the current cost. Exported so the
-// orchestrator's SA scout anneals with the same schedule as this baseline.
+// DefaultSAInitialTemp and DefaultSAFinalTemp bound the geometric cooling
+// schedule. The temperature is a fraction of the current cost, so the
+// schedule is scale-free across metrics. Exported so the orchestrator's SA
+// scout anneals with the same schedule as this baseline.
 const (
 	DefaultSAInitialTemp = 0.10
 	DefaultSAFinalTemp   = 0.0005
 )
 
-func (o SAOptions) withDefaults() SAOptions {
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = 50_000
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
-	}
-	if o.InitialTemp == 0 {
-		o.InitialTemp = DefaultSAInitialTemp
-	}
-	if o.FinalTemp == 0 {
-		o.FinalTemp = DefaultSAFinalTemp
-	}
-	return o
-}
-
-// chainSeed derives chain i's RNG seed. Chain 0 keeps the run seed so a
-// single-restart SA reproduces the historical single-chain trajectory;
-// later chains get uncorrelated streams via core.ChildSeed.
-func chainSeed(seed int64, chain int) int64 {
-	if chain == 0 {
-		return seed
-	}
-	return core.ChildSeed(seed, chain)
-}
-
-// SA runs simulated annealing and returns the best genome found across all
-// restart chains.
+// SA runs simulated annealing and returns the best genome found, reporting
+// every evaluation to opt.Trace (if non-nil) with 1-based sample indices.
 func SA(ev *eval.Evaluator, opt SAOptions) (*core.Genome, error) {
-	opt = opt.withDefaults()
-
-	// Split the budget evenly; earlier chains absorb the remainder.
-	budgets := make([]int, 0, opt.Restarts)
-	per, rem := opt.MaxSamples/opt.Restarts, opt.MaxSamples%opt.Restarts
-	for i := 0; i < opt.Restarts; i++ {
-		b := per
-		if i < rem {
-			b++
-		}
-		if b > 0 {
-			budgets = append(budgets, b)
-		}
+	budget := opt.MaxSamples
+	if budget <= 0 {
+		budget = 50_000
 	}
-
-	// Single chain (the default): stream trace points directly to the
-	// caller as the search runs, exactly as the serial SA always did.
-	if len(budgets) == 1 {
-		best := saChain(ev, opt, chainSeed(opt.Seed, 0), budgets[0], opt.Trace)
-		if math.IsInf(best.Cost, 1) {
-			return best, errInfeasibleSA
-		}
-		return best, nil
-	}
-
-	// The restart loop: chains are independent, so they run on a worker
-	// pool. Trace points are buffered per chain and replayed in chain order
-	// below, keeping the observable stream deterministic.
-	bests := make([]*core.Genome, len(budgets))
-	traces := make([][]core.TracePoint, len(budgets))
-	core.ParallelFor(len(budgets), opt.Workers, func(i int) {
-		var sink func(core.TracePoint)
-		if opt.Trace != nil {
-			sink = func(tp core.TracePoint) { traces[i] = append(traces[i], tp) }
-		}
-		bests[i] = saChain(ev, opt, chainSeed(opt.Seed, i), budgets[i], sink)
-	})
-
-	var best *core.Genome
-	sampleBase := 0
-	for i, b := range bests {
-		if opt.Trace != nil {
-			for _, tp := range traces[i] {
-				tp.Sample += sampleBase
-				opt.Trace(tp)
-			}
-		}
-		sampleBase += budgets[i]
-		if best == nil || b.Cost < best.Cost {
-			best = b
-		}
-	}
-	if best == nil || math.IsInf(best.Cost, 1) {
-		return best, errInfeasibleSA
-	}
-	return best, nil
-}
-
-// saChain anneals one chain for the given sample budget, reporting every
-// evaluation to sink (if non-nil) with chain-local 1-based sample indices;
-// SA rebases them globally for multi-restart runs.
-func saChain(ev *eval.Evaluator, opt SAOptions, seed int64, budget int, sink func(core.TracePoint)) *core.Genome {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(opt.Seed))
 
 	cost := func(g *core.Genome) float64 {
 		if !g.Res.Feasible() {
@@ -153,8 +53,8 @@ func saChain(ev *eval.Evaluator, opt SAOptions, seed int64, budget int, sink fun
 	evaluate := func(gnm *core.Genome, sample int) {
 		gnm.P, gnm.Res = core.RepairInSitu(ev, rng, gnm.P, gnm.Mem)
 		gnm.Cost = cost(gnm)
-		if sink != nil {
-			sink(core.TracePoint{
+		if opt.Trace != nil {
+			opt.Trace(core.TracePoint{
 				Sample:   sample,
 				Cost:     gnm.Cost,
 				Metric:   gnm.Res.MetricValue(opt.Objective.Metric),
@@ -165,14 +65,14 @@ func saChain(ev *eval.Evaluator, opt SAOptions, seed int64, budget int, sink fun
 	}
 
 	cur := &core.Genome{
-		P:   core.RandomPartition(ev.Graph(), rng, 0.35),
+		P:   core.RandomPartition(ev.Graph(), rng, core.PNewInit),
 		Mem: core.RandomMemConfig(rng, opt.Mem),
 	}
 	evaluate(cur, 1)
 	best := cur.Clone()
 
-	cooling := math.Pow(opt.FinalTemp/opt.InitialTemp, 1/float64(maxInt(budget-1, 1)))
-	temp := opt.InitialTemp
+	cooling := math.Pow(DefaultSAFinalTemp/DefaultSAInitialTemp, 1/float64(maxInt(budget-1, 1)))
+	temp := DefaultSAInitialTemp
 	for s := 2; s <= budget; s++ {
 		cur = AnnealStep(ev.Graph(), rng, opt.Mem, cur, temp,
 			func(g *core.Genome) { evaluate(g, s) })
@@ -181,7 +81,10 @@ func saChain(ev *eval.Evaluator, opt SAOptions, seed int64, budget int, sink fun
 		}
 		temp *= cooling
 	}
-	return best
+	if math.IsInf(best.Cost, 1) {
+		return best, errInfeasibleSA
+	}
+	return best, nil
 }
 
 // AnnealStep advances one simulated-annealing chain by one sample: it draws
@@ -192,7 +95,7 @@ func saChain(ev *eval.Evaluator, opt SAOptions, seed int64, budget int, sink fun
 // Infeasible candidates are never accepted, whichever sentinel the caller's
 // cost function uses (math.Inf here, core.InfeasibleCost in the
 // orchestrator's scout — the finite sentinel family is itself ≥
-// core.InfeasibleCost). Shared by saChain and the island orchestrator's SA
+// core.InfeasibleCost). Shared by SA and the island orchestrator's SA
 // scout so the two cannot drift apart.
 func AnnealStep(g *graph.Graph, rng *rand.Rand, ms core.MemSearch, cur *core.Genome, temp float64, evaluate func(*core.Genome)) *core.Genome {
 	cand := cur.Clone()
@@ -201,7 +104,7 @@ func AnnealStep(g *graph.Graph, rng *rand.Rand, ms core.MemSearch, cur *core.Gen
 		moves = 4
 	}
 	if rng.Intn(moves) == 3 {
-		cand.Mem = core.MutateMemConfig(rng, ms, 2, cand.Mem)
+		cand.Mem = core.MutateMemConfig(rng, ms, cand.Mem)
 	} else {
 		cand.P = core.ApplyRandomMutation(g, rng, cand.P)
 	}

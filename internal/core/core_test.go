@@ -94,7 +94,7 @@ func TestMutateDSEStaysOnGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := hw.MemConfig{Kind: hw.SharedBuffer, GlobalBytes: 1024 * hw.KiB}
 	for i := 0; i < 100; i++ {
-		m = MutateMemConfig(rng, ms, 2, m)
+		m = MutateMemConfig(rng, ms, m)
 		if !ms.Global.Contains(m.GlobalBytes) {
 			t.Fatalf("off-grid capacity %d", m.GlobalBytes)
 		}

@@ -151,11 +151,11 @@ func (o *Optimizer) initialPopulation() []*Genome {
 		if len(cands) >= o.opt.Population || o.samples+len(cands) >= o.opt.MaxSamples {
 			break
 		}
-		cands = append(cands, candidate{p: p.Clone(), mem: randomMem(o.rng, o.opt.Mem)})
+		cands = append(cands, candidate{p: p.Clone(), mem: RandomMemConfig(o.rng, o.opt.Mem)})
 	}
 	for len(cands) < o.opt.Population && o.samples+len(cands) < o.opt.MaxSamples {
-		p := RandomPartition(o.ev.Graph(), o.rng, o.opt.PNewInit)
-		cands = append(cands, candidate{p: p, mem: randomMem(o.rng, o.opt.Mem)})
+		p := RandomPartition(o.ev.Graph(), o.rng, PNewInit)
+		cands = append(cands, candidate{p: p, mem: RandomMemConfig(o.rng, o.opt.Mem)})
 	}
 	return o.evaluateBatch(cands)
 }
@@ -168,7 +168,7 @@ func (o *Optimizer) makeOffspring(pop []*Genome) []*Genome {
 	for len(cands) < o.opt.Population && o.samples+len(cands) < o.opt.MaxSamples {
 		var child *Genome
 		dad := pop[o.rng.Intn(len(pop))]
-		if !o.opt.DisableCrossover && o.rng.Float64() < o.opt.CrossoverProb {
+		if !o.opt.DisableCrossover && o.rng.Float64() < CrossoverProb {
 			mom := pop[o.rng.Intn(len(pop))]
 			p := crossoverPartition(o.ev.Graph(), o.rng, dad.P, mom.P)
 			child = &Genome{P: p, Mem: crossoverMem(o.opt.Mem, dad.Mem, mom.Mem)}
@@ -188,8 +188,8 @@ type candidate struct {
 }
 
 // ChildSeed derives an independent RNG seed from a run seed and a 1-based
-// index (a sample for the GA, a restart chain for SA), via a
-// splitmix64-style mix so nearby indices yield uncorrelated streams.
+// sample index, via a splitmix64-style mix so nearby indices yield
+// uncorrelated streams.
 // Making per-unit randomness a pure function of (seed, index) is what keeps
 // parallel runs bit-identical: the draws no longer depend on execution
 // order.
@@ -200,11 +200,11 @@ func ChildSeed(seed int64, index int) int64 {
 // Stream tags name the independent consumers of ChildSeedStream. Every
 // consumer folds its tag into the derivation, so two consumers using the
 // same (run seed, index) pair still draw from uncorrelated streams — GA
-// sample repair and SA restart chains keep the historical untagged stream
-// (StreamSamples is zero, so ChildSeedStream reduces to the original
-// ChildSeed there), while island seeding and migration get their own.
+// sample repair keeps the historical untagged stream (StreamSamples is
+// zero, so ChildSeedStream reduces to the original ChildSeed there), while
+// island seeding and migration get their own.
 const (
-	// StreamSamples is the historical per-sample/per-chain stream (tag 0).
+	// StreamSamples is the historical per-sample stream (tag 0).
 	StreamSamples uint64 = 0
 	// StreamIslands seeds the per-island master RNGs of the orchestrator.
 	StreamIslands uint64 = 1
@@ -402,17 +402,17 @@ func (o *Optimizer) commit(g *Genome) {
 }
 
 func (o *Optimizer) mutate(g *Genome) {
-	if o.rng.Float64() < o.opt.MutModify {
+	if o.rng.Float64() < MutModify {
 		g.P = mutateModifyNode(o.ev.Graph(), o.rng, g.P)
 	}
-	if o.rng.Float64() < o.opt.MutSplit {
+	if o.rng.Float64() < MutSplit {
 		g.P = mutateSplit(o.ev.Graph(), o.rng, g.P)
 	}
-	if o.rng.Float64() < o.opt.MutMerge {
+	if o.rng.Float64() < MutMerge {
 		g.P = mutateMerge(o.ev.Graph(), o.rng, g.P)
 	}
-	if o.opt.Mem.Search && o.rng.Float64() < o.opt.MutDSE {
-		g.Mem = mutateDSE(o.rng, o.opt.Mem, o.opt.DSESigmaSteps, g.Mem)
+	if o.opt.Mem.Search && o.rng.Float64() < MutDSE {
+		g.Mem = MutateMemConfig(o.rng, o.opt.Mem, g.Mem)
 	}
 }
 
@@ -433,7 +433,7 @@ func (o *Optimizer) selectNext(pool []*Genome) []*Genome {
 	}
 	for len(next) < o.opt.Population {
 		winner := pool[o.rng.Intn(len(pool))]
-		for i := 1; i < o.opt.Tournament; i++ {
+		for i := 1; i < Tournament; i++ {
 			c := pool[o.rng.Intn(len(pool))]
 			if c.Cost < winner.Cost {
 				winner = c

@@ -76,6 +76,26 @@ type TracePoint struct {
 	Generation int
 }
 
+// The GA's hyper-parameters (§4.4), one setting for every run.
+// search.Fingerprint prints them, so a checkpoint resumes only under the
+// values that wrote it.
+const (
+	// Tournament is the tournament size of the selection stage.
+	Tournament = 4
+	// CrossoverProb is the probability an offspring comes from crossover
+	// rather than cloning one parent.
+	CrossoverProb = 0.7
+	// PNewInit is the probability, during random initialization, that a
+	// layer starts a new subgraph rather than joining its latest parent's.
+	PNewInit = 0.35
+	// MutModify, MutSplit, MutMerge and MutDSE are the per-offspring
+	// probabilities of each customized mutation.
+	MutModify, MutSplit, MutMerge, MutDSE = 0.3, 0.2, 0.3, 0.3
+	// DSESigmaSteps is the standard deviation of mutation-DSE in units of
+	// capacity-grid steps.
+	DSESigmaSteps float64 = 2
+)
+
 // Options configures a Cocco run.
 type Options struct {
 	// Seed drives all randomness; runs are reproducible.
@@ -91,20 +111,6 @@ type Options struct {
 	// MaxSamples is the total genome-evaluation budget (paper: up to
 	// 400,000 for partition-only, 50,000 for co-exploration).
 	MaxSamples int
-	// Tournament is the tournament size of the selection stage.
-	Tournament int
-	// CrossoverProb is the probability an offspring comes from crossover
-	// rather than cloning one parent.
-	CrossoverProb float64
-	// PNewInit is the probability, during random initialization, that a
-	// layer starts a new subgraph rather than joining its latest parent's.
-	PNewInit float64
-	// MutModify/MutSplit/MutMerge/MutDSE are per-offspring probabilities of
-	// each customized mutation.
-	MutModify, MutSplit, MutMerge, MutDSE float64
-	// DSESigmaSteps is the standard deviation of mutation-DSE in units of
-	// capacity-grid steps.
-	DSESigmaSteps float64
 	// Objective is the cost function.
 	Objective eval.Objective
 	// Mem configures hardware search.
@@ -148,30 +154,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxSamples <= 0 {
 		o.MaxSamples = 50_000
 	}
-	if o.Tournament <= 0 {
-		o.Tournament = 4
-	}
-	if o.CrossoverProb == 0 {
-		o.CrossoverProb = 0.7
-	}
-	if o.PNewInit == 0 {
-		o.PNewInit = 0.35
-	}
-	if o.MutModify == 0 {
-		o.MutModify = 0.3
-	}
-	if o.MutSplit == 0 {
-		o.MutSplit = 0.2
-	}
-	if o.MutMerge == 0 {
-		o.MutMerge = 0.3
-	}
-	if o.MutDSE == 0 {
-		o.MutDSE = 0.3
-	}
-	if o.DSESigmaSteps == 0 {
-		o.DSESigmaSteps = 2
-	}
 	return o
 }
 
@@ -189,10 +171,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// randomMem draws a uniform memory configuration from the search ranges
-// (§4.4.1: "every genome selects a capacity value in a given range following
-// a uniform distribution").
-func randomMem(rng *rand.Rand, ms MemSearch) hw.MemConfig {
+// RandomMemConfig draws a uniform memory configuration from the search
+// ranges (§4.4.1: "every genome selects a capacity value in a given range
+// following a uniform distribution").
+func RandomMemConfig(rng *rand.Rand, ms MemSearch) hw.MemConfig {
 	if !ms.Search {
 		return ms.Fixed
 	}

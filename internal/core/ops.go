@@ -101,18 +101,6 @@ func ApplyRandomMutation(g *graph.Graph, rng *rand.Rand, p *partition.Partition)
 	}
 }
 
-// MutateMemConfig applies the mutation-DSE operator: resample the capacities
-// around the current values with a normal distribution of sigmaSteps grid
-// steps.
-func MutateMemConfig(rng *rand.Rand, ms MemSearch, sigmaSteps float64, m hw.MemConfig) hw.MemConfig {
-	return mutateDSE(rng, ms, sigmaSteps, m)
-}
-
-// RandomMemConfig draws a uniform configuration from the search ranges.
-func RandomMemConfig(rng *rand.Rand, ms MemSearch) hw.MemConfig {
-	return randomMem(rng, ms)
-}
-
 // RepairInSitu applies the in-situ split repair of §4.4.4 outside the GA:
 // infeasible subgraphs are split until everything fits or no split applies.
 // Returns the repaired partition and its evaluation. Re-evaluations after
@@ -319,14 +307,15 @@ func mutateMerge(g *graph.Graph, rng *rand.Rand, p *partition.Partition) *partit
 	return p
 }
 
-// mutateDSE resamples the memory configuration around the current value
-// with a normal distribution (§4.4.3 mutation-DSE).
-func mutateDSE(rng *rand.Rand, ms MemSearch, sigmaSteps float64, m hw.MemConfig) hw.MemConfig {
+// MutateMemConfig applies the mutation-DSE operator (§4.4.3): resample the
+// capacities around the current values with a normal distribution of
+// DSESigmaSteps grid steps.
+func MutateMemConfig(rng *rand.Rand, ms MemSearch, m hw.MemConfig) hw.MemConfig {
 	if !ms.Search {
 		return m
 	}
 	jitter := func(r hw.MemRange, v int64) int64 {
-		nv := v + int64(rng.NormFloat64()*sigmaSteps*float64(r.Step))
+		nv := v + int64(rng.NormFloat64()*DSESigmaSteps*float64(r.Step))
 		return r.Clamp(nv)
 	}
 	out := hw.MemConfig{Kind: ms.Kind, GlobalBytes: jitter(ms.Global, m.GlobalBytes)}

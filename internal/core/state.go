@@ -79,6 +79,11 @@ func NewOptimizerFromState(ev *eval.Evaluator, opt Options, st *OptimizerState) 
 	if st.Seed != o.opt.Seed {
 		return nil, fmt.Errorf("core: state seed %d does not match options seed %d", st.Seed, o.opt.Seed)
 	}
+	// Every generation draws parents from the population, so a started run
+	// always has one.
+	if st.Started && len(st.Population) == 0 {
+		return nil, fmt.Errorf("core: started state has an empty population")
+	}
 	o.src = RestoreSource(st.Seed, st.Draws)
 	o.rng = rand.New(o.src)
 	o.started = st.Started

@@ -104,9 +104,6 @@ type Outcome struct {
 type Options struct {
 	// Grid declares the configurations to explore.
 	Grid Grid
-	// Platform is the base platform; each grid point overrides Cores and
-	// Batch. The zero value means hw.DefaultPlatform().
-	Platform hw.Platform
 	// Search is the per-config search template. Core.Seed seeds config 0;
 	// config i runs with Seed+i so points explore independently but
 	// reproducibly. Core.Mem and Checkpoint are overwritten per config.
@@ -154,9 +151,6 @@ func Run(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Platform == (hw.Platform{}) {
-		opt.Platform = hw.DefaultPlatform()
-	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
@@ -174,7 +168,7 @@ func Run(opt Options) (*Report, error) {
 	if opt.CheckpointDir != "" && !opt.DisableCacheSnapshots {
 		expected := make(map[string]bool, len(configs))
 		for _, cfg := range configs {
-			expected[filepath.Base(groupCachePath(opt.CheckpointDir, cfg, opt.Platform.Core))] = true
+			expected[filepath.Base(groupCachePath(opt.CheckpointDir, cfg, hw.DefaultPlatform().Core))] = true
 		}
 		warnStaleCaches(opt.CheckpointDir, expected, st.warnf)
 	}
@@ -293,12 +287,15 @@ func warnStaleCaches(dir string, expected map[string]bool, warnf func(string, ..
 // runConfig searches one grid point, honoring persisted outcomes and
 // checkpoints when the sweep has a checkpoint directory.
 func runConfig(opt Options, st *sweepState, gc *eval.GraphContext, cfg Config) (*Outcome, error) {
+	platform := hw.DefaultPlatform()
+	platform.Cores = cfg.Cores
+	platform.Batch = cfg.Batch
 	var donePath, ckptPath, cachePath string
 	if opt.CheckpointDir != "" {
 		donePath = filepath.Join(opt.CheckpointDir, cfg.ID()+".done.json")
 		ckptPath = filepath.Join(opt.CheckpointDir, cfg.ID()+".ckpt")
 		if !opt.DisableCacheSnapshots {
-			cachePath = groupCachePath(opt.CheckpointDir, cfg, opt.Platform.Core)
+			cachePath = groupCachePath(opt.CheckpointDir, cfg, platform.Core)
 		}
 		if out, err := loadOutcome(gc, cfg, donePath); err != nil {
 			return nil, err
@@ -307,9 +304,6 @@ func runConfig(opt Options, st *sweepState, gc *eval.GraphContext, cfg Config) (
 		}
 	}
 
-	platform := opt.Platform
-	platform.Cores = cfg.Cores
-	platform.Batch = cfg.Batch
 	ev, err := gc.NewEvaluator(platform)
 	if err != nil {
 		return nil, fmt.Errorf("dse: config %s: %w", cfg.ID(), err)

@@ -23,9 +23,8 @@ type Config struct {
 	Seed int64
 	// Workers is the number of goroutines each search uses to score genomes
 	// (0 = runtime.NumCPU()). Results are identical for every worker count;
-	// only wall-clock time changes. The SA baseline is the exception: its
-	// parallelism is at restart granularity and the paper's method is one
-	// chain, so SA experiment rows stay serial regardless of Workers.
+	// only wall-clock time changes. The SA baseline anneals one chain, as
+	// the paper's method does, so its rows are serial and ignore Workers.
 	Workers int
 	// PartitionSamples is the Cocco budget for partition-only searches
 	// (Figure 11; paper: 400,000).

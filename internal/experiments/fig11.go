@@ -60,7 +60,7 @@ func Figure11(cfg Config) ([]Fig11Row, string) {
 			panic(fmt.Sprintf("figure11: cocco failed on %s: %v", m, err))
 		}
 
-		ep, _, eerr := baselines.Enumerate(ev, mem, obj.Metric, baselines.DefaultEnumOptions())
+		ep, _, eerr := baselines.Enumerate(ev, mem, obj.Metric)
 
 		add := func(method string, emaMB, bwGB float64, subs int, ok bool) {
 			r := Fig11Row{Model: m, Method: method, EMAMB: emaMB, BWGB: bwGB,

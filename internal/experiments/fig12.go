@@ -152,7 +152,7 @@ func runConvergenceMethod(ev *eval.Evaluator, cfg Config, obj eval.Objective, me
 		})
 	case "SA":
 		_, _ = baselines.SA(ev, baselines.SAOptions{
-			Seed: cfg.Seed, Workers: cfg.Workers, MaxSamples: cfg.CoOptSamples, Objective: obj,
+			Seed: cfg.Seed, MaxSamples: cfg.CoOptSamples, Objective: obj,
 			Mem:   core.MemSearch{Search: true, Kind: hw.SeparateBuffer, Global: grange, Weight: wrange},
 			Trace: trace,
 		})

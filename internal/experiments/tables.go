@@ -127,7 +127,6 @@ func exploreMem(ev *eval.Evaluator, cfg Config, kind hw.BufferKind, obj eval.Obj
 	case "SA":
 		best, err := baselines.SA(ev, baselines.SAOptions{
 			Seed:       cfg.Seed,
-			Workers:    cfg.Workers,
 			MaxSamples: cfg.CoOptSamples,
 			Objective:  obj,
 			Mem:        core.MemSearch{Search: true, Kind: kind, Global: grange, Weight: wrange},

@@ -26,7 +26,9 @@ func Fingerprint(opt Options) string { return fingerprint(opt.WithDefaults()) }
 // fingerprint folds every option that shapes the search trajectory into a
 // stable string. Workers and Trace are deliberately excluded — neither
 // changes results — so a checkpoint taken on one machine resumes on another
-// with a different worker count.
+// with a different worker count. The GA hyper-parameters are core
+// constants; the string still prints them, where builds that had them as
+// options did, so those builds' checkpoints and fleets still match.
 func fingerprint(opt Options) string {
 	c := opt.Core
 	var initHashes []uint64
@@ -37,8 +39,8 @@ func fingerprint(opt Options) string {
 		"v%d seed=%d islands=%d migrate=%d migrants=%d scouts=%v pop=%d samples=%d tourn=%d cross=%g pnew=%g mut=%g/%g/%g/%g sigma=%g obj=%d/%g mem=%+v flags=%v/%v/%v/%v init=%x",
 		serialize.CheckpointVersion,
 		c.Seed, opt.Islands, opt.MigrateEvery, opt.Migrants, opt.Scouts,
-		c.Population, c.MaxSamples, c.Tournament, c.CrossoverProb, c.PNewInit,
-		c.MutModify, c.MutSplit, c.MutMerge, c.MutDSE, c.DSESigmaSteps,
+		c.Population, c.MaxSamples, core.Tournament, core.CrossoverProb, core.PNewInit,
+		core.MutModify, core.MutSplit, core.MutMerge, core.MutDSE, core.DSESigmaSteps,
 		c.Objective.Metric, c.Objective.Alpha, c.Mem,
 		c.DisableCrossover, c.DisableInSituSplit, c.DisableDeltaEval, c.DisableGenomeMemo,
 		initHashes,

@@ -44,18 +44,16 @@ func evFingerprint(ev *eval.Evaluator) string {
 // search.Fingerprint from the decoded options and compares it with the
 // coordinator's, so a field added to Options but forgotten here fails the
 // assignment loudly instead of diverging silently.
+//
+// The GA hyper-parameters are core constants and do not travel. A peer
+// built while they were options still sends them (json ignores the unknown
+// fields here), or reads their absence as its defaults, which equal the
+// constants; both sides fingerprint the same values either way, so
+// ProtocolVersion did not change.
 type optionsWire struct {
-	Seed          int64   `json:"seed"`
-	Population    int     `json:"population"`
-	MaxSamples    int     `json:"max_samples"`
-	Tournament    int     `json:"tournament"`
-	CrossoverProb float64 `json:"crossover_prob"`
-	PNewInit      float64 `json:"p_new_init"`
-	MutModify     float64 `json:"mut_modify"`
-	MutSplit      float64 `json:"mut_split"`
-	MutMerge      float64 `json:"mut_merge"`
-	MutDSE        float64 `json:"mut_dse"`
-	DSESigmaSteps float64 `json:"dse_sigma_steps"`
+	Seed       int64 `json:"seed"`
+	Population int   `json:"population"`
+	MaxSamples int   `json:"max_samples"`
 
 	Metric int     `json:"metric"`
 	Alpha  float64 `json:"alpha"`
@@ -81,10 +79,7 @@ func encodeOptions(opt search.Options) optionsWire {
 	c := opt.Core
 	w := optionsWire{
 		Seed: c.Seed, Population: c.Population, MaxSamples: c.MaxSamples,
-		Tournament: c.Tournament, CrossoverProb: c.CrossoverProb, PNewInit: c.PNewInit,
-		MutModify: c.MutModify, MutSplit: c.MutSplit, MutMerge: c.MutMerge, MutDSE: c.MutDSE,
-		DSESigmaSteps: c.DSESigmaSteps,
-		Metric:        int(c.Objective.Metric), Alpha: c.Objective.Alpha,
+		Metric: int(c.Objective.Metric), Alpha: c.Objective.Alpha,
 		MemSearch: c.Mem.Search, MemKind: c.Mem.Kind.String(),
 		MemGlobal: c.Mem.Global, MemWeight: c.Mem.Weight,
 		MemFixed:           serialize.EncodeMemConfig(c.Mem.Fixed),
@@ -114,10 +109,7 @@ func decodeOptions(w optionsWire, workers int) (search.Options, error) {
 	opt := search.Options{
 		Core: core.Options{
 			Seed: w.Seed, Workers: workers, Population: w.Population, MaxSamples: w.MaxSamples,
-			Tournament: w.Tournament, CrossoverProb: w.CrossoverProb, PNewInit: w.PNewInit,
-			MutModify: w.MutModify, MutSplit: w.MutSplit, MutMerge: w.MutMerge, MutDSE: w.MutDSE,
-			DSESigmaSteps: w.DSESigmaSteps,
-			Objective:     eval.Objective{Metric: eval.Metric(w.Metric), Alpha: w.Alpha},
+			Objective: eval.Objective{Metric: eval.Metric(w.Metric), Alpha: w.Alpha},
 			Mem: core.MemSearch{
 				Search: w.MemSearch, Kind: kind.Kind,
 				Global: w.MemGlobal, Weight: w.MemWeight, Fixed: fixed,

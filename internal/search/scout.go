@@ -109,7 +109,7 @@ func (s *saScout) step(gens int) bool {
 func (s *saScout) anneal1() {
 	if s.cur == nil {
 		s.cur = &core.Genome{
-			P:   core.RandomPartition(s.ev.Graph(), s.rng, 0.35),
+			P:   core.RandomPartition(s.ev.Graph(), s.rng, core.PNewInit),
 			Mem: core.RandomMemConfig(s.rng, s.ms),
 		}
 		s.evaluate(s.cur)
@@ -184,6 +184,11 @@ func (s *saScout) restore(j serialize.IslandJSON) error {
 	}
 	if j.RNG.Seed != s.seed {
 		return fmt.Errorf("search: island %d: scout seed mismatch", s.ringIdx)
+	}
+	// A chain's first sample sets both cur and best, and every later step
+	// reads both.
+	if (j.Cur == nil) != (j.Best == nil) || (j.Cur == nil && j.Samples != 0) {
+		return fmt.Errorf("search: island %d: sa snapshot needs cur and best together, or neither before its first sample", s.ringIdx)
 	}
 	var err error
 	if s.cur, err = DecodeGenome(s.ev.Graph(), j.Cur, false); err != nil {

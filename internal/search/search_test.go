@@ -5,12 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cocco/internal/core"
 	"cocco/internal/eval"
 	"cocco/internal/hw"
 	"cocco/internal/models"
+	"cocco/internal/serialize"
 	"cocco/internal/tiling"
 )
 
@@ -279,6 +281,88 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	wrong.Islands = 3
 	if _, _, err := Resume(evaluatorFor(t, "mobilenetv2"), wrong, data); err == nil {
 		t.Error("resume with a different island count succeeded")
+	}
+
+	// Well-formed checkpoints whose state no run can reach must fail the
+	// resume with an error naming the island, not panic inside a step.
+	scouted := opt
+	scouted.Islands = 1
+	scouted.Scouts = []ScoutKind{ScoutSA}
+	scouted.MaxRounds = 1
+	if _, _, err := Run(evaluatorFor(t, "mobilenetv2"), scouted); err != nil {
+		t.Fatal(err)
+	}
+	scouted.MaxRounds = 0
+	for _, tc := range []struct {
+		name, island string
+		edit         func(*serialize.CheckpointJSON)
+	}{
+		{"started GA island with an empty population", "island 0", func(cp *serialize.CheckpointJSON) {
+			cp.Islands[0].Population = nil
+		}},
+		{"SA scout with cur but no best", "island 1", func(cp *serialize.CheckpointJSON) {
+			cp.Islands[1].Best = nil
+		}},
+		{"SA scout with samples but no chain", "island 1", func(cp *serialize.CheckpointJSON) {
+			cp.Islands[1].Cur, cp.Islands[1].Best = nil, nil
+		}},
+	} {
+		data, err := os.ReadFile(scouted.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := serialize.DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(cp)
+		if data, err = serialize.EncodeCheckpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Resume(evaluatorFor(t, "mobilenetv2"), scouted, data)
+		if err == nil || !strings.Contains(err.Error(), tc.island) {
+			t.Errorf("%s: resume error %v, want one naming %s", tc.name, err, tc.island)
+		}
+	}
+}
+
+// TestResumeIndentedCheckpoint resumes testdata/vgg16_indented.ckpt: a
+// checkpoint paused after one round and written, indented and with its
+// genome memo, by the code from before checkpoints were compact and the GA
+// hyper-parameters were constants. Its fingerprint must still match, and
+// the resumed run must reach the uninterrupted result. The file stands for
+// checkpoints already on disk; never regenerate it.
+func TestResumeIndentedCheckpoint(t *testing.T) {
+	opt := Options{
+		Core: core.Options{
+			Seed: 17, Workers: 1, Population: 10, MaxSamples: 60,
+			Objective: eval.Objective{Metric: eval.MetricEnergy, Alpha: 0.002},
+			Mem:       core.MemSearch{Fixed: fixedMem()},
+		},
+		Islands: 2, MigrateEvery: 2, Scouts: []ScoutKind{ScoutSA},
+	}
+	wantBest, wantStats, err := Run(evaluatorFor(t, "vgg16"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "vgg16_indented.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed := opt
+	resumed.Checkpoint = ckpt
+	gotBest, gotStats, err := RunOrResume(evaluatorFor(t, "vgg16"), resumed, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGenome(t, "resumed old checkpoint vs uninterrupted", wantBest, gotBest)
+	if !reflect.DeepEqual(wantStats, gotStats) {
+		t.Errorf("stats differ:\nuninterrupted: %+v\nresumed:       %+v", wantStats, gotStats)
 	}
 }
 

@@ -153,12 +153,14 @@ type CheckpointJSON struct {
 	Islands          []IslandJSON `json:"islands"`
 }
 
-// EncodeCheckpoint marshals a snapshot, stamping the current version on the
-// wire form only — the caller's struct is never mutated.
+// EncodeCheckpoint marshals a snapshot as compact JSON, stamping the current
+// version on the wire form only — the caller's struct is never mutated.
+// Compact, because indentation would be most of the bytes; files written
+// indented still decode, since whitespace is not part of the format.
 func EncodeCheckpoint(c *CheckpointJSON) ([]byte, error) {
 	stamped := *c
 	stamped.Version = CheckpointVersion
-	out, err := json.MarshalIndent(&stamped, "", "  ")
+	out, err := json.Marshal(&stamped)
 	if err != nil {
 		return nil, fmt.Errorf("serialize: checkpoint: %w", err)
 	}
