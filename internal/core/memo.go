@@ -24,12 +24,13 @@ package core
 // operator pipeline), and the shard maps are only mutated in the ordered
 // commit loop — so memo decisions are pure functions of candidate-generation
 // order, identical for every Workers count.
+//
+// The memo is per-process: OptimizerState does not carry it, so a restored
+// optimizer starts with an empty memo and refills it as it runs. Its
+// trajectory is unchanged; only Stats.MemoHits can fall short of the
+// uninterrupted run's.
 
-import (
-	"sort"
-
-	"cocco/internal/partition"
-)
+import "cocco/internal/partition"
 
 const (
 	memoShardBits = 6
@@ -114,53 +115,6 @@ func (m *genomeMemo) put(h uint64, c candidate, g *Genome) {
 		}
 	}
 	m.shards[s][h] = append(list, g)
-}
-
-// export flattens the memo into a canonical order — ascending hash, then
-// insertion order within a hash's verification list — so checkpoints of the
-// same memo content are byte-identical regardless of map iteration order.
-// Restoring the list with restore reproduces the exact shard occupancy,
-// including how close each shard is to its eviction cap.
-func (m *genomeMemo) export() []*Genome {
-	type entry struct {
-		h   uint64
-		idx int
-		g   *Genome
-	}
-	var entries []entry
-	for s := range m.shards {
-		for h, list := range m.shards[s] {
-			for i, g := range list {
-				entries = append(entries, entry{h, i, g})
-			}
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].h != entries[j].h {
-			return entries[i].h < entries[j].h
-		}
-		return entries[i].idx < entries[j].idx
-	})
-	out := make([]*Genome, len(entries))
-	for i, e := range entries {
-		out[i] = e.g
-	}
-	return out
-}
-
-// restore re-inserts exported entries. Entries arrive in export order
-// (hash-ascending, so shard-contiguous) and every stored genome's partition
-// is its own candidate partition, so re-hashing reproduces the original
-// shard placement; since no shard ever exports more distinct hashes than
-// the eviction cap, re-insertion never trips an eviction either.
-func (m *genomeMemo) restore(entries []*Genome) {
-	for i := range m.shards {
-		m.shards[i] = nil
-	}
-	for _, g := range entries {
-		c := candidate{p: g.P, mem: g.Mem}
-		m.put(memoHash(c), c, g)
-	}
 }
 
 // memoizable reports whether g's scored result is a pure function of the

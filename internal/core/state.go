@@ -10,17 +10,18 @@ import (
 // OptimizerState is the complete checkpointable state of a paused Optimizer:
 // everything Step reads besides the immutable options and the evaluator.
 // Restoring it into a fresh Optimizer (NewOptimizerFromState) and continuing
-// is bit-identical to never having paused, because
+// is bit-identical to never having paused — the same trajectory, best
+// genome, and Stats, MemoHits aside — because
 //
 //   - the master RNG is a pure function of (Seed, Draws) — see CountingSource;
 //   - per-sample repair RNGs are pure functions of (Seed, sample index);
 //   - population and best genomes only feed the search through their
-//     partition assignments, memory configs, and costs, all captured here;
-//   - the genome memo only replays provably deterministic results, so its
-//     entries are position-independent values, captured as a flat list.
+//     partition assignments, memory configs, and costs, all captured here.
 //
-// Cost handles and evaluator-cache contents are deliberately absent: both
-// are pure caches whose presence changes wall-clock time, never results.
+// Cost handles, evaluator-cache contents, and the genome memo are
+// deliberately absent: all three are pure caches whose presence changes
+// wall-clock time, never results. A restored optimizer starts with an empty
+// memo, so its Stats.MemoHits can only fall short of an uninterrupted run's.
 type OptimizerState struct {
 	// Seed and Draws pin the master RNG state (Seed always equals the
 	// option's run seed; it is stored so restores can cross-check).
@@ -40,9 +41,6 @@ type OptimizerState struct {
 	Population []*Genome
 	// Best is the best feasible genome so far, with its Result attached.
 	Best *Genome
-	// Memo lists the genome-memo entries in a canonical order (empty when
-	// the memo is disabled).
-	Memo []*Genome
 }
 
 // ExportState snapshots the optimizer. The snapshot shares genomes with the
@@ -61,9 +59,6 @@ func (o *Optimizer) ExportState() *OptimizerState {
 		Best:        o.best,
 	}
 	st.Stats.BestHistory = append([]float64(nil), o.stats.BestHistory...)
-	if o.memo != nil {
-		st.Memo = o.memo.export()
-	}
 	return st
 }
 
@@ -93,8 +88,5 @@ func NewOptimizerFromState(ev *eval.Evaluator, opt Options, st *OptimizerState) 
 	o.stats.BestHistory = append([]float64(nil), st.Stats.BestHistory...)
 	o.pop = append([]*Genome(nil), st.Population...)
 	o.best = st.Best
-	if o.memo != nil {
-		o.memo.restore(st.Memo)
-	}
 	return o, nil
 }

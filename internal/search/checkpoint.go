@@ -12,13 +12,13 @@ import (
 // Checkpoint plumbing: snapshots are taken at migration barriers, where
 // every island is quiescent, and written atomically (temp file + rename) so
 // a crash mid-write leaves the previous checkpoint intact. The snapshot
-// pins the graph name and an options fingerprint; Resume rejects anything
-// that doesn't match, because a resumed trajectory is only meaningful under
-// the exact configuration that produced it.
+// pins the graph name and an options fingerprint; RunOrResume rejects
+// anything that doesn't match, because a resumed trajectory is only
+// meaningful under the exact configuration that produced it.
 
 // Fingerprint folds every option that shapes the search trajectory into a
 // stable string, applying defaults first so raw and normalized Options
-// agree. Checkpoints carry it and Resume checks it before restoring; the
+// agree. Checkpoints carry it and RunOrResume checks it before restoring; the
 // distributed coordinator (internal/search/dist) also sends it with every
 // worker's assignment.
 func Fingerprint(opt Options) string { return fingerprint(opt.WithDefaults()) }
@@ -48,7 +48,7 @@ func fingerprint(opt Options) string {
 }
 
 // EncodeGenome converts a genome to the wire form (nil-safe). withRes keeps
-// the evaluation result — needed for best genomes and memo entries, dead
+// the evaluation result — needed for best genomes and job results, dead
 // weight for population members, whose results the search never reads.
 func EncodeGenome(g *core.Genome, withRes bool) *serialize.GenomeJSON {
 	if g == nil {
@@ -88,7 +88,9 @@ func DecodeGenome(gr *graph.Graph, j *serialize.GenomeJSON, needRes bool) (*core
 // CheckCheckpoint verifies that a decoded snapshot belongs to the given
 // graph and configuration: graph name, options fingerprint, and ring
 // geometry must all match, because a resumed trajectory is only meaningful
-// under the exact configuration that produced it.
+// under the exact configuration that produced it. The migrant counters come
+// as a pair: a ring writes both from its first barrier on, and files from
+// before the counters existed carry neither.
 func CheckCheckpoint(cp *serialize.CheckpointJSON, graphName string, opt Options) error {
 	opt = opt.WithDefaults()
 	if cp.Graph != graphName {
@@ -100,6 +102,13 @@ func CheckCheckpoint(cp *serialize.CheckpointJSON, graphName string, opt Options
 	ring := opt.Islands + len(opt.Scouts)
 	if len(cp.Islands) != ring {
 		return fmt.Errorf("search: checkpoint has %d islands, want %d", len(cp.Islands), ring)
+	}
+	if (cp.MigrantsSent == nil) != (cp.MigrantsReceived == nil) {
+		missing := "migrants_recv"
+		if cp.MigrantsSent == nil {
+			missing = "migrants_sent"
+		}
+		return fmt.Errorf("search: checkpoint has only one migrant counter: %s is missing", missing)
 	}
 	if cp.MigrantsSent != nil && len(cp.MigrantsSent) != ring {
 		return fmt.Errorf("search: checkpoint has %d migrant-sent counters, want %d", len(cp.MigrantsSent), ring)

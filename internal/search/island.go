@@ -110,9 +110,6 @@ func (g *gaIsland) snapshot() serialize.IslandJSON {
 	for _, m := range st.Population {
 		j.Population = append(j.Population, *EncodeGenome(m, false))
 	}
-	for _, m := range st.Memo {
-		j.Memo = append(j.Memo, *EncodeGenome(m, true))
-	}
 	return j
 }
 
@@ -147,16 +144,6 @@ func (g *gaIsland) restore(j serialize.IslandJSON) error {
 			return fmt.Errorf("search: island %d population[%d]: %w", g.ringIdx, i, err)
 		}
 		st.Population = append(st.Population, m)
-	}
-	for i := range j.Memo {
-		m, err := DecodeGenome(gr, &j.Memo[i], true)
-		if err != nil {
-			return fmt.Errorf("search: island %d memo[%d]: %w", g.ringIdx, i, err)
-		}
-		if m.Res == nil {
-			return fmt.Errorf("search: island %d memo[%d]: missing result", g.ringIdx, i)
-		}
-		st.Memo = append(st.Memo, m)
 	}
 	if g.o, err = core.NewOptimizerFromState(g.ev, g.iopt, st); err != nil {
 		return fmt.Errorf("search: island %d: %w", g.ringIdx, err)

@@ -20,7 +20,8 @@
 //     genome, same Stats, same trajectory;
 //   - any Workers count replays the same trajectory;
 //   - a run checkpointed at a barrier and resumed is bit-identical to an
-//     uninterrupted run (TestCheckpointResume).
+//     uninterrupted run, except that MemoHits may fall short: the genome
+//     memo is per-process and a resumed run refills it (TestCheckpointResume).
 package search
 
 import (
@@ -80,9 +81,9 @@ type Options struct {
 	// MaxRounds, when positive, pauses the run after that many rounds even
 	// if sample budget remains, writing a final checkpoint when Checkpoint
 	// is set. Like Workers it never shapes the trajectory — a paused-and-
-	// resumed run is bit-identical to an uninterrupted one — so it is not
-	// part of the checkpoint fingerprint. Time-boxed jobs run with MaxRounds
-	// and resume later.
+	// resumed run replays the uninterrupted one — so it is not part of the
+	// checkpoint fingerprint. Time-boxed jobs run with MaxRounds and resume
+	// later.
 	MaxRounds int
 	// Progress, when non-nil, is called after every completed round (post-
 	// migration, post-checkpoint) with a snapshot of the run so far. Purely
@@ -211,19 +212,6 @@ type OpenRing func(cp *serialize.CheckpointJSON) (Ring, error)
 // Run executes an orchestrated search from scratch.
 func Run(ev *eval.Evaluator, opt Options) (*core.Genome, *Stats, error) {
 	return RunOrResume(ev, opt, "")
-}
-
-// Resume continues a search from a checkpoint snapshot previously written
-// by Run (or Resume) with the same options and evaluator.
-func Resume(ev *eval.Evaluator, opt Options, snapshot []byte) (*core.Genome, *Stats, error) {
-	l, err := newLoop(ev, opt, nil)
-	if err == nil {
-		err = l.resume(snapshot)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return l.run()
 }
 
 // RunOrResume resumes from resumePath when the file exists, otherwise starts

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"cocco/internal/hw"
 	"cocco/internal/models"
 	"cocco/internal/serialize"
+	"cocco/internal/testutil"
 	"cocco/internal/tiling"
 )
 
@@ -156,8 +158,10 @@ func TestIslandWorkersDeterminism(t *testing.T) {
 // TestCheckpointResume is the round-trip contract on three zoo models: pause
 // a full ring mid-run at a checkpoint barrier, resume it on a fresh
 // evaluator (proving the snapshot, not evaluator cache state, carries the
-// run), and compare final best genome and all statistics bit-for-bit
-// against the uninterrupted run.
+// run), and compare final best genome and statistics bit-for-bit against
+// the uninterrupted run. The genome memo is per-process: the checkpoint
+// must not carry it, and the resumed run refills it — its MemoHits may fall
+// short of the uninterrupted run's, but must grow past the checkpoint's.
 func TestCheckpointResume(t *testing.T) {
 	for _, model := range []string{"resnet50", "googlenet", "mobilenetv2"} {
 		t.Run(model, func(t *testing.T) {
@@ -189,14 +193,36 @@ func TestCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no checkpoint written: %v", err)
 			}
+			var raw struct {
+				Islands []map[string]any `json:"islands"`
+			}
+			if err := json.Unmarshal(data, &raw); err != nil {
+				t.Fatal(err)
+			}
+			pausedHits := 0
+			for i, is := range raw.Islands {
+				if _, ok := is["memo"]; ok {
+					t.Errorf("island %d: checkpoint carries the genome memo", i)
+				}
+				if h, ok := is["memo_hits"].(float64); ok {
+					pausedHits += int(h)
+				}
+			}
+			if pausedHits == 0 {
+				t.Error("the paused run recorded no memo hits; the memo was not exercised")
+			}
 
-			gotBest, gotStats, err := Resume(evaluatorFor(t, model), opt, data)
+			gotBest, gotStats, err := RunOrResume(evaluatorFor(t, model), opt, ckpt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameGenome(t, "resume vs uninterrupted", wantBest, gotBest)
-			if !reflect.DeepEqual(wantStats, gotStats) {
-				t.Errorf("stats differ:\nuninterrupted: %+v\nresumed:       %+v", wantStats, gotStats)
+			if err := testutil.ResumedStats(wantStats, gotStats); err != nil {
+				t.Error(err)
+			}
+			if gotStats.MemoHits <= pausedHits {
+				t.Errorf("resumed run ended at %d memo hits, no more than the %d in its checkpoint: the memo is not live after a resume",
+					gotStats.MemoHits, pausedHits)
 			}
 		})
 	}
@@ -245,13 +271,13 @@ func TestCheckpointChainWithScouts(t *testing.T) {
 		}
 	}
 	sameGenome(t, "chained vs uninterrupted", wantBest, gotBest)
-	if !reflect.DeepEqual(wantStats, gotStats) {
-		t.Errorf("stats differ:\nuninterrupted: %+v\nchained:       %+v", wantStats, gotStats)
+	if err := testutil.ResumedStats(wantStats, gotStats); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestResumeRejectsMismatch pins the checkpoint safety rails: wrong graph
-// and wrong configuration both fail loudly.
+// and wrong configuration both fail loudly, and so do hostile files.
 func TestResumeRejectsMismatch(t *testing.T) {
 	opt := Options{
 		Core: core.Options{
@@ -265,26 +291,23 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	if _, _, err := Run(evaluatorFor(t, "mobilenetv2"), opt); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(opt.Checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Resume(evaluatorFor(t, "resnet50"), opt, data); err == nil {
+	if _, _, err := RunOrResume(evaluatorFor(t, "resnet50"), opt, opt.Checkpoint); err == nil {
 		t.Error("resume against the wrong graph succeeded")
 	}
 	wrong := opt
 	wrong.Core.Seed = 4
-	if _, _, err := Resume(evaluatorFor(t, "mobilenetv2"), wrong, data); err == nil {
+	if _, _, err := RunOrResume(evaluatorFor(t, "mobilenetv2"), wrong, opt.Checkpoint); err == nil {
 		t.Error("resume with a different seed succeeded")
 	}
 	wrong = opt
 	wrong.Islands = 3
-	if _, _, err := Resume(evaluatorFor(t, "mobilenetv2"), wrong, data); err == nil {
+	if _, _, err := RunOrResume(evaluatorFor(t, "mobilenetv2"), wrong, opt.Checkpoint); err == nil {
 		t.Error("resume with a different island count succeeded")
 	}
 
 	// Well-formed checkpoints whose state no run can reach must fail the
-	// resume with an error naming the island, not panic inside a step.
+	// resume with an error naming the island or field, not panic inside a
+	// step.
 	scouted := opt
 	scouted.Islands = 1
 	scouted.Scouts = []ScoutKind{ScoutSA}
@@ -293,9 +316,14 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	scouted.MaxRounds = 0
+	paused, err := os.ReadFile(scouted.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.ckpt")
 	for _, tc := range []struct {
-		name, island string
-		edit         func(*serialize.CheckpointJSON)
+		name, want string
+		edit       func(*serialize.CheckpointJSON)
 	}{
 		{"started GA island with an empty population", "island 0", func(cp *serialize.CheckpointJSON) {
 			cp.Islands[0].Population = nil
@@ -306,22 +334,28 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		{"SA scout with samples but no chain", "island 1", func(cp *serialize.CheckpointJSON) {
 			cp.Islands[1].Cur, cp.Islands[1].Best = nil, nil
 		}},
+		{"migrants_sent without migrants_recv", "migrants_recv", func(cp *serialize.CheckpointJSON) {
+			cp.MigrantsReceived = nil
+		}},
+		{"migrants_recv without migrants_sent", "migrants_sent", func(cp *serialize.CheckpointJSON) {
+			cp.MigrantsSent = nil
+		}},
 	} {
-		data, err := os.ReadFile(scouted.Checkpoint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, err := serialize.DecodeCheckpoint(data)
+		cp, err := serialize.DecodeCheckpoint(paused)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.edit(cp)
-		if data, err = serialize.EncodeCheckpoint(cp); err != nil {
+		data, err := serialize.EncodeCheckpoint(cp)
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = Resume(evaluatorFor(t, "mobilenetv2"), scouted, data)
-		if err == nil || !strings.Contains(err.Error(), tc.island) {
-			t.Errorf("%s: resume error %v, want one naming %s", tc.name, err, tc.island)
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = RunOrResume(evaluatorFor(t, "mobilenetv2"), scouted, bad)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume error %v, want one naming %s", tc.name, err, tc.want)
 		}
 	}
 }
@@ -361,8 +395,8 @@ func TestResumeIndentedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameGenome(t, "resumed old checkpoint vs uninterrupted", wantBest, gotBest)
-	if !reflect.DeepEqual(wantStats, gotStats) {
-		t.Errorf("stats differ:\nuninterrupted: %+v\nresumed:       %+v", wantStats, gotStats)
+	if err := testutil.ResumedStats(wantStats, gotStats); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -395,7 +429,7 @@ func TestRunOrResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameGenome(t, "run-or-resume", wantBest, gotBest)
-	if !reflect.DeepEqual(wantStats, gotStats) {
-		t.Errorf("stats differ:\nwant %+v\ngot  %+v", wantStats, gotStats)
+	if err := testutil.ResumedStats(wantStats, gotStats); err != nil {
+		t.Error(err)
 	}
 }

@@ -103,9 +103,9 @@ func DecodeResult(j *ResultJSON) *eval.Result {
 
 // GenomeJSON is the wire form of one genome: the partition as its raw
 // assignment (rebuilt via partition.From at load), the memory config, the
-// committed cost, and — where the orchestrator needs it (best genomes, memo
-// entries) — the evaluation result. Population entries omit the result; the
-// search only reads their costs.
+// committed cost, and — where the orchestrator needs it (best genomes) —
+// the evaluation result. Population entries omit the result; the search
+// only reads their costs.
 type GenomeJSON struct {
 	Assign []int         `json:"assign"`
 	Mem    MemConfigJSON `json:"mem"`
@@ -114,8 +114,10 @@ type GenomeJSON struct {
 }
 
 // IslandJSON is the paused state of one island. GA islands fill the
-// optimizer fields (population, memo, history); scout islands fill the
-// scout fields (current state, temperature, chain progress) instead.
+// optimizer fields (population, best, history); scout islands fill the
+// scout fields (current state, temperature, chain progress) instead. The
+// genome memo is a per-process cache and is not part of the snapshot; a
+// "memo" key in files from older builds is ignored on decode.
 type IslandJSON struct {
 	Kind      string       `json:"kind"`
 	RNG       RNGStateJSON `json:"rng"`
@@ -130,7 +132,6 @@ type IslandJSON struct {
 	BestHistory     []float64    `json:"best_history,omitempty"`
 	Population      []GenomeJSON `json:"population,omitempty"`
 	Best            *GenomeJSON  `json:"best,omitempty"`
-	Memo            []GenomeJSON `json:"memo,omitempty"`
 
 	// Scout state.
 	Cur  *GenomeJSON `json:"cur,omitempty"`

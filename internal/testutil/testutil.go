@@ -1,7 +1,8 @@
 // Package testutil provides deterministic random computation-graph
 // generation for property-based tests: random layered DAGs with mixed
 // operator kinds, kernel sizes, and strides, plus random connected-subgraph
-// selection.
+// selection. ResumedStats is the resumed-vs-uninterrupted statistics check
+// the checkpoint suites share.
 package testutil
 
 import (
