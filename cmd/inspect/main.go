@@ -87,10 +87,10 @@ func main() {
 			role = "output"
 		}
 		t.AddRow(g.Node(id).Name, role, ns.DeltaH, ns.TileH, ns.UpdH,
-			ns.DeltaW, ns.TileW, ns.UpdW, report.Bytes(scheme.FootprintBytes(g, id)))
+			ns.DeltaW, ns.TileW, ns.UpdW, report.Bytes(scheme.FootprintBytes(id)))
 	}
 	fmt.Println(t.String())
-	fmt.Printf("total activation footprint: %s\n", report.Bytes(scheme.TotalFootprintBytes(g)))
+	fmt.Printf("total activation footprint: %s\n", report.Bytes(scheme.TotalFootprintBytes()))
 
 	tr, err := exec.Simulate(g, scheme, *ops)
 	if err != nil {

@@ -3,8 +3,8 @@
 //
 // The library lives under internal/: the computation-graph substrate
 // (internal/graph), the network zoo (internal/models), the
-// consumption-centric subgraph tiling flow (internal/tiling), the MAIN/SIDE
-// buffer management model (internal/membuf), the accelerator platform and
+// consumption-centric subgraph tiling flow with its MAIN/SIDE buffer
+// regions (internal/tiling), the accelerator platform and
 // energy model (internal/hw), the partition formalism (internal/partition),
 // the evaluation environment (internal/eval), the Cocco genetic optimizer
 // (internal/core), the comparison optimizers (internal/baselines), and the

@@ -1,6 +1,6 @@
 // Quickstart: build a small computation graph, derive the consumption-centric
-// execution scheme for a subgraph, lay it out in the global buffer, and run a
-// short Cocco search for a good partition.
+// execution scheme for a subgraph, size its buffer regions, and run a short
+// Cocco search for a good partition.
 package main
 
 import (
@@ -11,7 +11,6 @@ import (
 	"cocco/internal/eval"
 	"cocco/internal/graph"
 	"cocco/internal/hw"
-	"cocco/internal/membuf"
 	"cocco/internal/partition"
 	"cocco/internal/report"
 	"cocco/internal/tiling"
@@ -47,18 +46,15 @@ func main() {
 		fmt.Printf("  %-9s Δ=%d x=%d upd=%d external=%v\n",
 			g.Node(id).Name, ns.DeltaH, ns.TileH, ns.UpdH, ns.External)
 	}
-	fmt.Printf("  activation footprint: %s\n", report.Bytes(scheme.TotalFootprintBytes(g)))
 
-	// 3. Allocate MAIN/SIDE regions in a 64 KB global buffer (§3.2).
-	table, err := membuf.Allocate(g, scheme, 64*hw.KiB)
-	if err != nil {
-		log.Fatal(err)
+	// 3. Size each node's MAIN (resident tile) and SIDE (overlap rows kept
+	// for the next row loop) buffer regions (§3.2, Figure 7).
+	fmt.Println("\nbuffer regions:")
+	for _, id := range append([]int{stem}, members...) {
+		ns := scheme.Nodes[id]
+		fmt.Printf("  %-9s MAIN %-8s SIDE %s\n", g.Node(id).Name, report.Bytes(ns.Main), report.Bytes(ns.Side))
 	}
-	fmt.Printf("\nbuffer regions (%s used of %s):\n",
-		report.Bytes(table.Used), report.Bytes(table.Capacity))
-	for _, rg := range table.Regions {
-		fmt.Printf("  node %-9s %-4s [%6d, %6d)\n", g.Node(rg.Node).Name, rg.Kind, rg.Start, rg.End)
-	}
+	fmt.Printf("  activation footprint: %s\n", report.Bytes(scheme.TotalFootprintBytes()))
 
 	// 4. Search for a partition with Cocco on a fixed configuration.
 	ev, err := eval.New(g, hw.DefaultPlatform(), tiling.DefaultConfig())

@@ -4,8 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"cocco/internal/core"
+	"cocco/internal/eval"
 	"cocco/internal/graph"
+	"cocco/internal/hw"
 	"cocco/internal/models"
+	"cocco/internal/partition"
 	"cocco/internal/tiling"
 )
 
@@ -129,6 +133,65 @@ func TestSimulateInvariantsOnRealModels(t *testing.T) {
 				t.Errorf("%s[%d]: %v", model, start, err)
 			}
 		}
+	}
+}
+
+// TestSimulateSearchedSubgraphs is the simulator's witness over the
+// subgraphs a search actually costs, not only hand-picked runs: a seeded
+// search fills the evaluator's cost cache, and every member set in it must
+// derive a scheme that runs four elementary operations without breaking an
+// invariant, with one footprint on all three paths — the materialized
+// scheme, the Deriver's allocation-free sum, and the cost the search charged.
+func TestSimulateSearchedSubgraphs(t *testing.T) {
+	cfg := tiling.DefaultConfig()
+	// Searched capacities make repair split at many buffer sizes, which
+	// widens the set of subgraphs the run costs.
+	mem := core.MemSearch{Search: true, Kind: hw.SeparateBuffer, Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()}
+	for _, model := range []string{"resnet50", "googlenet", "nasnet", "randwire-a", "densenet121"} {
+		t.Run(model, func(t *testing.T) {
+			g := models.MustBuild(model)
+			ev, err := eval.New(g, hw.DefaultPlatform(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := core.Run(ev, core.Options{
+				Seed: 1, Workers: 2, Population: 30, MaxSamples: 1500,
+				Objective: eval.Objective{Metric: eval.MetricEMA},
+				Mem:       mem,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := ev.ExportCache()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Entries) < 500 {
+				t.Fatalf("the search costed only %d subgraphs, want at least 500", len(snap.Entries))
+			}
+			der, err := tiling.NewDeriver(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var members []int
+			for _, e := range snap.Entries {
+				members = partition.AppendKeyMembers(members[:0], string(snap.Arena[e.Off:e.Off+e.KeyLen]))
+				s, err := tiling.Derive(g, members, cfg)
+				if err != nil {
+					t.Fatalf("%v: derive: %v", members, err)
+				}
+				if _, err := Simulate(g, s, 4); err != nil {
+					t.Errorf("%v: %v", members, err)
+				}
+				fp, err := der.TotalFootprint(members)
+				if err != nil {
+					t.Fatalf("%v: Deriver: %v", members, err)
+				}
+				if got := s.TotalFootprintBytes(); got != fp || got != e.ActFootprint {
+					t.Errorf("%v: scheme footprint %d, Deriver %d, cached %d", members, got, fp, e.ActFootprint)
+				}
+			}
+			t.Logf("%d subgraphs", len(snap.Entries))
+		})
 	}
 }
 

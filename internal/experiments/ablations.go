@@ -48,7 +48,7 @@ func AblationTiling() ([]AblationTilingRow, string) {
 				if err != nil {
 					continue
 				}
-				cons := s.TotalMainBytes(g)
+				cons := s.TotalMainBytes()
 				prod := tiling.ProductionFootprintBytes(g, members, s)
 				if cons > 0 {
 					sumRatio += float64(prod) / float64(cons)

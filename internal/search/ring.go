@@ -162,12 +162,18 @@ func (h *RingHost) Snapshots() []serialize.IslandJSON {
 	return out
 }
 
-// Restore loads one snapshot per hosted island, in ring order.
+// Restore loads one snapshot per hosted island, in ring order. Restoring an
+// island replays every RNG draw its snapshot records, so checkDraws vets
+// the recorded counts first.
 func (h *RingHost) Restore(js []serialize.IslandJSON) error {
 	if len(js) != len(h.islands) {
 		return fmt.Errorf("search: restore got %d island snapshots for %d hosted islands", len(js), len(h.islands))
 	}
+	nodes := h.ev.Graph().Len()
 	for i, isl := range h.islands {
+		if err := checkDraws(&js[i], h.opt, nodes); err != nil {
+			return fmt.Errorf("search: island %d: %w", h.lo+i, err)
+		}
 		if err := isl.restore(js[i]); err != nil {
 			return err
 		}

@@ -120,7 +120,30 @@ func (d *Deriver) derive(members []int) error {
 	if err := d.solveUpd(dimH); err != nil {
 		return err
 	}
-	return d.solveUpd(dimW)
+	if err := d.solveUpd(dimW); err != nil {
+		return err
+	}
+	for _, id := range d.ids {
+		d.footprint(id)
+	}
+	return nil
+}
+
+// footprint sizes a node's two buffer regions of Figure 7 from its derived
+// tile: MAIN is the tile clamped to the tensor extent, and SIDE reserves the
+// (x−Δ) horizontally overlapping rows for the remaining width, unless the
+// tile already spans the width. It is the only place the regions are sized.
+// A node with no consumer inside the subgraph has x = Δ (stage 1), so it
+// reserves no SIDE rows.
+func (d *Deriver) footprint(id int) {
+	ns := &d.ns[id]
+	n := d.g.Node(id)
+	h := clamp(ns.TileH, int64(n.OutH))
+	w := clamp(ns.TileW, int64(n.OutW))
+	ns.Main = h * w * int64(n.OutC)
+	if w < int64(n.OutW) && ns.TileH > ns.DeltaH {
+		ns.Side = clamp(ns.TileH-ns.DeltaH, int64(n.OutH)) * (int64(n.OutW) - w) * int64(n.OutC)
+	}
 }
 
 // dim selects the height or width instance of the per-dimension passes.
@@ -395,34 +418,9 @@ func (d *Deriver) TotalFootprint(members []int) (int64, error) {
 	if err := d.derive(members); err != nil {
 		return 0, err
 	}
-	g := d.g
 	var t int64
 	for _, id := range d.ids {
-		ns := &d.ns[id]
-		n := g.Node(id)
-		h := clamp(ns.TileH, int64(n.OutH))
-		w := clamp(ns.TileW, int64(n.OutW))
-		t += h * w * int64(n.OutC)
-		// SIDE region, as in Scheme.FootprintBytes: only for data consumed
-		// inside the subgraph across sliding tiles, and only when the tile
-		// does not already span the full width.
-		consumedInside := ns.External || !ns.Output
-		if !consumedInside {
-			for _, c := range g.SuccIDs(id) {
-				if d.inUniv.Has(int(c)) && d.member.Has(int(c)) {
-					consumedInside = true
-					break
-				}
-			}
-		}
-		if consumedInside && w < int64(n.OutW) {
-			overlapRows := ns.TileH - ns.DeltaH
-			if overlapRows < 0 {
-				overlapRows = 0
-			}
-			overlapRows = clamp(overlapRows, int64(n.OutH))
-			t += overlapRows * (int64(n.OutW) - w) * int64(n.OutC)
-		}
+		t += d.ns[id].Main + d.ns[id].Side
 	}
 	return t, nil
 }

@@ -82,7 +82,7 @@ func TestDeriverMatchesDerive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantFP := want.TotalFootprintBytes(g); fp != wantFP {
+			if wantFP := want.TotalFootprintBytes(); fp != wantFP {
 				t.Fatalf("%s %v: TotalFootprint %d != %d", model, members, fp, wantFP)
 			}
 		}
@@ -135,7 +135,7 @@ func TestDeriverErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.TotalFootprintBytes(g) != got.TotalFootprintBytes(g) {
+	if want.TotalFootprintBytes() != got.TotalFootprintBytes() {
 		t.Error("deriver unusable after error")
 	}
 }

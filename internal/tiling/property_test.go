@@ -84,7 +84,7 @@ func TestFootprintMonotoneUnderGrowth(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			base := s.TotalFootprintBytes(g)
+			base := s.TotalFootprintBytes()
 			inSet := map[int]bool{}
 			for _, id := range members {
 				inSet[id] = true
@@ -100,7 +100,7 @@ func TestFootprintMonotoneUnderGrowth(t *testing.T) {
 					if err != nil {
 						continue
 					}
-					if got := grown.TotalFootprintBytes(g); got < base {
+					if got := grown.TotalFootprintBytes(); got < base {
 						t.Fatalf("seed %d: footprint shrank %d -> %d when adding node %d to %v",
 							seed, base, got, nb, members)
 					}

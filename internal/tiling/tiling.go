@@ -81,6 +81,11 @@ type NodeScheme struct {
 	// UpdH/UpdW are the per-dimension update counts per elementary
 	// operation (upd_num), in the minimal co-prime solution.
 	UpdH, UpdW int64
+
+	// Main and Side are the node's on-chip activation bytes in the two
+	// buffer regions of §3.2 / Figure 7: Main holds the resident tile,
+	// Side the horizontally overlapping rows kept for the next row loop.
+	Main, Side int64
 }
 
 // Scheme is the full execution scheme of one subgraph.
@@ -156,52 +161,19 @@ func clamp(v, limit int64) int64 {
 }
 
 // FootprintBytes returns the on-chip activation bytes required by node id
-// under this scheme: the MAIN region (tile, clamped to the tensor extent)
-// plus the SIDE region reserving the (x−Δ) horizontally overlapping rows for
-// the remaining width, per Figure 7. Output-only nodes need no SIDE region.
-func (s *Scheme) FootprintBytes(g *graph.Graph, id int) int64 {
+// under this scheme: its MAIN plus SIDE region (NodeScheme.Main + Side).
+func (s *Scheme) FootprintBytes(id int) int64 {
 	ns := s.Nodes[id]
-	n := g.Node(id)
-	h := clamp(ns.TileH, int64(n.OutH))
-	w := clamp(ns.TileW, int64(n.OutW))
-	main := h * w * int64(n.OutC)
-	var side int64
-	// SIDE is only needed when the node's data is consumed inside the
-	// subgraph across sliding tiles (externals and intermediates), and only
-	// when the tile does not already span the full width.
-	consumedInside := ns.External || !ns.Output || hasInternalConsumer(g, s, id)
-	if consumedInside && w < int64(n.OutW) {
-		overlapRows := ns.TileH - ns.DeltaH
-		if overlapRows < 0 {
-			overlapRows = 0
-		}
-		overlapRows = clamp(overlapRows, int64(n.OutH))
-		side = overlapRows * (int64(n.OutW) - w) * int64(n.OutC)
-	}
-	return main + side
-}
-
-func hasInternalConsumer(g *graph.Graph, s *Scheme, id int) bool {
-	for _, c := range g.SuccIDs(id) {
-		if ns, ok := s.Nodes[int(c)]; ok && !ns.External {
-			return true
-		}
-	}
-	return false
+	return ns.Main + ns.Side
 }
 
 // TotalFootprintBytes sums FootprintBytes over every node in the scheme
 // (members and external producers): the global-buffer requirement of the
 // subgraph's activations.
-func (s *Scheme) TotalFootprintBytes(g *graph.Graph) int64 {
+func (s *Scheme) TotalFootprintBytes() int64 {
 	var t int64
-	ids := make([]int, 0, len(s.Nodes))
-	for id := range s.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t += s.FootprintBytes(g, id)
+	for _, ns := range s.Nodes {
+		t += ns.Main + ns.Side
 	}
 	return t
 }
@@ -211,13 +183,10 @@ func (s *Scheme) TotalFootprintBytes(g *graph.Graph) int64 {
 // comparable with ProductionFootprintBytes: the sliding-overlap SIDE
 // reservation is orthogonal to the production-vs-consumption contrast of
 // Figure 4, which is about tile over-allocation.
-func (s *Scheme) TotalMainBytes(g *graph.Graph) int64 {
+func (s *Scheme) TotalMainBytes() int64 {
 	var t int64
-	for id, ns := range s.Nodes {
-		n := g.Node(id)
-		h := clamp(ns.TileH, int64(n.OutH))
-		w := clamp(ns.TileW, int64(n.OutW))
-		t += h * w * int64(n.OutC)
+	for _, ns := range s.Nodes {
+		t += ns.Main
 	}
 	return t
 }

@@ -141,18 +141,21 @@ func TestFootprintBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pure output node: MAIN only, tile 2×2, C=8 -> 32 bytes.
-	if got := s.FootprintBytes(g, n0); got != 32 {
+	if got := s.FootprintBytes(n0); got != 32 {
 		t.Errorf("n0 footprint = %d, want 32", got)
 	}
 	// External A: MAIN 6×6×8 = 288, SIDE (x−Δ)=2 rows × (64−6)=58 cols × 8
 	// channels = 928; total 1216.
-	if got := s.FootprintBytes(g, ids[0]); got != 288+928 {
+	if a := s.Nodes[ids[0]]; a.Main != 288 || a.Side != 928 {
+		t.Errorf("A regions = MAIN %d + SIDE %d, want 288 + 928", a.Main, a.Side)
+	}
+	if got := s.FootprintBytes(ids[0]); got != 288+928 {
 		t.Errorf("A footprint = %d, want %d", got, 288+928)
 	}
-	total := s.TotalFootprintBytes(g)
+	total := s.TotalFootprintBytes()
 	var sum int64
 	for id := range s.Nodes {
-		sum += s.FootprintBytes(g, id)
+		sum += s.FootprintBytes(id)
 	}
 	if total != sum {
 		t.Errorf("TotalFootprintBytes %d != sum %d", total, sum)
@@ -175,7 +178,7 @@ func TestProductionVsConsumptionFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons := s.TotalMainBytes(g)
+	cons := s.TotalMainBytes()
 	prod := ProductionFootprintBytes(g, members, s)
 	if prod < cons {
 		t.Errorf("production-centric footprint %d < consumption-centric %d", prod, cons)
