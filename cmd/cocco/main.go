@@ -89,46 +89,30 @@ func main() {
 		log.Fatal(err)
 	}
 	if *cacheLoad != "" {
-		snap, err := serialize.ReadCostCacheFile(*cacheLoad)
+		n, err := serialize.LoadCostCacheFile(ev, *cacheLoad)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			fmt.Printf("no cache snapshot at %s; starting cold\n", *cacheLoad)
 		case err != nil:
 			log.Fatal(err)
 		default:
-			n, err := ev.LoadCache(snap)
-			if err != nil {
-				log.Fatal(err)
-			}
 			fmt.Printf("warm start: loaded %d cached subgraph costs from %s\n", n, *cacheLoad)
 		}
 	}
 
-	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: *alpha}
-	switch *metric {
-	case "ema":
-		obj.Metric = eval.MetricEMA
-	case "energy":
-	default:
-		log.Fatalf("unknown metric %q", *metric)
+	m, err := eval.ParseMetric(*metric)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	bufKind := hw.SeparateBuffer
-	if *kind == "shared" {
-		bufKind = hw.SharedBuffer
-	} else if *kind != "separate" {
-		log.Fatalf("unknown buffer kind %q", *kind)
+	obj := eval.Objective{Metric: m, Alpha: *alpha}
+	bufKind, err := hw.ParseBufferKind(*kind)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	ms := core.MemSearch{Kind: bufKind}
 	if *doSearch {
-		ms.Search = true
-		if bufKind == hw.SharedBuffer {
-			ms.Global = hw.PaperSharedRange()
-		} else {
-			ms.Global = hw.PaperGlobalRange()
-			ms.Weight = hw.PaperWeightRange()
-		}
+		ms = core.PaperSpace(bufKind)
 		if obj.Alpha == 0 {
 			log.Fatal("-search requires -alpha > 0 (Formula 2)")
 		}
@@ -160,14 +144,11 @@ func main() {
 	}
 	if *scouts != "" {
 		for _, s := range strings.Split(*scouts, ",") {
-			switch strings.TrimSpace(s) {
-			case "sa":
-				sopt.Scouts = append(sopt.Scouts, search.ScoutSA)
-			case "greedy":
-				sopt.Scouts = append(sopt.Scouts, search.ScoutGreedy)
-			default:
-				log.Fatalf("unknown scout kind %q (want sa or greedy)", s)
+			k, err := search.ParseScoutKind(strings.TrimSpace(s))
+			if err != nil {
+				log.Fatal(err)
 			}
+			sopt.Scouts = append(sopt.Scouts, k)
 		}
 	}
 	var (

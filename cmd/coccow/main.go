@@ -68,17 +68,13 @@ func main() {
 		log.Fatal(err)
 	}
 	if *cacheLoad != "" {
-		snap, err := serialize.ReadCostCacheFile(*cacheLoad)
+		n, err := serialize.LoadCostCacheFile(ev, *cacheLoad)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			fmt.Printf("no cache snapshot at %s; starting cold\n", *cacheLoad)
 		case err != nil:
 			log.Fatal(err)
 		default:
-			n, err := ev.LoadCache(snap)
-			if err != nil {
-				log.Fatal(err)
-			}
 			fmt.Printf("warm start: loaded %d cached subgraph costs from %s\n", n, *cacheLoad)
 		}
 	}

@@ -80,14 +80,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: *alpha}
-	switch *metric {
-	case "ema":
-		obj.Metric = eval.MetricEMA
-	case "energy":
-	default:
-		log.Fatalf("unknown metric %q", *metric)
+	m, err := eval.ParseMetric(*metric)
+	if err != nil {
+		log.Fatal(err)
 	}
+	obj := eval.Objective{Metric: m, Alpha: *alpha}
 
 	opt := dse.Options{
 		Grid: grid,
@@ -151,15 +148,14 @@ func buildGrid(modelsFlag, kind, glb, wgt, cores, batch, tcfg string) (dse.Grid,
 			g.Models = append(g.Models, strings.TrimSpace(m))
 		}
 	}
-	switch kind {
-	case "separate":
-		g.Kinds = []hw.BufferKind{hw.SeparateBuffer}
-	case "shared":
-		g.Kinds = []hw.BufferKind{hw.SharedBuffer}
-	case "both":
+	if kind == "both" {
 		g.Kinds = []hw.BufferKind{hw.SeparateBuffer, hw.SharedBuffer}
-	default:
-		return g, fmt.Errorf("unknown buffer kind %q (want separate, shared, or both)", kind)
+	} else {
+		k, err := hw.ParseBufferKind(kind)
+		if err != nil {
+			return g, fmt.Errorf("unknown buffer kind axis %q (want separate, shared, or both)", kind)
+		}
+		g.Kinds = []hw.BufferKind{k}
 	}
 	var err error
 	if g.GlobalBytes, err = parseKBAxis(glb); err != nil {

@@ -55,6 +55,16 @@ type MemSearch struct {
 	Fixed hw.MemConfig
 }
 
+// PaperSpace is the paper's co-exploration space for a buffer design
+// (§5.3): the global and weight ranges for separate buffers, the shared
+// range alone for a shared one.
+func PaperSpace(kind hw.BufferKind) MemSearch {
+	if kind == hw.SharedBuffer {
+		return MemSearch{Search: true, Kind: kind, Global: hw.PaperSharedRange()}
+	}
+	return MemSearch{Search: true, Kind: kind, Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()}
+}
+
 // TracePoint is reported to Options.Trace after every genome evaluation;
 // the convergence (Fig. 12) and distribution (Fig. 13) experiments are
 // built from this stream.

@@ -316,14 +316,10 @@ func runConfig(opt Options, st *sweepState, gc *eval.GraphContext, cfg Config) (
 	// snapshot (pre-geometry fingerprint): those can never match and are
 	// skipped loudly so existing checkpoint dirs stay resumable.
 	if cachePath != "" && st.firstLoad(cachePath) {
-		snap, err := serialize.ReadCostCacheFile(cachePath)
-		switch {
-		case err == nil:
-			if _, lerr := ev.LoadCache(snap); lerr != nil {
-				return nil, fmt.Errorf("dse: config %s: %s: %w", cfg.ID(), cachePath, lerr)
-			}
-		case errors.Is(err, os.ErrNotExist):
-			// Cold start; the group's snapshot is written below.
+		switch _, err := serialize.LoadCostCacheFile(ev, cachePath); {
+		case err == nil, errors.Is(err, os.ErrNotExist):
+			// A missing file is a cold start; the group's snapshot is
+			// written below.
 		case errors.Is(err, serialize.ErrCostCacheTooOld):
 			st.warnf("ignoring stale cache snapshot %s: %v (starting this geometry group cold)", cachePath, err)
 		default:

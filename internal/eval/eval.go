@@ -11,7 +11,6 @@
 package eval
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -40,6 +39,19 @@ func (m Metric) String() string {
 		return "energy"
 	}
 	return "EMA"
+}
+
+// ParseMetric reads a metric as flags and job specs name it: "ema" or
+// "energy". Any other name is an error. String keeps printing "EMA", the
+// spelling the paper's tables use.
+func ParseMetric(s string) (Metric, error) {
+	switch s {
+	case "ema":
+		return MetricEMA, nil
+	case "energy":
+		return MetricEnergy, nil
+	}
+	return 0, fmt.Errorf("eval: unknown metric %q (want ema or energy)", s)
 }
 
 // Objective is the optimization objective. With Alpha == 0 it is the
@@ -118,8 +130,12 @@ type cacheShard struct {
 	arena   []byte
 }
 
-// lookup returns the cost stored under (h, key), or nil. Caller holds mu.
-func (s *cacheShard) lookup(h uint64, key string) *SubgraphCost {
+// lookup returns the cost stored in s under (h, key), or nil. Caller holds
+// s.mu. Like hashKey it is generic over ~string | ~[]byte, so the interned
+// keys of PartitionDelta and the scratch-buffer keys of Subgraph and
+// LoadCache share one probe loop; it is a function because methods cannot
+// take a type parameter.
+func lookup[K ~string | ~[]byte](s *cacheShard, h uint64, key K) *SubgraphCost {
 	if len(s.slots) == 0 {
 		return nil
 	}
@@ -130,31 +146,9 @@ func (s *cacheShard) lookup(h uint64, key string) *SubgraphCost {
 			return nil
 		}
 		e := &s.entries[ei-1]
-		// string([]byte) == string compiles to an allocation-free compare.
+		// string([]byte) == string(key) compiles to an allocation-free compare.
 		if e.hash == h && e.klen == uint32(len(key)) &&
-			string(s.arena[e.off:e.off+e.klen]) == key {
-			return e.c
-		}
-	}
-}
-
-// lookupBytes is lookup for a key held in a scratch byte buffer, so warm
-// Subgraph calls never materialize a key string. Kept as a hand-expanded
-// twin of lookup (methods cannot take the ~string|~[]byte type parameter
-// that would merge them); any probe-loop change must land in both.
-func (s *cacheShard) lookupBytes(h uint64, key []byte) *SubgraphCost {
-	if len(s.slots) == 0 {
-		return nil
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		ei := s.slots[i]
-		if ei == 0 {
-			return nil
-		}
-		e := &s.entries[ei-1]
-		if e.hash == h && e.klen == uint32(len(key)) &&
-			bytes.Equal(s.arena[e.off:e.off+e.klen], key) {
+			string(s.arena[e.off:e.off+e.klen]) == string(key) {
 			return e.c
 		}
 	}
@@ -163,8 +157,8 @@ func (s *cacheShard) lookupBytes(h uint64, key []byte) *SubgraphCost {
 // guardArena panics if appending klen key bytes to a shard arena already
 // holding arenaLen bytes would push the new entry's offset+length past the
 // uint32 range cacheEntry stores. Without the guard the uint32 conversions
-// in insert/insertBytes silently truncate once a shard's arena crosses
-// 4 GiB, corrupting every later entry's key window.
+// in insert silently truncate once a shard's arena crosses 4 GiB,
+// corrupting every later entry's key window.
 func guardArena(arenaLen, klen int) {
 	if int64(arenaLen)+int64(klen) > math.MaxUint32 {
 		panic(fmt.Sprintf("eval: cost-cache shard arena would grow to %d bytes, past the 4 GiB uint32 offset range", int64(arenaLen)+int64(klen)))
@@ -180,17 +174,10 @@ func guardEntries(n int) {
 	}
 }
 
-// insert stores c under (h, key), which must not be present. Caller holds mu.
-func (s *cacheShard) insert(h uint64, key string, c *SubgraphCost) {
-	guardArena(len(s.arena), len(key))
-	off := len(s.arena)
-	s.arena = append(s.arena, key...)
-	s.place(h, uint32(off), uint32(len(key)), c)
-}
-
-// insertBytes is insert for a key held in a scratch buffer — the bytes go
-// straight into the arena, so the cold path never materializes a key string.
-func (s *cacheShard) insertBytes(h uint64, key []byte, c *SubgraphCost) {
+// insert stores c in s under (h, key), which must not be present. Caller
+// holds s.mu. The key bytes go straight into the arena, so neither key form
+// is materialized as a string first.
+func insert[K ~string | ~[]byte](s *cacheShard, h uint64, key K, c *SubgraphCost) {
 	guardArena(len(s.arena), len(key))
 	off := len(s.arena)
 	s.arena = append(s.arena, key...)
@@ -377,8 +364,7 @@ func (e *Evaluator) CacheEntries() int64 { return e.cache.entries() }
 // open-addressed probe, so neither the shard choice nor the table walks the
 // key again (only a final confirming compare on a hash match does). Generic
 // over ~string | ~[]byte so the interned-key and scratch-buffer paths share
-// one body (unlike lookup/lookupBytes, which stay hand-expanded twins:
-// methods cannot take this type parameter).
+// one body, as lookup and insert do.
 func hashKey[K ~string | ~[]byte](key K) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -401,7 +387,7 @@ func (e *Evaluator) Subgraph(members []int) *SubgraphCost {
 	s := &e.cache.shards[h>>(64-shardBits)]
 	e.calls.Add(1)
 	s.mu.Lock()
-	if c := s.lookupBytes(h, sc.keyBuf); c != nil {
+	if c := lookup(s, h, sc.keyBuf); c != nil {
 		s.mu.Unlock()
 		e.scratch.Put(sc)
 		e.hits.Add(1)
@@ -412,12 +398,12 @@ func (e *Evaluator) Subgraph(members []int) *SubgraphCost {
 	c := e.computeSubgraph(sc, sc.members)
 
 	s.mu.Lock()
-	if first := s.lookupBytes(h, sc.keyBuf); first != nil {
+	if first := lookup(s, h, sc.keyBuf); first != nil {
 		s.mu.Unlock()
 		e.scratch.Put(sc)
 		return first
 	}
-	s.insertBytes(h, sc.keyBuf, c)
+	insert(s, h, sc.keyBuf, c)
 	s.mu.Unlock()
 	e.scratch.Put(sc)
 	return c
@@ -435,7 +421,7 @@ func (e *Evaluator) subgraphByKey(key string) *SubgraphCost {
 
 	e.calls.Add(1)
 	s.mu.Lock()
-	if c := s.lookup(h, key); c != nil {
+	if c := lookup(s, h, key); c != nil {
 		s.mu.Unlock()
 		e.hits.Add(1)
 		return c
@@ -448,11 +434,11 @@ func (e *Evaluator) subgraphByKey(key string) *SubgraphCost {
 	e.scratch.Put(sc)
 
 	s.mu.Lock()
-	if first := s.lookup(h, key); first != nil {
+	if first := lookup(s, h, key); first != nil {
 		s.mu.Unlock()
 		return first
 	}
-	s.insert(h, key, c)
+	insert(s, h, key, c)
 	s.mu.Unlock()
 	return c
 }

@@ -157,8 +157,8 @@ func (e *Evaluator) LoadCache(snap *CacheSnapshot) (added int, err error) {
 		h := hashKey(key)
 		s := &e.cache.shards[h>>(64-shardBits)]
 		s.mu.Lock()
-		if s.lookupBytes(h, key) == nil {
-			s.insertBytes(h, key, c)
+		if lookup(s, h, key) == nil {
+			insert(s, h, key, c)
 			added++
 		}
 		s.mu.Unlock()

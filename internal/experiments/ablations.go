@@ -102,8 +102,7 @@ func AblationGA(cfg Config) ([]AblationGARow, string) {
 				Objective:          obj,
 				DisableCrossover:   v.noCross,
 				DisableInSituSplit: v.noSplit,
-				Mem: core.MemSearch{Search: true, Kind: hw.SeparateBuffer,
-					Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()},
+				Mem:                core.PaperSpace(hw.SeparateBuffer),
 			})
 			row := AblationGARow{Model: m, Variant: v.name}
 			if stats != nil && stats.Samples > 0 {
@@ -210,8 +209,7 @@ func AblationCache(cfg Config) ([]AblationCacheRow, string) {
 		_, _, err := core.Run(ev, core.Options{
 			Seed: cfg.Seed, Workers: cfg.Workers, Population: cfg.Population, MaxSamples: cfg.CoOptSamples,
 			Objective: obj,
-			Mem: core.MemSearch{Search: true, Kind: hw.SeparateBuffer,
-				Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()},
+			Mem:       core.PaperSpace(hw.SeparateBuffer),
 		})
 		if err != nil {
 			continue
@@ -262,8 +260,7 @@ func AblationDeltaEval(cfg Config) ([]AblationDeltaRow, string) {
 				Seed: cfg.Seed, Workers: cfg.Workers, Population: cfg.Population, MaxSamples: cfg.CoOptSamples,
 				Objective:        obj,
 				DisableDeltaEval: disableDelta,
-				Mem: core.MemSearch{Search: true, Kind: hw.SeparateBuffer,
-					Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()},
+				Mem:              core.PaperSpace(hw.SeparateBuffer),
 			})
 			el := time.Since(t0).Seconds()
 			if err != nil || stats == nil {

@@ -35,7 +35,6 @@ type Fig12Result struct {
 func Figure12(cfg Config) (*Fig12Result, string) {
 	modelsUnderTest := []string{"resnet50", "googlenet", "randwire-a"}
 	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: PaperAlpha}
-	grange, wrange := hw.PaperGlobalRange(), hw.PaperWeightRange()
 	stride := maxInt(cfg.CoOptSamples/100, 1)
 
 	res := &Fig12Result{SamplesTo105: map[string]map[string]int{}}
@@ -61,7 +60,7 @@ func Figure12(cfg Config) (*Fig12Result, string) {
 					curve.BestCost = append(curve.BestCost, best)
 				}
 			}
-			runConvergenceMethod(ev, cfg, obj, method, grange, wrange, trace)
+			runConvergenceMethod(ev, cfg, obj, method, trace)
 			res.Curves = append(res.Curves, curve)
 			if method == "Cocco" {
 				coccoFinal = best
@@ -110,9 +109,8 @@ func Figure12(cfg Config) (*Fig12Result, string) {
 // runConvergenceMethod executes one method with the trace hook attached.
 // Fixed-HW variants run a partition-only GA under the named capacity; the
 // trace cost for those is re-based to Formula 2 with that capacity.
-func runConvergenceMethod(ev *eval.Evaluator, cfg Config, obj eval.Objective, method string,
-	grange, wrange hw.MemRange, trace func(core.TracePoint)) {
-
+func runConvergenceMethod(ev *eval.Evaluator, cfg Config, obj eval.Objective, method string, trace func(core.TracePoint)) {
+	space := core.PaperSpace(hw.SeparateBuffer)
 	fixedTrace := func(mem hw.MemConfig) func(core.TracePoint) {
 		return func(tp core.TracePoint) {
 			if tp.Feasible {
@@ -147,20 +145,20 @@ func runConvergenceMethod(ev *eval.Evaluator, cfg Config, obj eval.Objective, me
 			Seed: cfg.Seed, Workers: cfg.Workers, Method: sm,
 			Candidates:          cfg.TwoStepCandidates,
 			SamplesPerCandidate: cfg.CoOptSamples / maxInt(cfg.TwoStepCandidates, 1),
-			Kind:                hw.SeparateBuffer, Global: grange, Weight: wrange,
+			Kind:                space.Kind, Global: space.Global, Weight: space.Weight,
 			Objective: obj, Trace: trace,
 		})
 	case "SA":
 		_, _ = baselines.SA(ev, baselines.SAOptions{
 			Seed: cfg.Seed, MaxSamples: cfg.CoOptSamples, Objective: obj,
-			Mem:   core.MemSearch{Search: true, Kind: hw.SeparateBuffer, Global: grange, Weight: wrange},
+			Mem:   space,
 			Trace: trace,
 		})
 	case "Cocco":
 		_, _, _ = core.Run(ev, core.Options{
 			Seed: cfg.Seed, Workers: cfg.Workers, Population: cfg.Population, MaxSamples: cfg.CoOptSamples,
 			Objective: obj,
-			Mem:       core.MemSearch{Search: true, Kind: hw.SeparateBuffer, Global: grange, Weight: wrange},
+			Mem:       space,
 			Trace:     trace,
 		})
 	}

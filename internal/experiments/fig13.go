@@ -48,8 +48,7 @@ func Figure13(cfg Config) (map[string][]Fig13Group, string) {
 			Population: cfg.Population,
 			MaxSamples: cfg.CoOptSamples,
 			Objective:  obj,
-			Mem: core.MemSearch{Search: true, Kind: hw.SeparateBuffer,
-				Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()},
+			Mem:        core.PaperSpace(hw.SeparateBuffer),
 			Trace: func(tp core.TracePoint) {
 				if !tp.Feasible {
 					return

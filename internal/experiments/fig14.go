@@ -39,8 +39,7 @@ func Figure14(cfg Config) ([]Fig14Row, string) {
 				Population: cfg.Population,
 				MaxSamples: cfg.CoOptSamples,
 				Objective:  obj,
-				Mem: core.MemSearch{Search: true, Kind: hw.SeparateBuffer,
-					Global: hw.PaperGlobalRange(), Weight: hw.PaperWeightRange()},
+				Mem:        core.PaperSpace(hw.SeparateBuffer),
 			})
 			if err != nil {
 				panic(fmt.Sprintf("figure14: %s α=%g: %v", m, a, err))

@@ -46,8 +46,7 @@ func Table3(cfg Config) ([]Table3Row, string) {
 					Population: cfg.Population,
 					MaxSamples: cfg.CoOptSamples,
 					Objective:  obj,
-					Mem: core.MemSearch{Search: true, Kind: hw.SharedBuffer,
-						Global: hw.PaperSharedRange()},
+					Mem:        core.PaperSpace(hw.SharedBuffer),
 				})
 				if err != nil {
 					panic(fmt.Sprintf("table3: %s c=%d b=%d: %v", m, cores, batch, err))

@@ -76,11 +76,7 @@ func coOptStudy(cfg Config, kind hw.BufferKind, title string) ([]CoOptRow, strin
 // exploreMem runs the method's hardware-exploration phase and returns the
 // chosen memory configuration.
 func exploreMem(ev *eval.Evaluator, cfg Config, kind hw.BufferKind, obj eval.Objective, method string) (hw.MemConfig, bool) {
-	grange, wrange := hw.PaperGlobalRange(), hw.PaperWeightRange()
-	if kind == hw.SharedBuffer {
-		grange = hw.PaperSharedRange()
-		wrange = hw.MemRange{}
-	}
+	space := core.PaperSpace(kind)
 	fixed := func(gKB, wKB int64) hw.MemConfig {
 		m := hw.MemConfig{Kind: kind, GlobalBytes: gKB * hw.KiB}
 		if kind == hw.SeparateBuffer {
@@ -116,8 +112,8 @@ func exploreMem(ev *eval.Evaluator, cfg Config, kind hw.BufferKind, obj eval.Obj
 			Candidates:          cfg.TwoStepCandidates,
 			SamplesPerCandidate: cfg.CoOptSamples / maxInt(cfg.TwoStepCandidates, 1),
 			Kind:                kind,
-			Global:              grange,
-			Weight:              wrange,
+			Global:              space.Global,
+			Weight:              space.Weight,
 			Objective:           obj,
 		})
 		if err != nil {
@@ -129,7 +125,7 @@ func exploreMem(ev *eval.Evaluator, cfg Config, kind hw.BufferKind, obj eval.Obj
 			Seed:       cfg.Seed,
 			MaxSamples: cfg.CoOptSamples,
 			Objective:  obj,
-			Mem:        core.MemSearch{Search: true, Kind: kind, Global: grange, Weight: wrange},
+			Mem:        space,
 		})
 		if err != nil {
 			return hw.MemConfig{}, false
@@ -142,7 +138,7 @@ func exploreMem(ev *eval.Evaluator, cfg Config, kind hw.BufferKind, obj eval.Obj
 			Population: cfg.Population,
 			MaxSamples: cfg.CoOptSamples,
 			Objective:  obj,
-			Mem:        core.MemSearch{Search: true, Kind: kind, Global: grange, Weight: wrange},
+			Mem:        space,
 		})
 		if err != nil {
 			return hw.MemConfig{}, false

@@ -41,6 +41,17 @@ func (k BufferKind) String() string {
 	return "separate"
 }
 
+// ParseBufferKind is the inverse of BufferKind.String: "separate" or
+// "shared". Any other name is an error.
+func ParseBufferKind(s string) (BufferKind, error) {
+	for _, k := range [...]BufferKind{SeparateBuffer, SharedBuffer} {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("hw: unknown buffer kind %q (want separate or shared)", s)
+}
+
 // MemConfig is a candidate memory configuration — the hardware half of a
 // Cocco genome.
 type MemConfig struct {

@@ -98,9 +98,9 @@ func encodeOptions(opt search.Options) optionsWire {
 // decodeOptions rebuilds search.Options for a worker process; workers is the
 // process-local scoring-goroutine budget.
 func decodeOptions(w optionsWire, workers int) (search.Options, error) {
-	kind, err := serialize.DecodeMemConfig(serialize.MemConfigJSON{Kind: w.MemKind, GlobalBytes: 1, WeightBytes: 1})
+	kind, err := hw.ParseBufferKind(w.MemKind)
 	if err != nil {
-		return search.Options{}, err
+		return search.Options{}, fmt.Errorf("dist: %w", err)
 	}
 	fixed, err := serialize.DecodeMemConfig(w.MemFixed)
 	if err != nil {
@@ -111,7 +111,7 @@ func decodeOptions(w optionsWire, workers int) (search.Options, error) {
 			Seed: w.Seed, Workers: workers, Population: w.Population, MaxSamples: w.MaxSamples,
 			Objective: eval.Objective{Metric: eval.Metric(w.Metric), Alpha: w.Alpha},
 			Mem: core.MemSearch{
-				Search: w.MemSearch, Kind: kind.Kind,
+				Search: w.MemSearch, Kind: kind,
 				Global: w.MemGlobal, Weight: w.MemWeight, Fixed: fixed,
 			},
 			DisableCrossover:   w.DisableCrossover,
@@ -124,14 +124,11 @@ func decodeOptions(w optionsWire, workers int) (search.Options, error) {
 		Migrants:     w.Migrants,
 	}
 	for _, s := range w.Scouts {
-		switch s {
-		case "sa":
-			opt.Scouts = append(opt.Scouts, search.ScoutSA)
-		case "greedy":
-			opt.Scouts = append(opt.Scouts, search.ScoutGreedy)
-		default:
-			return search.Options{}, fmt.Errorf("dist: unknown scout kind %q", s)
+		k, err := search.ParseScoutKind(s)
+		if err != nil {
+			return search.Options{}, fmt.Errorf("dist: %w", err)
 		}
+		opt.Scouts = append(opt.Scouts, k)
 	}
 	return opt, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cocco/internal/core"
 	"cocco/internal/search"
 )
 
@@ -148,7 +149,7 @@ func TestCoordinatorReleasesWorkersOnHandshakeFailure(t *testing.T) {
 // refused loudly rather than silently dropped.
 func TestProgressRejectedInDist(t *testing.T) {
 	opt := testOptions()
-	opt.Progress = func(search.Progress) {}
+	opt.Progress = func(*core.Genome, *search.Stats) {}
 	_, _, err := Run(evaluatorFor(t, "mobilenetv2"), Options{
 		Search:  opt,
 		Workers: []string{"127.0.0.1:1"},

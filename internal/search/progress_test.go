@@ -29,9 +29,10 @@ func TestProgressCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snaps []Progress
+	var snaps []Stats
+	var lastBest *core.Genome
 	watched := opt
-	watched.Progress = func(p Progress) { snaps = append(snaps, p) }
+	watched.Progress = func(best *core.Genome, st *Stats) { snaps, lastBest = append(snaps, *st), best }
 	if a, b := Fingerprint(opt), Fingerprint(watched); a != b {
 		t.Errorf("Progress changed the fingerprint:\n  %s\n  %s", a, b)
 	}
@@ -67,10 +68,10 @@ func TestProgressCallback(t *testing.T) {
 		last.MemoHits != gotStats.MemoHits || last.BestIsland != gotStats.BestIsland {
 		t.Errorf("final snapshot disagrees with Stats:\nsnap  %+v\nstats %+v", last, gotStats)
 	}
-	if !last.HasBest {
-		t.Error("final snapshot has no best despite a feasible run")
+	if lastBest == nil {
+		t.Fatal("final snapshot has no best despite a feasible run")
 	}
-	if last.BestCost != gotBest.Cost {
-		t.Errorf("final snapshot best cost %v, want %v", last.BestCost, gotBest.Cost)
+	if lastBest.Cost != gotBest.Cost {
+		t.Errorf("final snapshot best cost %v, want %v", lastBest.Cost, gotBest.Cost)
 	}
 }

@@ -55,6 +55,17 @@ func (k ScoutKind) String() string {
 	return fmt.Sprintf("ScoutKind(%d)", int(k))
 }
 
+// ParseScoutKind is the inverse of ScoutKind.String: "sa" or "greedy". Any
+// other name is an error.
+func ParseScoutKind(s string) (ScoutKind, error) {
+	for _, k := range [...]ScoutKind{ScoutSA, ScoutGreedy} {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("search: unknown scout kind %q (want sa or greedy)", s)
+}
+
 // Options configures an orchestrated search.
 type Options struct {
 	// Core configures each GA island. Seed is the run seed: island 0 uses it
@@ -86,11 +97,13 @@ type Options struct {
 	// later.
 	MaxRounds int
 	// Progress, when non-nil, is called after every completed round (post-
-	// migration, post-checkpoint) with a snapshot of the run so far. Purely
-	// observational: like Workers and Trace it never shapes the trajectory
-	// and is excluded from the checkpoint fingerprint. The job server
-	// (internal/serve) streams these to polling clients.
-	Progress func(Progress)
+	// migration, post-checkpoint) with the run so far: the best feasible
+	// genome (nil if none yet) and the tally a finished run would return.
+	// Both are read-only, and their slices may change after the call
+	// returns. Purely observational: like Workers and Trace it never shapes
+	// the trajectory and is excluded from the checkpoint fingerprint. The
+	// job server (internal/serve) streams these to polling clients.
+	Progress func(best *core.Genome, st *Stats)
 }
 
 func (o Options) WithDefaults() Options {
@@ -133,27 +146,6 @@ type Stats struct {
 	// (nil when the ring never migrated).
 	MigrantsSent     []int
 	MigrantsReceived []int
-}
-
-// Progress is a mid-run snapshot handed to Options.Progress after each
-// round. It carries the same aggregates a finished run's Stats would,
-// plus the best-so-far cost — everything a job server needs to report
-// "how far along is this search" without stopping it.
-type Progress struct {
-	// Rounds and Migrations completed so far (cumulative across resumes).
-	Rounds     int
-	Migrations int
-	// Samples, FeasibleSamples, and MemoHits sum over every island.
-	Samples         int
-	FeasibleSamples int
-	MemoHits        int
-	// HasBest reports whether any island holds a feasible genome yet;
-	// BestCost and BestIsland are meaningful only when it is true.
-	HasBest    bool
-	BestCost   float64
-	BestIsland int
-	// IslandStats holds each island's statistics, in ring order.
-	IslandStats []core.Stats
 }
 
 // island is one ring member: a GA population or a scout.
@@ -350,7 +342,7 @@ func (l *loop) run() (*core.Genome, *Stats, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			l.opt.Progress(progressOf(best, st))
+			l.opt.Progress(best, st)
 		}
 		if l.opt.MaxRounds > 0 && l.rounds-startRound >= l.opt.MaxRounds {
 			// Pause: snapshot the barrier state so the job can resume later.
@@ -420,19 +412,6 @@ func (l *loop) tally() (*core.Genome, *Stats, error) {
 		st.MemoHits += is.MemoHits
 	}
 	return best, st, nil
-}
-
-// progressOf is the Progress view of a mid-run tally.
-func progressOf(best *core.Genome, st *Stats) Progress {
-	p := Progress{
-		Rounds: st.Rounds, Migrations: st.Migrations,
-		Samples: st.Samples, FeasibleSamples: st.FeasibleSamples, MemoHits: st.MemoHits,
-		BestIsland: st.BestIsland, IslandStats: st.IslandStats,
-	}
-	if best != nil {
-		p.HasBest, p.BestCost = true, best.Cost
-	}
-	return p
 }
 
 // localRing is a RingHost over the whole ring, driven in this process.

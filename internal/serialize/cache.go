@@ -184,3 +184,17 @@ func ReadCostCacheFile(path string) (*eval.CacheSnapshot, error) {
 	}
 	return DecodeCostCache(data)
 }
+
+// LoadCostCacheFile warm-starts ev from a snapshot file, returning the
+// number of entries added. A missing file is an error wrapping
+// os.ErrNotExist, which callers treat as a cold start.
+func LoadCostCacheFile(ev *eval.Evaluator, path string) (added int, err error) {
+	snap, err := ReadCostCacheFile(path)
+	if err != nil {
+		return 0, err
+	}
+	if added, err = ev.LoadCache(snap); err != nil {
+		return added, fmt.Errorf("serialize: cost cache %s: %w", path, err)
+	}
+	return added, nil
+}

@@ -43,16 +43,11 @@ func EncodeMemConfig(m hw.MemConfig) MemConfigJSON {
 
 // DecodeMemConfig rebuilds a memory configuration.
 func DecodeMemConfig(j MemConfigJSON) (hw.MemConfig, error) {
-	m := hw.MemConfig{GlobalBytes: j.GlobalBytes, WeightBytes: j.WeightBytes}
-	switch j.Kind {
-	case hw.SeparateBuffer.String():
-		m.Kind = hw.SeparateBuffer
-	case hw.SharedBuffer.String():
-		m.Kind = hw.SharedBuffer
-	default:
-		return m, fmt.Errorf("serialize: unknown buffer kind %q", j.Kind)
+	kind, err := hw.ParseBufferKind(j.Kind)
+	if err != nil {
+		return hw.MemConfig{}, fmt.Errorf("serialize: %w", err)
 	}
-	return m, nil
+	return hw.MemConfig{Kind: kind, GlobalBytes: j.GlobalBytes, WeightBytes: j.WeightBytes}, nil
 }
 
 // ResultJSON is the wire form of an evaluation result.

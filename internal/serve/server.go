@@ -17,8 +17,9 @@
 // every round barrier) and a versioned job manifest
 // (serialize.JobManifestJSON) cataloguing the spec, state, and progress. A
 // killed or restarted server rescans its directory, re-admits every
-// non-terminal job, and resumes each from its checkpoint bit-identically —
-// pinned by the kill-and-restart test against a direct run.
+// non-terminal job whose spec NormalizeSpec still accepts, and resumes each
+// from its checkpoint bit-identically — pinned by the kill-and-restart test
+// against a direct run.
 //
 // Job state machine:
 //
@@ -34,7 +35,7 @@
 // by client request, applied immediately when waiting and at the next slice
 // boundary when running (the in-flight slice is never aborted mid-round;
 // its checkpoint stays on disk). failed: evaluator construction or
-// checkpoint I/O errors.
+// checkpoint I/O errors, or a re-admitted spec that NormalizeSpec refuses.
 package serve
 
 import (
@@ -127,7 +128,8 @@ type Server struct {
 // NewServer opens (or creates) the job directory, re-admits every
 // non-terminal job found there, and starts the worker pool. Jobs that were
 // queued, running, or paused when the previous server died are requeued in
-// ID order and resume from their checkpoints.
+// ID order and resume from their checkpoints, unless NormalizeSpec refuses
+// their specs, which fails them.
 func NewServer(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
@@ -151,7 +153,12 @@ func NewServer(opt Options) (*Server, error) {
 // rescan loads every manifest in the job directory. Terminal jobs are kept
 // as records; everything else is requeued — a manifest frozen in "running"
 // means the previous server died mid-slice, and the job's checkpoint (from
-// the last completed round barrier) is the resume point.
+// the last completed round barrier) is the resume point. A manifest is
+// outside input, so a requeued spec passes the same NormalizeSpec admission
+// as a submitted one; a spec it refuses fails its job, persisted, before
+// any slice runs. A spec the server wrote normalizes to itself, so its
+// options fingerprint is unchanged. rescan runs before the server is
+// shared, so it takes no lock.
 func (s *Server) rescan() error {
 	entries, err := os.ReadDir(s.opt.Dir)
 	if err != nil {
@@ -197,11 +204,21 @@ func (s *Server) rescan() error {
 	s.order = ids
 	for _, id := range ids {
 		j := s.jobs[id]
-		if !terminal(j.state) {
-			j.state = serialize.JobStateQueued
-			s.queue = append(s.queue, j)
-			s.opt.Logf("serve: re-admitted job %s (%s, %d slices done)", j.id, j.spec.Model, j.slices)
+		if terminal(j.state) {
+			continue
 		}
+		spec, err := NormalizeSpec(j.spec)
+		if err != nil {
+			j.errMsg = err.Error()
+			s.transitionLocked(j, serialize.JobStateFailed)
+			s.persistLocked(j)
+			s.opt.Logf("serve: job %s failed re-admission: %v", j.id, err)
+			continue
+		}
+		j.spec = spec
+		j.state = serialize.JobStateQueued
+		s.queue = append(s.queue, j)
+		s.opt.Logf("serve: re-admitted job %s (%s, %d slices done)", j.id, j.spec.Model, j.slices)
 	}
 	return nil
 }
@@ -231,9 +248,6 @@ func (s *Server) Close() {
 func (s *Server) Submit(spec serialize.JobSpecJSON) (string, error) {
 	spec, err := NormalizeSpec(spec)
 	if err != nil {
-		return "", err
-	}
-	if _, err := buildOptions(spec); err != nil {
 		return "", err
 	}
 	now := time.Now()
@@ -432,7 +446,7 @@ func (s *Server) runSlice(j *job) {
 	opt.Checkpoint = ckpt
 	opt.MaxRounds = s.opt.SliceRounds
 	opt.Core.Workers = s.opt.EvalWorkers
-	opt.Progress = func(p search.Progress) { s.noteProgress(j, p) }
+	opt.Progress = func(best *core.Genome, st *search.Stats) { s.noteProgress(j, best, st) }
 
 	s.mu.Lock()
 	ev := j.ev
@@ -459,7 +473,7 @@ func (s *Server) finishSlice(j *job, best *core.Genome, stats *search.Stats, err
 	j.runDur += dur
 	j.slices++
 	if stats != nil {
-		j.progress = progressFromStats(j.spec, stats, best, j.runDur)
+		j.progress = progressOf(j.spec, best, stats, j.runDur)
 	}
 	requeue := false
 	switch {
@@ -494,50 +508,22 @@ func (s *Server) finishSlice(j *job, best *core.Genome, stats *search.Stats, err
 // noteProgress is the per-round callback inside a slice: progress updates
 // in memory (and to watchers) every round, while the manifest on disk
 // advances at slice boundaries.
-func (s *Server) noteProgress(j *job, p search.Progress) {
+func (s *Server) noteProgress(j *job, best *core.Genome, st *search.Stats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	elapsed := j.runDur
 	if !j.sliceStart.IsZero() {
 		elapsed += time.Since(j.sliceStart)
 	}
-	j.progress = progressFromSearch(j.spec, p, elapsed)
+	j.progress = progressOf(j.spec, best, st, elapsed)
 	j.updated = time.Now()
 	close(j.watch)
 	j.watch = make(chan struct{})
 }
 
-// progressFromSearch converts a mid-run search.Progress snapshot.
-func progressFromSearch(spec serialize.JobSpecJSON, p search.Progress, elapsed time.Duration) *serialize.JobProgressJSON {
-	out := &serialize.JobProgressJSON{
-		Rounds:          p.Rounds,
-		Migrations:      p.Migrations,
-		Samples:         p.Samples,
-		FeasibleSamples: p.FeasibleSamples,
-		MemoHits:        p.MemoHits,
-		BestIsland:      p.BestIsland,
-	}
-	if p.HasBest {
-		c := p.BestCost
-		out.BestCost = &c
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		out.SamplesPerSec = float64(p.Samples) / secs
-	}
-	for i, is := range p.IslandStats {
-		out.Islands = append(out.Islands, serialize.JobIslandJSON{
-			Kind:            islandKind(spec, i),
-			Samples:         is.Samples,
-			FeasibleSamples: is.FeasibleSamples,
-			MemoHits:        is.MemoHits,
-		})
-	}
-	return out
-}
-
-// progressFromStats converts a slice-end search.Stats (plus the slice's
-// best genome, which may be nil).
-func progressFromStats(spec serialize.JobSpecJSON, st *search.Stats, best *core.Genome, elapsed time.Duration) *serialize.JobProgressJSON {
+// progressOf is the job's view of a search tally, mid-run or at a slice
+// end; best may be nil.
+func progressOf(spec serialize.JobSpecJSON, best *core.Genome, st *search.Stats, elapsed time.Duration) *serialize.JobProgressJSON {
 	out := &serialize.JobProgressJSON{
 		Rounds:          st.Rounds,
 		Migrations:      st.Migrations,

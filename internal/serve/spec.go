@@ -12,11 +12,13 @@ import (
 	"cocco/internal/tiling"
 )
 
-// Spec handling: a submitted JobSpecJSON is normalized once — defaults
-// filled, every field validated — and the normalized form is what the
-// manifest persists. Rebuilding search.Options from a persisted spec is
-// therefore a pure function, which is what lets a restarted server resume a
-// job under the exact fingerprint that produced its checkpoint.
+// Spec handling: a submitted JobSpecJSON is normalized — defaults filled,
+// every field validated — and the normalized form is what the manifest
+// persists; a restarted server normalizes it again on re-admission, which
+// changes nothing in a spec NormalizeSpec produced. Rebuilding
+// search.Options from a persisted spec is therefore a pure function, which
+// is what lets a restarted server resume a job under the exact fingerprint
+// that produced its checkpoint.
 
 // Admission caps. A spec asking for more is rejected (HTTP 400) before the
 // daemon reserves anything for it: one request for a two-billion-genome
@@ -66,19 +68,15 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	if spec.Batch > MaxBatch {
 		return spec, fmt.Errorf("serve: job spec: batch must be <= %d", MaxBatch)
 	}
-	switch spec.Metric {
-	case "":
+	if spec.Metric == "" {
 		spec.Metric = "energy"
-	case "ema", "energy":
-	default:
-		return spec, fmt.Errorf("serve: job spec: unknown metric %q (want ema or energy)", spec.Metric)
 	}
-	switch spec.Kind {
-	case "":
-		spec.Kind = "separate"
-	case "separate", "shared":
-	default:
-		return spec, fmt.Errorf("serve: job spec: unknown buffer kind %q (want separate or shared)", spec.Kind)
+	if spec.Kind == "" {
+		spec.Kind = hw.SeparateBuffer.String()
+	}
+	names, err := parseNames(spec)
+	if err != nil {
+		return spec, err
 	}
 	if spec.MemSearch && spec.Alpha == 0 {
 		return spec, fmt.Errorf("serve: job spec: mem_search requires alpha > 0 (Formula 2)")
@@ -87,7 +85,7 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 		if spec.GLBKiB == 0 {
 			spec.GLBKiB = 1024
 		}
-		if spec.Kind == "separate" && spec.WGTKiB == 0 {
+		if names.kind == hw.SeparateBuffer && spec.WGTKiB == 0 {
 			spec.WGTKiB = 1152
 		}
 		if spec.GLBKiB < 0 || spec.WGTKiB < 0 {
@@ -130,12 +128,33 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	if spec.Islands > MaxRing || len(spec.Scouts) > MaxRing-spec.Islands { // no overflowing sum
 		return spec, fmt.Errorf("serve: job spec: islands + scouts must be <= %d", MaxRing)
 	}
-	for _, s := range spec.Scouts {
-		if s != "sa" && s != "greedy" {
-			return spec, fmt.Errorf("serve: job spec: unknown scout kind %q (want sa or greedy)", s)
-		}
-	}
 	return spec, nil
+}
+
+// specNames is a spec's named choices, parsed.
+type specNames struct {
+	metric eval.Metric
+	kind   hw.BufferKind
+	scouts []search.ScoutKind
+}
+
+// parseNames parses the metric, buffer kind, and scout names of a spec
+// whose defaults are filled. An unknown name is an error, never a default.
+func parseNames(spec serialize.JobSpecJSON) (n specNames, err error) {
+	if n.metric, err = eval.ParseMetric(spec.Metric); err != nil {
+		return n, fmt.Errorf("serve: job spec: %w", err)
+	}
+	if n.kind, err = hw.ParseBufferKind(spec.Kind); err != nil {
+		return n, fmt.Errorf("serve: job spec: %w", err)
+	}
+	for _, s := range spec.Scouts {
+		k, err := search.ParseScoutKind(s)
+		if err != nil {
+			return n, fmt.Errorf("serve: job spec: %w", err)
+		}
+		n.scouts = append(n.scouts, k)
+	}
+	return n, nil
 }
 
 // buildOptions converts a normalized spec into search.Options. Scheduling
@@ -143,52 +162,29 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 // the scheduler to fill per slice; none of them shape the trajectory, so
 // the options fingerprint is a pure function of the spec.
 func buildOptions(spec serialize.JobSpecJSON) (search.Options, error) {
-	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: spec.Alpha}
-	if spec.Metric == "ema" {
-		obj.Metric = eval.MetricEMA
+	names, err := parseNames(spec)
+	if err != nil {
+		return search.Options{}, err
 	}
-	bufKind := hw.SeparateBuffer
-	if spec.Kind == "shared" {
-		bufKind = hw.SharedBuffer
-	}
-	ms := core.MemSearch{Kind: bufKind}
+	ms := core.MemSearch{Kind: names.kind, Fixed: hw.MemConfig{Kind: names.kind, GlobalBytes: spec.GLBKiB * hw.KiB}}
 	if spec.MemSearch {
-		ms.Search = true
-		if bufKind == hw.SharedBuffer {
-			ms.Global = hw.PaperSharedRange()
-		} else {
-			ms.Global = hw.PaperGlobalRange()
-			ms.Weight = hw.PaperWeightRange()
-		}
-	} else {
-		ms.Fixed = hw.MemConfig{Kind: bufKind, GlobalBytes: spec.GLBKiB * hw.KiB}
-		if bufKind == hw.SeparateBuffer {
-			ms.Fixed.WeightBytes = spec.WGTKiB * hw.KiB
-		}
+		ms = core.PaperSpace(names.kind)
+	} else if names.kind == hw.SeparateBuffer {
+		ms.Fixed.WeightBytes = spec.WGTKiB * hw.KiB
 	}
-	opt := search.Options{
+	return search.Options{
 		Core: core.Options{
 			Seed:       spec.Seed,
 			Population: spec.Population,
 			MaxSamples: spec.Samples,
-			Objective:  obj,
+			Objective:  eval.Objective{Metric: names.metric, Alpha: spec.Alpha},
 			Mem:        ms,
 		},
 		Islands:      spec.Islands,
 		MigrateEvery: spec.MigrateEvery,
 		Migrants:     spec.Migrants,
-	}
-	for _, s := range spec.Scouts {
-		switch s {
-		case "sa":
-			opt.Scouts = append(opt.Scouts, search.ScoutSA)
-		case "greedy":
-			opt.Scouts = append(opt.Scouts, search.ScoutGreedy)
-		default:
-			return opt, fmt.Errorf("serve: unknown scout kind %q", s)
-		}
-	}
-	return opt, nil
+		Scouts:       names.scouts,
+	}, nil
 }
 
 // newEvaluator builds the job's evaluator from its normalized spec.
