@@ -237,13 +237,14 @@ func (d *Deriver) deriveDim(dm dim) error {
 			if !d.member.Has(v) {
 				continue
 			}
-			sv := dm.s(g.Node(v))
-			step := dm.delta(&d.ns[v]) * sv
+			step, ok := mul64(dm.delta(&d.ns[v]), dm.s(g.Node(v)))
+			if !ok {
+				return fmt.Errorf("tiling: LCM overflow at node %d", u)
+			}
 			if step <= 0 {
 				return fmt.Errorf("tiling: node %d: non-positive step", v)
 			}
-			delta = lcm64(delta, step)
-			if delta <= 0 {
+			if delta, ok = lcm64(delta, step); !ok {
 				return fmt.Errorf("tiling: LCM overflow at node %d", u)
 			}
 		}
@@ -364,14 +365,17 @@ func (d *Deriver) solveUpd(dm dim) error {
 		r := reduceRat(d.prodNum[id], d.prodDen[id]*dm.delta(&d.ns[id]))
 		d.updNum[id] = r.num
 		d.updDen[id] = r.den
-		denLCM = lcm64(denLCM, r.den)
-		if denLCM <= 0 {
+		var ok bool
+		if denLCM, ok = lcm64(denLCM, r.den); !ok {
 			return fmt.Errorf("tiling: upd_num denominator overflow")
 		}
 	}
 	var all int64
 	for _, id := range d.ids {
-		v := d.updNum[id] * (denLCM / d.updDen[id])
+		v, ok := mul64(d.updNum[id], denLCM/d.updDen[id])
+		if !ok {
+			return fmt.Errorf("tiling: upd_num denominator overflow")
+		}
 		d.updNum[id] = v // reuse as the scaled integer value
 		all = gcd64(all, v)
 	}

@@ -16,6 +16,8 @@ package tiling
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"cocco/internal/graph"
@@ -142,11 +144,23 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-func lcm64(a, b int64) int64 {
+// lcm64 returns the least common multiple of two non-negative values, and
+// false when it does not fit in an int64.
+func lcm64(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
-		return 0
+		return 0, true
 	}
-	return a / gcd64(a, b) * b
+	return mul64(a/gcd64(a, b), b)
+}
+
+// mul64 returns a·b for non-negative a and b, and false when the product
+// does not fit in an int64.
+func mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(lo), true
 }
 
 // clamp returns min(v, max(1, limit)).

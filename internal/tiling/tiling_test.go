@@ -194,14 +194,42 @@ func TestGCDLCM(t *testing.T) {
 	if gcd64(12, 18) != 6 {
 		t.Error("gcd")
 	}
-	if lcm64(4, 6) != 12 {
+	if l, ok := lcm64(4, 6); l != 12 || !ok {
 		t.Error("lcm")
 	}
-	if lcm64(0, 5) != 0 {
+	if l, ok := lcm64(0, 5); l != 0 || !ok {
 		t.Error("lcm zero")
+	}
+	// Coprime strides whose product exceeds 2^63 used to wrap to a
+	// positive value.
+	if l, ok := lcm64(1<<33+1, 1<<33+3); ok {
+		t.Errorf("lcm64(2^33+1, 2^33+3) = %d, want an overflow", l)
 	}
 	if r := reduceRat(6, -4); r.num != -3 || r.den != 2 {
 		t.Errorf("reduceRat(6,-4) = %v", r)
+	}
+}
+
+// TestDeriveRejectsWrappedLCM pins that a stride LCM too large for an int64
+// is an error, not a wrapped Δ: strides 2^33+1 and 2^33+3 used to give
+// Δ(p) = 68,719,476,742 for a true LCM of about 7.4·10^19.
+func TestDeriveRejectsWrappedLCM(t *testing.T) {
+	b := graph.NewBuilder("wide-strides")
+	in := b.Input("in", 1, 1<<34, 1)
+	p := b.Conv("p", in, 1, 1, 1)
+	a := b.Conv("a", p, 1, 1, 1<<33+1)
+	c := b.Conv("c", p, 1, 1, 1<<33+3)
+	g := b.MustFinalize()
+	members := []int{p, a, c}
+	if s, err := Derive(g, members, DefaultConfig()); err == nil {
+		t.Errorf("Derive succeeded with Δ(p) = %d", s.Nodes[p].DeltaH)
+	}
+	d, err := NewDeriver(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, err := d.TotalFootprint(members); err == nil {
+		t.Errorf("TotalFootprint succeeded with %d bytes", fp)
 	}
 }
 
