@@ -31,7 +31,7 @@ type Stats struct {
 type Optimizer struct {
 	ev  *eval.Evaluator
 	opt Options
-	src *CountingSource
+	src *Source
 	rng *rand.Rand
 
 	started bool
@@ -53,10 +53,9 @@ func NewOptimizer(ev *eval.Evaluator, opt Options) (*Optimizer, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	// The master RNG runs on a counting source so the optimizer state is
-	// checkpointable as (seed, draws); the wrapped source draws the identical
-	// stream rand.NewSource would.
-	src := NewCountingSource(opt.Seed)
+	// The master stream's state is one word, so the optimizer state is
+	// checkpointable as (seed, state).
+	src := NewSource(opt.Seed)
 	o := &Optimizer{ev: ev, opt: opt, src: src, rng: rand.New(src)}
 	if !opt.DisableGenomeMemo {
 		o.memo = newGenomeMemo()
@@ -187,24 +186,14 @@ type candidate struct {
 	mem hw.MemConfig
 }
 
-// ChildSeed derives an independent RNG seed from a run seed and a 1-based
-// sample index, via a splitmix64-style mix so nearby indices yield
-// uncorrelated streams.
-// Making per-unit randomness a pure function of (seed, index) is what keeps
-// parallel runs bit-identical: the draws no longer depend on execution
-// order.
-func ChildSeed(seed int64, index int) int64 {
-	return ChildSeedStream(seed, StreamSamples, index)
-}
-
 // Stream tags name the independent consumers of ChildSeedStream. Every
 // consumer folds its tag into the derivation, so two consumers using the
-// same (run seed, index) pair still draw from uncorrelated streams — GA
-// sample repair keeps the historical untagged stream (StreamSamples is
-// zero, so ChildSeedStream reduces to the original ChildSeed there), while
-// island seeding and migration get their own.
+// same (run seed, index) pair still draw from uncorrelated streams.
 const (
-	// StreamSamples is the historical per-sample stream (tag 0).
+	// StreamSamples seeds each GA sample's in-situ repair, indexed by the
+	// 1-based sample number. Making that randomness a pure function of
+	// (seed, sample) is what keeps parallel runs bit-identical: the draws
+	// do not depend on execution order.
 	StreamSamples uint64 = 0
 	// StreamIslands seeds the per-island master RNGs of the orchestrator.
 	StreamIslands uint64 = 1
@@ -216,14 +205,11 @@ const (
 
 // ChildSeedStream derives an independent RNG seed for one (stream, index)
 // consumer of a run seed. The stream tag is folded in with its own odd
-// multiplier before the splitmix64-style finalizer, so overlapping indices
+// multiplier before the splitmix64 finalizer, so overlapping indices
 // across streams cannot collide in practice
 // (TestChildSeedStreamIndependence pins this over the working index range).
 func ChildSeedStream(seed int64, stream uint64, index int) int64 {
-	z := uint64(seed) ^ stream*0xD1B54A32D192ED03 ^ uint64(index)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
+	return int64(mix64(uint64(seed) ^ stream*0xD1B54A32D192ED03 ^ uint64(index)*0x9E3779B97F4A7C15))
 }
 
 // ParallelFor runs fn(i) for every i in [0, n) on up to workers goroutines
@@ -366,7 +352,7 @@ func (o *Optimizer) score(c candidate, sample int) *Genome {
 			res = o.ev.PartitionDelta(g.P, g.Mem)
 		}
 	} else {
-		rng := rand.New(rand.NewSource(ChildSeed(o.opt.Seed, sample)))
+		rng := rand.New(NewSource(ChildSeedStream(o.opt.Seed, StreamSamples, sample)))
 		g.P, res = repairInSitu(o.ev, rng, g.P, g.Mem, o.opt.DisableDeltaEval)
 	}
 	g.Res = res

@@ -91,12 +91,12 @@ func TestWorkersDefaulted(t *testing.T) {
 func TestChildSeedSpread(t *testing.T) {
 	seen := map[int64]bool{}
 	for s := 1; s <= 10_000; s++ {
-		seen[ChildSeed(42, s)] = true
+		seen[ChildSeedStream(42, StreamSamples, s)] = true
 	}
 	if len(seen) != 10_000 {
 		t.Errorf("childSeed collisions: %d distinct seeds for 10000 samples", len(seen))
 	}
-	if ChildSeed(1, 5) == ChildSeed(2, 5) {
-		t.Error("ChildSeed ignores the run seed")
+	if ChildSeedStream(1, StreamSamples, 5) == ChildSeedStream(2, StreamSamples, 5) {
+		t.Error("ChildSeedStream ignores the run seed")
 	}
 }

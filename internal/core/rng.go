@@ -1,56 +1,39 @@
 package core
 
-import "math/rand"
+// Source is splitmix64 as a math/rand.Source64. Each draw adds a fixed odd
+// gamma to one 64-bit word and returns that word through the finalizer
+// ChildSeedStream uses. The word is the generator's whole state: a
+// checkpoint stores it as is, a restore is one assignment, and every 64-bit
+// value is a valid state. A math/rand.Rand keeps no other state between
+// draws (only Read buffers bytes, and the search never calls it), so a Rand
+// over a restored Source continues bit-identically.
+type Source struct{ state uint64 }
 
-// CountingSource wraps the standard math/rand source and counts how many
-// times it has advanced. Go's rngSource steps its feedback register exactly
-// once per Int63/Uint64 call, so (seed, draws) is a complete description of
-// the generator state: RestoreSource replays draws steps from a fresh seed
-// and lands on the identical state, whatever mix of Rand methods produced
-// it. This is what makes optimizer checkpoints small — RNG state is two
-// integers, not the 607-word register.
-type CountingSource struct {
-	src   rand.Source64
-	seed  int64
-	draws uint64
-}
+// NewSource starts a stream at seed.
+func NewSource(seed int64) *Source { return &Source{state: uint64(seed)} }
 
-// NewCountingSource seeds a fresh counting source.
-func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
-}
+// SourceAt resumes a stream at a state that State reported.
+func SourceAt(state uint64) *Source { return &Source{state: state} }
 
-// RestoreSource rebuilds the state a counting source had after draws
-// advances from seed.
-func RestoreSource(seed int64, draws uint64) *CountingSource {
-	s := NewCountingSource(seed)
-	for i := uint64(0); i < draws; i++ {
-		s.src.Uint64()
-	}
-	s.draws = draws
-	return s
-}
-
-// Seed reports the seed the source was created from.
-func (s *CountingSource) SeedValue() int64 { return s.seed }
-
-// Draws reports how many times the source has advanced.
-func (s *CountingSource) Draws() uint64 { return s.draws }
-
-// Int63 implements rand.Source.
-func (s *CountingSource) Int63() int64 {
-	s.draws++
-	return s.src.Int63()
-}
+// State reports the generator state.
+func (s *Source) State() uint64 { return s.state }
 
 // Uint64 implements rand.Source64.
-func (s *CountingSource) Uint64() uint64 {
-	s.draws++
-	return s.src.Uint64()
+func (s *Source) Uint64() uint64 {
+	s.state += 0x9E3779B97F4A7C15
+	return mix64(s.state)
 }
 
+// Int63 implements rand.Source.
+func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
+
 // Seed implements rand.Source.
-func (s *CountingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.seed, s.draws = seed, 0
+func (s *Source) Seed(seed int64) { s.state = uint64(seed) }
+
+// mix64 is splitmix64's finalizer: a bijection of 64-bit words that spreads
+// every input bit over the output.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }

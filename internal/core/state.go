@@ -13,7 +13,7 @@ import (
 // is bit-identical to never having paused — the same trajectory, best
 // genome, and Stats, MemoHits aside — because
 //
-//   - the master RNG is a pure function of (Seed, Draws) — see CountingSource;
+//   - the master RNG's whole state is the word State — see Source;
 //   - per-sample repair RNGs are pure functions of (Seed, sample index);
 //   - population and best genomes only feed the search through their
 //     partition assignments, memory configs, and costs, all captured here.
@@ -23,10 +23,10 @@ import (
 // wall-clock time, never results. A restored optimizer starts with an empty
 // memo, so its Stats.MemoHits can only fall short of an uninterrupted run's.
 type OptimizerState struct {
-	// Seed and Draws pin the master RNG state (Seed always equals the
-	// option's run seed; it is stored so restores can cross-check).
+	// State is the master RNG state. Seed always equals the option's run
+	// seed; it is stored so restores can cross-check.
 	Seed  int64
-	Draws uint64
+	State uint64
 	// Started records whether the initial population has been built.
 	Started bool
 	// Samples and Generations are the committed progress counters.
@@ -49,8 +49,8 @@ type OptimizerState struct {
 // only if it needs isolation.
 func (o *Optimizer) ExportState() *OptimizerState {
 	st := &OptimizerState{
-		Seed:        o.src.SeedValue(),
-		Draws:       o.src.Draws(),
+		Seed:        o.opt.Seed,
+		State:       o.src.State(),
 		Started:     o.started,
 		Samples:     o.samples,
 		Generations: o.gen,
@@ -79,7 +79,7 @@ func NewOptimizerFromState(ev *eval.Evaluator, opt Options, st *OptimizerState) 
 	if st.Started && len(st.Population) == 0 {
 		return nil, fmt.Errorf("core: started state has an empty population")
 	}
-	o.src = RestoreSource(st.Seed, st.Draws)
+	o.src = SourceAt(st.State)
 	o.rng = rand.New(o.src)
 	o.started = st.Started
 	o.samples = st.Samples

@@ -31,23 +31,18 @@ func TestChildSeedStreamIndependence(t *testing.T) {
 	}
 }
 
-// TestChildSeedStreamBackcompat pins that the untagged stream is the
-// historical ChildSeed — golden corpora and SA chain seeds depend on it.
-func TestChildSeedStreamBackcompat(t *testing.T) {
-	for _, seed := range []int64{0, 42, -1} {
-		for i := 0; i < 64; i++ {
-			if ChildSeed(seed, i) != ChildSeedStream(seed, StreamSamples, i) {
-				t.Fatalf("ChildSeed(%d,%d) != ChildSeedStream(StreamSamples)", seed, i)
-			}
+// TestSourceStateRestore pins the RNG checkpoint contract: a generator
+// resumed from State continues bit-identically to the original, whatever
+// mix of Rand methods produced the draws, and the stream is splitmix64's
+// (the first draws from state 0 are the reference implementation's).
+func TestSourceStateRestore(t *testing.T) {
+	ref := NewSource(0)
+	for i, want := range []uint64{0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F} {
+		if got := ref.Uint64(); got != want {
+			t.Fatalf("draw %d from state 0: %#x, want %#x", i, got, want)
 		}
 	}
-}
-
-// TestCountingSourceRestore pins the RNG checkpoint contract: a generator
-// restored from (seed, draws) continues bit-identically to the original,
-// whatever mix of Rand methods produced the draws.
-func TestCountingSourceRestore(t *testing.T) {
-	src := NewCountingSource(99)
+	src := NewSource(99)
 	rng := rand.New(src)
 	// A mixed workload touching every draw shape the search uses.
 	for i := 0; i < 500; i++ {
@@ -64,25 +59,13 @@ func TestCountingSourceRestore(t *testing.T) {
 			rng.Uint64()
 		}
 	}
-	restored := rand.New(RestoreSource(99, src.Draws()))
+	restored := rand.New(SourceAt(src.State()))
 	for i := 0; i < 200; i++ {
 		if a, b := rng.Int63(), restored.Int63(); a != b {
 			t.Fatalf("draw %d: %d != %d", i, a, b)
 		}
 		if a, b := rng.Float64(), restored.Float64(); a != b {
 			t.Fatalf("draw %d: %v != %v", i, a, b)
-		}
-	}
-}
-
-// TestCountingSourceTransparent pins that wrapping does not perturb the
-// stream: a counted source draws exactly what rand.NewSource would.
-func TestCountingSourceTransparent(t *testing.T) {
-	a := rand.New(NewCountingSource(42))
-	b := rand.New(rand.NewSource(42))
-	for i := 0; i < 1000; i++ {
-		if x, y := a.Int63(), b.Int63(); x != y {
-			t.Fatalf("draw %d: %d != %d", i, x, y)
 		}
 	}
 }

@@ -119,42 +119,6 @@ func CheckCheckpoint(cp *serialize.CheckpointJSON, graphName string, opt Options
 	return nil
 }
 
-// Restoring an island replays every RNG draw its snapshot records (see
-// core.RestoreSource), 3.6 ns a draw on a 2-vCPU Xeon VM, so a resume must
-// not trust the recorded counts: 2^40 draws would hold it for over an hour.
-// The allowances below bound what a run can draw. Measured on every zoo model
-// (2 GA islands plus an SA scout, population 50, 3,000 samples per island,
-// fixed and searched memory; 20,000 samples at population 100 on four of
-// them), the largest rates were 77.3 draws per GA sample (gpt, 122 nodes),
-// 22.3 per SA sample (nasnet) and 1.0 per migration barrier at the default
-// 2 migrants. drawsPerSample is at least 38× the per-sample maximum of each
-// zoo model, and drawsPerMigrant allows 32 draws a barrier at 2 migrants.
-const drawsPerMigrant = 16
-
-func drawsPerSample(nodes int) uint64 { return 16 * uint64(nodes+64) }
-
-// checkDraws rejects an island snapshot whose RNG positions lie beyond what
-// a run of opt on a graph of the given size can reach, before anything
-// replays them. An island's own stream is bounded by its samples, capped at
-// the run's budget, plus one population for the initial one. Its migration
-// stream is bounded by the migrants it sends, at most Migrants a barrier; a
-// run holds at most one barrier per sample of budget, because every round
-// spends at least one sample on some island.
-func checkDraws(j *serialize.IslandJSON, opt Options, nodes int) error {
-	if j.Samples < 0 {
-		return fmt.Errorf("samples %d is negative", j.Samples)
-	}
-	c := opt.Core
-	if limit := uint64(min(j.Samples, c.MaxSamples)+c.Population) * drawsPerSample(nodes); j.RNG.Draws > limit {
-		return fmt.Errorf("rng.draws %d exceeds the %d draws %d samples can make", j.RNG.Draws, limit, j.Samples)
-	}
-	if limit := uint64(c.MaxSamples) * uint64(opt.Migrants) * drawsPerMigrant; j.Migration.Draws > limit {
-		return fmt.Errorf("migration_rng.draws %d exceeds the %d draws a %d-sample run's migrations can make",
-			j.Migration.Draws, limit, c.MaxSamples)
-	}
-	return nil
-}
-
 // save writes the ring's barrier snapshot atomically. The bytes depend
 // only on the island snapshots and counters, so a fleet writes the file an
 // in-process run would write at the same barrier, and either resumes it.

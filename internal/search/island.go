@@ -20,7 +20,7 @@ type gaIsland struct {
 	o       *core.Optimizer
 
 	migSeed int64
-	migSrc  *core.CountingSource
+	migSrc  *core.Source
 	migRNG  *rand.Rand
 }
 
@@ -36,7 +36,7 @@ func newGAIsland(ev *eval.Evaluator, iopt core.Options, runSeed int64, ringIdx i
 		o:       o,
 		migSeed: core.ChildSeedStream(runSeed, core.StreamMigration, ringIdx),
 	}
-	g.migSrc = core.NewCountingSource(g.migSeed)
+	g.migSrc = core.NewSource(g.migSeed)
 	g.migRNG = rand.New(g.migSrc)
 	return g, nil
 }
@@ -97,8 +97,8 @@ func (g *gaIsland) snapshot() serialize.IslandJSON {
 	st := g.o.ExportState()
 	j := serialize.IslandJSON{
 		Kind:            "ga",
-		RNG:             serialize.RNGStateJSON{Seed: st.Seed, Draws: st.Draws},
-		Migration:       serialize.RNGStateJSON{Seed: g.migSrc.SeedValue(), Draws: g.migSrc.Draws()},
+		RNG:             serialize.RNGStateJSON{Seed: st.Seed, State: st.State},
+		Migration:       serialize.RNGStateJSON{Seed: g.migSeed, State: g.migSrc.State()},
 		Started:         st.Started,
 		Samples:         st.Samples,
 		Generations:     st.Generations,
@@ -123,7 +123,7 @@ func (g *gaIsland) restore(j serialize.IslandJSON) error {
 	gr := g.ev.Graph()
 	st := &core.OptimizerState{
 		Seed:        j.RNG.Seed,
-		Draws:       j.RNG.Draws,
+		State:       j.RNG.State,
 		Started:     j.Started,
 		Samples:     j.Samples,
 		Generations: j.Generations,
@@ -148,7 +148,7 @@ func (g *gaIsland) restore(j serialize.IslandJSON) error {
 	if g.o, err = core.NewOptimizerFromState(g.ev, g.iopt, st); err != nil {
 		return fmt.Errorf("search: island %d: %w", g.ringIdx, err)
 	}
-	g.migSrc = core.RestoreSource(j.Migration.Seed, j.Migration.Draws)
+	g.migSrc = core.SourceAt(j.Migration.State)
 	g.migRNG = rand.New(g.migSrc)
 	return nil
 }

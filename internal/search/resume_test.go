@@ -1,8 +1,11 @@
 package search
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -38,50 +41,73 @@ func pausedRing(t testing.TB, ev *eval.Evaluator) (Options, []byte) {
 	return opt, data
 }
 
-// TestResumeRejectsHugeDraws pins the bound on a checkpoint's RNG
-// positions: restoring replays every recorded draw, so a well-formed file
-// with 2^40 draws used to hold a resume for over an hour. Each must now
-// fail at once, naming the island and the field.
-func TestResumeRejectsHugeDraws(t *testing.T) {
+// editCheckpoint decodes a checkpoint, applies edit, and writes the result
+// to path.
+func editCheckpoint(t *testing.T, data []byte, path string, edit func(*serialize.CheckpointJSON)) {
+	t.Helper()
+	cp, err := serialize.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(cp)
+	if data, err = serialize.EncodeCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeRejectsNegativeSamples pins that a negative sample count, which
+// would hand an island more than its budget, fails at once, naming the
+// island and the field.
+func TestResumeRejectsNegativeSamples(t *testing.T) {
 	ev := evaluatorFor(t, "mobilenetv2")
 	opt, paused := pausedRing(t, ev)
 	bad := filepath.Join(t.TempDir(), "bad.ckpt")
-	for _, tc := range []struct {
-		name, want string
-		edit       func(*serialize.CheckpointJSON)
+	editCheckpoint(t, paused, bad, func(cp *serialize.CheckpointJSON) {
+		cp.Islands[0].Samples = -1 << 40
+	})
+	start := time.Now()
+	_, _, err := RunOrResume(ev, opt, bad)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the resume took %v to fail, want under 1s", took)
+	}
+	if want := "island 0: samples"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume error %v, want one naming %q", err, want)
+	}
+}
+
+// TestResumeAnyRNGState pins that every 64-bit generator state is a valid
+// checkpoint: a GA island's master stream, a migration stream and an SA
+// scout's stream each resume from 0, 2^63 and 2^64-1, and two resumes of
+// the same file finish identically.
+func TestResumeAnyRNGState(t *testing.T) {
+	ev := evaluatorFor(t, "mobilenetv2")
+	opt, paused := pausedRing(t, ev)
+	path := filepath.Join(t.TempDir(), "edited.ckpt")
+	for _, field := range []struct {
+		name  string
+		state func(*serialize.CheckpointJSON) *uint64
 	}{
-		{"GA island rng", "island 1: rng.draws", func(cp *serialize.CheckpointJSON) {
-			cp.Islands[1].RNG.Draws = 1 << 40
-		}},
-		{"GA island migration_rng", "island 0: migration_rng.draws", func(cp *serialize.CheckpointJSON) {
-			cp.Islands[0].Migration.Draws = 1 << 40
-		}},
-		{"SA scout rng", "island 2: rng.draws", func(cp *serialize.CheckpointJSON) {
-			cp.Islands[2].RNG.Draws = 1 << 40
-		}},
-		{"negative samples", "island 0: samples", func(cp *serialize.CheckpointJSON) {
-			cp.Islands[0].Samples = -1 << 40
-		}},
+		{"island 1 rng", func(cp *serialize.CheckpointJSON) *uint64 { return &cp.Islands[1].RNG.State }},
+		{"island 0 migration_rng", func(cp *serialize.CheckpointJSON) *uint64 { return &cp.Islands[0].Migration.State }},
+		{"SA scout rng", func(cp *serialize.CheckpointJSON) *uint64 { return &cp.Islands[2].RNG.State }},
 	} {
-		cp, err := serialize.DecodeCheckpoint(paused)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.edit(cp)
-		data, err := serialize.EncodeCheckpoint(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(bad, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		_, _, err = RunOrResume(ev, opt, bad)
-		if took := time.Since(start); took > time.Second {
-			t.Errorf("%s: the resume took %v to fail, want under 1s", tc.name, took)
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: resume error %v, want one naming %q", tc.name, err, tc.want)
+		for _, state := range []uint64{0, 1 << 63, math.MaxUint64} {
+			editCheckpoint(t, paused, path, func(cp *serialize.CheckpointJSON) { *field.state(cp) = state })
+			bestA, statsA, err := RunOrResume(ev, opt, path)
+			if err != nil {
+				t.Fatalf("%s = %d: %v", field.name, state, err)
+			}
+			bestB, statsB, err := RunOrResume(ev, opt, path)
+			if err != nil {
+				t.Fatalf("%s = %d, second resume: %v", field.name, state, err)
+			}
+			sameGenome(t, fmt.Sprintf("%s = %d", field.name, state), bestA, bestB)
+			if !reflect.DeepEqual(statsA, statsB) {
+				t.Errorf("%s = %d: stats differ between resumes:\n%+v\n%+v", field.name, state, statsA, statsB)
+			}
 		}
 	}
 }

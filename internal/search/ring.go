@@ -162,17 +162,16 @@ func (h *RingHost) Snapshots() []serialize.IslandJSON {
 	return out
 }
 
-// Restore loads one snapshot per hosted island, in ring order. Restoring an
-// island replays every RNG draw its snapshot records, so checkDraws vets
-// the recorded counts first.
+// Restore loads one snapshot per hosted island, in ring order. A negative
+// sample count is refused: it would hand a GA island or an SA chain more
+// than its budget.
 func (h *RingHost) Restore(js []serialize.IslandJSON) error {
 	if len(js) != len(h.islands) {
 		return fmt.Errorf("search: restore got %d island snapshots for %d hosted islands", len(js), len(h.islands))
 	}
-	nodes := h.ev.Graph().Len()
 	for i, isl := range h.islands {
-		if err := checkDraws(&js[i], h.opt, nodes); err != nil {
-			return fmt.Errorf("search: island %d: %w", h.lo+i, err)
+		if js[i].Samples < 0 {
+			return fmt.Errorf("search: island %d: samples %d is negative", h.lo+i, js[i].Samples)
 		}
 		if err := isl.restore(js[i]); err != nil {
 			return err

@@ -46,8 +46,8 @@ func scoutCost(obj eval.Objective, g *core.Genome) float64 {
 // paced so one orchestrator round consumes as many samples as a GA island's
 // round (MigrateEvery × population). Each sample is baselines.AnnealStep —
 // the exact move set and acceptance rule of the SA baseline, with its
-// default geometric relative-temperature cooling — on the scout's own
-// counted RNG stream.
+// default geometric relative-temperature cooling — on the scout's own RNG
+// stream.
 type saScout struct {
 	ev      *eval.Evaluator
 	obj     eval.Objective
@@ -58,7 +58,7 @@ type saScout struct {
 	perStep int // samples per optimizer-step equivalent (population size)
 
 	seed int64
-	src  *core.CountingSource
+	src  *core.Source
 	rng  *rand.Rand
 
 	cur, bst *core.Genome
@@ -78,7 +78,7 @@ func newSAScout(ev *eval.Evaluator, opt Options, runSeed int64, ringIdx int) *sa
 		seed:    core.ChildSeedStream(runSeed, core.StreamScouts, ringIdx),
 		temp:    baselines.DefaultSAInitialTemp,
 	}
-	s.src = core.NewCountingSource(s.seed)
+	s.src = core.NewSource(s.seed)
 	s.rng = rand.New(s.src)
 	s.cooling = math.Pow(baselines.DefaultSAFinalTemp/baselines.DefaultSAInitialTemp,
 		1/math.Max(float64(s.budget-1), 1))
@@ -170,7 +170,7 @@ func (s *saScout) stats() core.Stats { return core.Stats{Samples: s.samples} }
 func (s *saScout) snapshot() serialize.IslandJSON {
 	return serialize.IslandJSON{
 		Kind:    "sa",
-		RNG:     serialize.RNGStateJSON{Seed: s.src.SeedValue(), Draws: s.src.Draws()},
+		RNG:     serialize.RNGStateJSON{Seed: s.seed, State: s.src.State()},
 		Samples: s.samples,
 		Temp:    s.temp,
 		Cur:     EncodeGenome(s.cur, false),
@@ -199,7 +199,7 @@ func (s *saScout) restore(j serialize.IslandJSON) error {
 	}
 	s.samples = j.Samples
 	s.temp = j.Temp
-	s.src = core.RestoreSource(j.RNG.Seed, j.RNG.Draws)
+	s.src = core.SourceAt(j.RNG.State)
 	s.rng = rand.New(s.src)
 	return nil
 }

@@ -20,13 +20,15 @@ import (
 // CheckpointVersion is the current snapshot format version. Decode rejects
 // any other value; bumping it is how incompatible layout changes are kept
 // from being misread as state.
-const CheckpointVersion = 1
+// Version 1 stored each random stream as a (seed, draw count) pair of
+// math/rand's generator; version 2 stores the state word of core.Source.
+const CheckpointVersion = 2
 
-// RNGStateJSON pins a CountingSource-backed generator: the state is a pure
-// function of (seed, draws).
+// RNGStateJSON pins one core.Source stream: its whole state, plus the seed
+// it started from, which restores cross-check against the options.
 type RNGStateJSON struct {
 	Seed  int64  `json:"seed"`
-	Draws uint64 `json:"draws"`
+	State uint64 `json:"state"`
 }
 
 // MemConfigJSON is the wire form of a memory configuration.

@@ -31,8 +31,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for i, f := range awkward {
 		cp.Islands = append(cp.Islands, IslandJSON{
 			Kind:        "ga",
-			RNG:         RNGStateJSON{Seed: int64(i), Draws: uint64(i) * 1234567},
-			Migration:   RNGStateJSON{Seed: -int64(i), Draws: 42},
+			RNG:         RNGStateJSON{Seed: int64(i), State: uint64(i) * 1234567},
+			Migration:   RNGStateJSON{Seed: -int64(i), State: 42},
 			Started:     true,
 			Samples:     100 * i,
 			Generations: i,
