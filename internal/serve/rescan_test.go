@@ -97,6 +97,62 @@ func TestRescanRefusesInadmissibleSpecs(t *testing.T) {
 	}
 }
 
+// TestRescanFailsVersion1Checkpoint: a job paused by a build that wrote
+// version-1 checkpoints cannot continue its random streams, so after the
+// upgrade it fails with the version error, persisted, while a valid queued
+// job in the same directory still runs to the direct run's result.
+func TestRescanFailsVersion1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := NormalizeSpec(testSpec(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeManifest(t, dir, queuedManifest("j000000", spec))
+	// The configuration testdata/vgg16_indented.ckpt was paused under.
+	old, err := NormalizeSpec(serialize.JobSpecJSON{
+		Model: "vgg16", Metric: "energy", Alpha: 0.002, GLBKiB: 1024, WGTKiB: 1152,
+		Seed: 17, Population: 10, Samples: 60, Islands: 2, MigrateEvery: 2, Scouts: []string{"sa"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paused := queuedManifest("j000001", old)
+	paused.State, paused.Slices = serialize.JobStatePaused, 1
+	writeManifest(t, dir, paused)
+	data, err := os.ReadFile(filepath.Join("..", "search", "testdata", "vgg16_indented.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "j000001.ckpt"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewServer(Options{Dir: dir, PoolWorkers: 1, SliceRounds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m := waitTerminal(t, s, "j000001", &monotone{})
+	const want = "checkpoint version 1, want 2"
+	if m.State != serialize.JobStateFailed || !strings.Contains(m.Error, want) {
+		t.Errorf("version-1 job: state %s, error %q; want failed with %q", m.State, m.Error, want)
+	}
+	disk, err := os.ReadFile(filepath.Join(dir, "j000001.job"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dm, err := serialize.DecodeJobManifest(disk); err != nil || dm.State != serialize.JobStateFailed || !strings.Contains(dm.Error, want) {
+		t.Errorf("version-1 job: manifest on disk does not record the failure (%v)", err)
+	}
+	m = waitTerminal(t, s, "j000000", &monotone{})
+	if m.State != serialize.JobStateDone || m.Result == nil {
+		t.Fatalf("valid job: state %s, result %v, error %q", m.State, m.Result != nil, m.Error)
+	}
+	if want, _ := directRun(t, spec, 2); !reflect.DeepEqual(want, m.Result) {
+		t.Error("valid job's result differs from the direct run")
+	}
+}
+
 // FuzzRescan writes fuzzed bytes as a job manifest and rescans the
 // directory on a server without a worker pool. Rescan must return an error
 // or re-queue only specs that NormalizeSpec accepts and leaves unchanged;

@@ -212,7 +212,8 @@ func TestGCDLCM(t *testing.T) {
 
 // TestDeriveRejectsWrappedLCM pins that a stride LCM too large for an int64
 // is an error, not a wrapped Δ: strides 2^33+1 and 2^33+3 used to give
-// Δ(p) = 68,719,476,742 for a true LCM of about 7.4·10^19.
+// Δ(p) = 68,719,476,742 at the default 2-row base tile, for a true LCM of
+// about 1.48·10^20.
 func TestDeriveRejectsWrappedLCM(t *testing.T) {
 	b := graph.NewBuilder("wide-strides")
 	in := b.Input("in", 1, 1<<34, 1)
