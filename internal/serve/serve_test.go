@@ -238,15 +238,21 @@ func TestRestartResumesJobs(t *testing.T) {
 // cancelled at its next slice boundary with its checkpoint still on disk.
 func TestCancelSemantics(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewServer(Options{Dir: dir, PoolWorkers: 1, SliceRounds: 1})
+	s, err := NewServer(Options{Dir: dir, PoolWorkers: 1, SliceRounds: 1_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
 	// Two jobs on a 1-worker pool: the first occupies the worker, the second
-	// waits in the queue and must cancel without ever running.
-	running, err := s.Submit(testSpec(11))
+	// waits in the queue and must cancel without ever running. The first
+	// job's one slice is its whole 5,000-sample run, so the worker cannot
+	// reach the second job before the cancel, whatever the submit's fsync
+	// costs; with 1-round slices of 600-sample jobs it did in about one run
+	// of ten.
+	long := testSpec(11)
+	long.Samples = 5_000
+	running, err := s.Submit(long)
 	if err != nil {
 		t.Fatal(err)
 	}
