@@ -9,11 +9,9 @@ package core
 // over a restored Source continues bit-identically.
 type Source struct{ state uint64 }
 
-// NewSource starts a stream at seed.
+// NewSource returns a stream whose state is seed's bits, so
+// NewSource(int64(s.State())) resumes s.
 func NewSource(seed int64) *Source { return &Source{state: uint64(seed)} }
-
-// SourceAt resumes a stream at a state that State reported.
-func SourceAt(state uint64) *Source { return &Source{state: state} }
 
 // State reports the generator state.
 func (s *Source) State() uint64 { return s.state }

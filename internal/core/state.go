@@ -79,7 +79,7 @@ func NewOptimizerFromState(ev *eval.Evaluator, opt Options, st *OptimizerState) 
 	if st.Started && len(st.Population) == 0 {
 		return nil, fmt.Errorf("core: started state has an empty population")
 	}
-	o.src = SourceAt(st.State)
+	o.src = NewSource(int64(st.State))
 	o.rng = rand.New(o.src)
 	o.started = st.Started
 	o.samples = st.Samples

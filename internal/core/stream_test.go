@@ -59,7 +59,7 @@ func TestSourceStateRestore(t *testing.T) {
 			rng.Uint64()
 		}
 	}
-	restored := rand.New(SourceAt(src.State()))
+	restored := rand.New(NewSource(int64(src.State())))
 	for i := 0; i < 200; i++ {
 		if a, b := rng.Int63(), restored.Int63(); a != b {
 			t.Fatalf("draw %d: %d != %d", i, a, b)

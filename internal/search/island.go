@@ -148,7 +148,7 @@ func (g *gaIsland) restore(j serialize.IslandJSON) error {
 	if g.o, err = core.NewOptimizerFromState(g.ev, g.iopt, st); err != nil {
 		return fmt.Errorf("search: island %d: %w", g.ringIdx, err)
 	}
-	g.migSrc = core.SourceAt(j.Migration.State)
+	g.migSrc = core.NewSource(int64(j.Migration.State))
 	g.migRNG = rand.New(g.migSrc)
 	return nil
 }

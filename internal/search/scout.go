@@ -199,7 +199,7 @@ func (s *saScout) restore(j serialize.IslandJSON) error {
 	}
 	s.samples = j.Samples
 	s.temp = j.Temp
-	s.src = core.SourceAt(j.RNG.State)
+	s.src = core.NewSource(int64(j.RNG.State))
 	s.rng = rand.New(s.src)
 	return nil
 }
