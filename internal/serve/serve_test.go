@@ -238,7 +238,7 @@ func TestRestartResumesJobs(t *testing.T) {
 // cancelled at its next slice boundary with its checkpoint still on disk.
 func TestCancelSemantics(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewServer(Options{Dir: dir, PoolWorkers: 1, SliceRounds: 1_000})
+	s, err := NewServer(Options{Dir: dir, PoolWorkers: 1, SliceRounds: 125})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,16 +246,18 @@ func TestCancelSemantics(t *testing.T) {
 
 	// Two jobs on a 1-worker pool: the first occupies the worker, the second
 	// waits in the queue and must cancel without ever running. The first
-	// job's one slice is its whole 5,000-sample run, so the worker cannot
-	// reach the second job before the cancel, whatever the submit's fsync
-	// costs; with 1-round slices of 600-sample jobs it did in about one run
-	// of ten.
+	// job needs two 125-round slices (10,000 samples per island at 40 a
+	// round), so its first slice outlasts the second job's submit and
+	// cancel, and the cancel lands at that slice's boundary. With 1-round
+	// slices the worker reached the queued job first in about one run of
+	// ten.
 	long := testSpec(11)
-	long.Samples = 5_000
+	long.Samples = 10_000
 	running, err := s.Submit(long)
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitState(t, s, running, serialize.JobStateRunning)
 	queued, err := s.Submit(testSpec(12))
 	if err != nil {
 		t.Fatal(err)
@@ -281,13 +283,37 @@ func TestCancelSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = waitTerminal(t, s, running, &monotone{})
-	// The cancel may race the job's natural completion; either terminal state
-	// is legitimate, but nothing else is.
-	if m.State != serialize.JobStateCancelled && m.State != serialize.JobStateDone {
-		t.Fatalf("running job after cancel: state %s", m.State)
+	if m.State != serialize.JobStateCancelled {
+		t.Fatalf("running job after cancel: state %s, want cancelled", m.State)
+	}
+	if m.Slices != 1 {
+		t.Errorf("running job cancelled after %d slices, want 1", m.Slices)
+	}
+	if _, err := os.Stat(s.checkpointPath(running)); err != nil {
+		t.Errorf("cancelled job's checkpoint: %v", err)
 	}
 	if err := s.Cancel("j999999"); err != ErrUnknownJob {
 		t.Errorf("cancel of unknown job: %v, want ErrUnknownJob", err)
+	}
+}
+
+// waitState blocks until job id's manifest reads state.
+func waitState(t *testing.T, s *Server, id, state string) {
+	t.Helper()
+	deadline := time.After(120 * time.Second)
+	for {
+		m, ch, err := s.Watch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.State == state {
+			return
+		}
+		select {
+		case <-ch:
+		case <-deadline:
+			t.Fatalf("job %s never reached %s (last %s)", id, state, m.State)
+		}
 	}
 }
 
