@@ -95,9 +95,15 @@ func (w *monotone) check(t *testing.T, m *serialize.JobManifestJSON) {
 	w.rounds, w.samples = m.Progress.Rounds, m.Progress.Samples
 }
 
-// waitTerminal follows the job through Watch until a terminal state,
-// asserting progress monotonicity along the way.
+// waitTerminal waits until the job reaches a terminal state.
 func waitTerminal(t *testing.T, s *Server, id string, w *monotone) *serialize.JobManifestJSON {
+	t.Helper()
+	return waitUntil(t, s, id, w, func(m *serialize.JobManifestJSON) bool { return terminal(m.State) })
+}
+
+// waitUntil follows the job through Watch until reached holds for its
+// manifest, asserting progress monotonicity along the way.
+func waitUntil(t *testing.T, s *Server, id string, w *monotone, reached func(*serialize.JobManifestJSON) bool) *serialize.JobManifestJSON {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
@@ -106,13 +112,13 @@ func waitTerminal(t *testing.T, s *Server, id string, w *monotone) *serialize.Jo
 			t.Fatal(err)
 		}
 		w.check(t, m)
-		if terminal(m.State) {
+		if reached(m) {
 			return m
 		}
 		select {
 		case <-ch:
 		case <-time.After(time.Until(deadline)):
-			t.Fatalf("job %s never reached a terminal state (last %s, %d slices)", id, m.State, m.Slices)
+			t.Fatalf("job %s timed out waiting (last %s, %d slices)", id, m.State, m.Slices)
 		}
 	}
 }
@@ -257,7 +263,9 @@ func TestCancelSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, running, serialize.JobStateRunning)
+	waitUntil(t, s, running, &monotone{}, func(m *serialize.JobManifestJSON) bool {
+		return m.State == serialize.JobStateRunning
+	})
 	queued, err := s.Submit(testSpec(12))
 	if err != nil {
 		t.Fatal(err)
@@ -294,26 +302,6 @@ func TestCancelSemantics(t *testing.T) {
 	}
 	if err := s.Cancel("j999999"); err != ErrUnknownJob {
 		t.Errorf("cancel of unknown job: %v, want ErrUnknownJob", err)
-	}
-}
-
-// waitState blocks until job id's manifest reads state.
-func waitState(t *testing.T, s *Server, id, state string) {
-	t.Helper()
-	deadline := time.After(120 * time.Second)
-	for {
-		m, ch, err := s.Watch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.State == state {
-			return
-		}
-		select {
-		case <-ch:
-		case <-deadline:
-			t.Fatalf("job %s never reached %s (last %s)", id, state, m.State)
-		}
 	}
 }
 
