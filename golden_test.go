@@ -8,6 +8,10 @@ package cocco
 //
 //	go test -run TestGoldenRegression -update .
 //
+// TestGoldenScored adds the scored paths under testdata/golden/scored/
+// (Formula 2 through core.Run, the SA and two-step baselines, and a ring
+// with scouts), regenerated the same way with -run TestGoldenScored.
+//
 // The runs ride on the PR-1 determinism contract: results are bit-identical
 // for every Workers value, so the corpus is stable across machines.
 
@@ -15,14 +19,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"cocco/internal/baselines"
 	"cocco/internal/core"
 	"cocco/internal/eval"
 	"cocco/internal/hw"
 	"cocco/internal/models"
+	"cocco/internal/search"
 	"cocco/internal/serialize"
 	"cocco/internal/tiling"
 )
@@ -94,25 +101,141 @@ func TestGoldenRegression(t *testing.T) {
 	for _, model := range models.Names() {
 		t.Run(model, func(t *testing.T) {
 			t.Parallel()
-			got := goldenFor(t, model)
-			path := filepath.Join("testdata", "golden", model+".json")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
+			checkGolden(t, filepath.Join("testdata", "golden", model+".json"), goldenFor(t, model))
+		})
+	}
+}
+
+// checkGolden diffs got against the pinned file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test -run %s -update .`): %v", t.Name(), err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("golden mismatch for %s — if the change is intentional, regenerate with -update\n%s",
+			path, goldenDiff(string(want), string(got)))
+	}
+}
+
+// goldenScored is the pinned outcome of one seeded run scored with
+// Formula 2. The traces are not pinned: only the final genome and the
+// sample tallies.
+type goldenScored struct {
+	Run              string                  `json:"run"`
+	Model            string                  `json:"model"`
+	Seed             int64                   `json:"seed"`
+	Cost             float64                 `json:"cost"`
+	CostBits         string                  `json:"cost_bits"`
+	Mem              serialize.MemConfigJSON `json:"mem"`
+	Samples          int                     `json:"samples"`
+	FeasibleSamples  int                     `json:"feasible_samples"`
+	IslandSamples    []int                   `json:"island_samples,omitempty"`
+	MigrantsSent     []int                   `json:"migrants_sent,omitempty"`
+	MigrantsReceived []int                   `json:"migrants_received,omitempty"`
+	BestPartition    json.RawMessage         `json:"best_partition"`
+}
+
+// tally counts a trace's samples and feasible samples.
+type tally struct{ samples, feasible int }
+
+func (c *tally) trace(tp core.TracePoint) {
+	c.samples++
+	if tp.Feasible {
+		c.feasible++
+	}
+}
+
+// TestGoldenScored pins the scored paths the partition-only corpus does not
+// reach: co-exploration with energy and α = 0.002 through core.Run, the SA
+// baseline and the grid-search two-step scheme over the separate design,
+// and a ring of two GA islands plus an SA and a greedy scout over the
+// shared design. googlenet, at the corpus's seed and budget.
+func TestGoldenScored(t *testing.T) {
+	const model = "googlenet"
+	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: 0.002}
+	sep := core.PaperSpace(hw.SeparateBuffer)
+	gaOpt := core.Options{
+		Seed: goldenSeed, Workers: 4, Population: goldenPopulation, MaxSamples: goldenSamples,
+		Objective: obj, Mem: sep,
+	}
+	runs := []struct {
+		name string
+		run  func(ev *eval.Evaluator, out *goldenScored) (*core.Genome, error)
+	}{
+		{"coexplore", func(ev *eval.Evaluator, out *goldenScored) (*core.Genome, error) {
+			best, st, err := core.Run(ev, gaOpt)
+			if err == nil {
+				out.Samples, out.FeasibleSamples = st.Samples, st.FeasibleSamples
 			}
-			want, err := os.ReadFile(path)
+			return best, err
+		}},
+		{"sa", func(ev *eval.Evaluator, out *goldenScored) (*core.Genome, error) {
+			var c tally
+			best, err := baselines.SA(ev, baselines.SAOptions{
+				Seed: goldenSeed, MaxSamples: goldenSamples, Objective: obj, Mem: sep, Trace: c.trace,
+			})
+			out.Samples, out.FeasibleSamples = c.samples, c.feasible
+			return best, err
+		}},
+		{"twostep-gs", func(ev *eval.Evaluator, out *goldenScored) (*core.Genome, error) {
+			var c tally
+			best, err := baselines.TwoStep(ev, baselines.TwoStepOptions{
+				Seed: goldenSeed, Workers: 4, Method: baselines.GridSearch,
+				Candidates: 3, SamplesPerCandidate: 500,
+				Kind: sep.Kind, Global: sep.Global, Weight: sep.Weight,
+				Objective: obj, Trace: c.trace,
+			})
+			out.Samples, out.FeasibleSamples = c.samples, c.feasible
+			return best, err
+		}},
+		{"ring", func(ev *eval.Evaluator, out *goldenScored) (*core.Genome, error) {
+			opt := gaOpt
+			opt.Mem = core.PaperSpace(hw.SharedBuffer)
+			best, st, err := search.Run(ev, search.Options{
+				Core: opt, Islands: 2, Scouts: []search.ScoutKind{search.ScoutSA, search.ScoutGreedy},
+			})
+			if err == nil {
+				out.Samples, out.FeasibleSamples = st.Samples, st.FeasibleSamples
+				for _, is := range st.IslandStats {
+					out.IslandSamples = append(out.IslandSamples, is.Samples)
+				}
+				out.MigrantsSent, out.MigrantsReceived = st.MigrantsSent, st.MigrantsReceived
+			}
+			return best, err
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			ev := eval.MustNew(models.MustBuild(model), hw.DefaultPlatform(), tiling.DefaultConfig())
+			out := goldenScored{Run: r.name, Model: model, Seed: goldenSeed}
+			best, err := r.run(ev, &out)
 			if err != nil {
-				t.Fatalf("missing golden file (run `go test -run TestGoldenRegression -update .`): %v", err)
+				t.Fatalf("%s: %v", r.name, err)
 			}
-			if string(got) != string(want) {
-				t.Errorf("golden mismatch for %s — if the change is intentional, regenerate with -update\n%s",
-					model, goldenDiff(string(want), string(got)))
+			out.Cost = best.Cost
+			out.CostBits = fmt.Sprintf("%#016x", math.Float64bits(best.Cost))
+			out.Mem = serialize.EncodeMemConfig(best.Mem)
+			if out.BestPartition, err = serialize.EncodePartition(best.P); err != nil {
+				t.Fatalf("%s: encode partition: %v", r.name, err)
 			}
+			got, err := json.MarshalIndent(out, "", "  ")
+			if err != nil {
+				t.Fatalf("%s: marshal: %v", r.name, err)
+			}
+			checkGolden(t, filepath.Join("testdata", "golden", "scored", model+"."+r.name+".json"), append(got, '\n'))
 		})
 	}
 }
