@@ -349,6 +349,46 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitPersistsBeforeQueueing: a job whose queued manifest cannot be
+// written is refused before any listing or worker can see it. Its manifest
+// path is a directory, so the write fails; the next job completes as the
+// only one listed, and the refused job never runs, so it never writes a
+// checkpoint.
+func TestSubmitPersistsBeforeQueueing(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "j000000.job"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Options{Dir: dir, PoolWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	if _, err := s.Submit(testSpec(11)); err == nil || !strings.Contains(err.Error(), "j000000") {
+		t.Fatalf("submit over an unwritable manifest: %v, want an error naming j000000", err)
+	}
+	if ms := s.Manifests(); len(ms) != 0 {
+		t.Fatalf("refused job listed: %d manifests", len(ms))
+	}
+	if _, err := s.Manifest("j000000"); err != ErrUnknownJob {
+		t.Fatalf("refused job's manifest: %v, want ErrUnknownJob", err)
+	}
+	id, err := s.Submit(testSpec(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := waitTerminal(t, s, id, &monotone{}); m.State != serialize.JobStateDone {
+		t.Fatalf("job %s ended %s (%s), want done", id, m.State, m.Error)
+	}
+	if ms := s.Manifests(); len(ms) != 1 || ms[0].ID != id {
+		t.Fatalf("listed %d jobs, want only %s", len(ms), id)
+	}
+	if _, err := os.Stat(s.checkpointPath("j000000")); !os.IsNotExist(err) {
+		t.Errorf("refused job ran: its checkpoint stat reads %v", err)
+	}
+}
+
 // httpDo drives the handler suite.
 func httpDo(t *testing.T, method, url string, body string, out any) int {
 	t.Helper()

@@ -243,8 +243,8 @@ func (s *Server) Close() {
 }
 
 // Submit admits a job: the spec is normalized and validated, the queued
-// manifest is persisted durably before the ID is returned, and the job
-// enters the FIFO run queue.
+// manifest is persisted durably, and only then is the job listed and
+// queued. A job whose manifest cannot be written is refused.
 func (s *Server) Submit(spec serialize.JobSpecJSON) (string, error) {
 	spec, err := NormalizeSpec(spec)
 	if err != nil {
@@ -252,8 +252,8 @@ func (s *Server) Submit(spec serialize.JobSpecJSON) (string, error) {
 	}
 	now := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return "", errors.New("serve: server is shutting down")
 	}
 	id := fmt.Sprintf("j%06d", s.nextID)
@@ -264,29 +264,19 @@ func (s *Server) Submit(spec serialize.JobSpecJSON) (string, error) {
 		submitted: now, updated: now,
 		watch: make(chan struct{}),
 	}
+	// Persist before publishing, as persistLocked does at every transition:
+	// a job the directory does not know about would vanish on restart, so
+	// no worker or listing may see it until its manifest is durable.
+	data, err := serialize.EncodeJobManifest(s.manifestLocked(j))
+	if err == nil {
+		err = serialize.AtomicWriteFile(s.jobPath(id), data, 0o644)
+	}
+	if err != nil {
+		return "", fmt.Errorf("serve: persist job %s: %w", id, err)
+	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.queue = append(s.queue, j)
-	data, merr := serialize.EncodeJobManifest(s.manifestLocked(j))
-	s.mu.Unlock()
-	if merr == nil {
-		merr = serialize.AtomicWriteFile(s.jobPath(id), data, 0o644)
-	}
-	if merr != nil {
-		// Withdraw the admission: a job the directory doesn't know about
-		// would silently vanish on restart.
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.order = s.order[:len(s.order)-1]
-		for i, q := range s.queue {
-			if q == j {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		return "", fmt.Errorf("serve: persist job %s: %w", id, merr)
-	}
 	s.cond.Signal()
 	return id, nil
 }
