@@ -13,6 +13,9 @@ import (
 	"cocco/internal/serialize"
 )
 
+// dialTimeout bounds each worker connection attempt.
+const dialTimeout = 10 * time.Second
+
 // Options configures a distributed run.
 type Options struct {
 	// Search is the full search configuration — identical to what a
@@ -23,8 +26,6 @@ type Options struct {
 	// ring is split into contiguous slices across them in order: the first
 	// ring%K workers host one extra island.
 	Workers []string
-	// DialTimeout bounds each worker connection attempt (default 10s).
-	DialTimeout time.Duration
 	// IOTimeout, when positive, sets a deadline on every frame read and
 	// write to a worker, so a hung or half-open socket fails the round
 	// with an actionable per-worker error instead of stalling the
@@ -137,10 +138,6 @@ func newCoordinator(ev *eval.Evaluator, opt Options) (*coordinator, error) {
 // assigns each worker its ring slice — with the slice's island snapshots
 // when resuming cp.
 func (c *coordinator) open(cp *serialize.CheckpointJSON) (search.Ring, error) {
-	dialTimeout := c.opt.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 10 * time.Second
-	}
 	for i, s := range splitRing(c.ring, len(c.opt.Workers)) {
 		addr := c.opt.Workers[i]
 		conn, err := net.DialTimeout("tcp", addr, dialTimeout)

@@ -452,9 +452,8 @@ func TestDistKillAndResume(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		best, st, err := RunOrResume(evaluatorFor(t, model), Options{
-			Search:      copt,
-			Workers:     []string{addr0, addr1},
-			DialTimeout: 30 * time.Second,
+			Search:  copt,
+			Workers: []string{addr0, addr1},
 		}, ckpt)
 		done <- result{best, st, err}
 	}()
