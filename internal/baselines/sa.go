@@ -1,18 +1,17 @@
 package baselines
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
 	"cocco/internal/core"
 	"cocco/internal/eval"
-	"cocco/internal/graph"
 )
 
 // SAOptions configures the simulated-annealing co-optimizer (§4.2.4), which
 // uses Cocco's mutation operators as its neighborhood moves. It anneals one
-// chain of MaxSamples samples (default 50,000) from Seed, cooling
-// geometrically from DefaultSAInitialTemp to DefaultSAFinalTemp.
+// Chain of MaxSamples samples (default 50,000) from Seed.
 type SAOptions struct {
 	Seed       int64
 	MaxSamples int
@@ -21,13 +20,12 @@ type SAOptions struct {
 	Trace      func(core.TracePoint)
 }
 
-// DefaultSAInitialTemp and DefaultSAFinalTemp bound the geometric cooling
-// schedule. The temperature is a fraction of the current cost, so the
-// schedule is scale-free across metrics. Exported so the orchestrator's SA
-// scout anneals with the same schedule as this baseline.
+// saInitialTemp and saFinalTemp bound the geometric cooling schedule. The
+// temperature is a fraction of the current cost, so the schedule is
+// scale-free across metrics.
 const (
-	DefaultSAInitialTemp = 0.10
-	DefaultSAFinalTemp   = 0.0005
+	saInitialTemp = 0.10
+	saFinalTemp   = 0.0005
 )
 
 // SA runs simulated annealing and returns the best genome found, reporting
@@ -37,95 +35,106 @@ func SA(ev *eval.Evaluator, opt SAOptions) (*core.Genome, error) {
 	if budget <= 0 {
 		budget = 50_000
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-
-	cost := func(g *core.Genome) float64 {
-		if !g.Res.Feasible() {
-			return math.Inf(1)
-		}
-		c := g.Res.MetricValue(opt.Objective.Metric)
-		if opt.Objective.Alpha > 0 {
-			return float64(g.Mem.TotalBytes()) + opt.Objective.Alpha*c
-		}
-		return c
+	c := NewChain(ev, opt.Objective, opt.Mem, budget, rand.New(rand.NewSource(opt.Seed)))
+	c.trace = opt.Trace
+	for !c.Done() {
+		c.Step()
 	}
-
-	evaluate := func(gnm *core.Genome, sample int) {
-		gnm.P, gnm.Res = core.RepairInSitu(ev, rng, gnm.P, gnm.Mem)
-		gnm.Cost = cost(gnm)
-		if opt.Trace != nil {
-			opt.Trace(core.TracePoint{
-				Sample:   sample,
-				Cost:     gnm.Cost,
-				Metric:   gnm.Res.MetricValue(opt.Objective.Metric),
-				Mem:      gnm.Mem,
-				Feasible: gnm.Res.Feasible(),
-			})
-		}
+	if !c.Best.Res.Feasible() {
+		return c.Best, errors.New("baselines: SA found no feasible solution")
 	}
-
-	cur := &core.Genome{
-		P:   core.RandomPartition(ev.Graph(), rng, core.PNewInit),
-		Mem: core.RandomMemConfig(rng, opt.Mem),
-	}
-	evaluate(cur, 1)
-	best := cur.Clone()
-
-	cooling := math.Pow(DefaultSAFinalTemp/DefaultSAInitialTemp, 1/float64(maxInt(budget-1, 1)))
-	temp := DefaultSAInitialTemp
-	for s := 2; s <= budget; s++ {
-		cur = AnnealStep(ev.Graph(), rng, opt.Mem, cur, temp,
-			func(g *core.Genome) { evaluate(g, s) })
-		if cur.Cost < best.Cost {
-			best = cur.Clone()
-		}
-		temp *= cooling
-	}
-	if math.IsInf(best.Cost, 1) {
-		return best, errInfeasibleSA
-	}
-	return best, nil
+	return c.Best, nil
 }
 
-// AnnealStep advances one simulated-annealing chain by one sample: it draws
-// one random move from cur (a partition mutation, or mutation-DSE when the
-// hardware is searchable), evaluates the candidate through the provided
-// closure, and returns the accepted state — the candidate on improvement or
-// by the Metropolis rule on the relative cost delta at temp, cur otherwise.
-// Infeasible candidates are never accepted, whichever sentinel the caller's
-// cost function uses (math.Inf here, core.InfeasibleCost in the
-// orchestrator's scout — the finite sentinel family is itself ≥
-// core.InfeasibleCost). Shared by SA and the island orchestrator's SA
-// scout so the two cannot drift apart.
-func AnnealStep(g *graph.Graph, rng *rand.Rand, ms core.MemSearch, cur *core.Genome, temp float64, evaluate func(*core.Genome)) *core.Genome {
-	cand := cur.Clone()
+// Chain is one simulated-annealing chain: the SA baseline runs one to its
+// budget, and the island orchestrator's SA scout steps one between
+// migration barriers. Its exported fields are its whole state besides its
+// random stream, so the scout can adopt migrants and checkpoint it.
+type Chain struct {
+	// Cur is the chain's current genome (nil before its first sample) and
+	// Best the cheapest it has held.
+	Cur, Best *core.Genome
+	// Temp is the temperature, a fraction of Cur's cost.
+	Temp float64
+	// Samples counts the genomes evaluated.
+	Samples int
+
+	ev      *eval.Evaluator
+	obj     eval.Objective
+	ms      core.MemSearch
+	rng     *rand.Rand
+	budget  int
+	cooling float64 // cools from saInitialTemp to saFinalTemp over budget-1 moves
+	trace   func(core.TracePoint)
+}
+
+// NewChain returns a chain of budget samples scored with obj over the
+// hardware space ms, drawing every move and repair from rng.
+func NewChain(ev *eval.Evaluator, obj eval.Objective, ms core.MemSearch, budget int, rng *rand.Rand) *Chain {
+	return &Chain{
+		Temp: saInitialTemp,
+		ev:   ev, obj: obj, ms: ms, rng: rng, budget: budget,
+		cooling: math.Pow(saFinalTemp/saInitialTemp, 1/float64(maxInt(budget-1, 1))),
+	}
+}
+
+// Done reports whether the chain has spent its budget.
+func (c *Chain) Done() bool { return c.Samples >= c.budget }
+
+// Step evaluates one sample. Without a current genome it draws a random
+// one. Otherwise it draws one move from Cur (a partition mutation, or
+// mutation-DSE when the hardware is searchable), accepts the candidate on
+// improvement or by the Metropolis rule on the relative cost delta at
+// Temp, and cools. An infeasible candidate is never accepted.
+func (c *Chain) Step() {
+	if c.Cur == nil {
+		c.Cur = &core.Genome{
+			P:   core.RandomPartition(c.ev.Graph(), c.rng, core.PNewInit),
+			Mem: core.RandomMemConfig(c.rng, c.ms),
+		}
+		c.evaluate(c.Cur)
+		c.Best = c.Cur.Clone()
+		return
+	}
+	cand := c.Cur.Clone()
 	moves := 3
-	if ms.Search {
+	if c.ms.Search {
 		moves = 4
 	}
-	if rng.Intn(moves) == 3 {
-		cand.Mem = core.MutateMemConfig(rng, ms, cand.Mem)
+	if c.rng.Intn(moves) == 3 {
+		cand.Mem = core.MutateMemConfig(c.rng, c.ms, cand.Mem)
 	} else {
-		cand.P = core.ApplyRandomMutation(g, rng, cand.P)
+		cand.P = core.ApplyRandomMutation(c.ev.Graph(), c.rng, cand.P)
 	}
-	evaluate(cand)
-
+	c.evaluate(cand)
 	switch {
-	case cand.Cost >= core.InfeasibleCost:
-		// never accept infeasible
-	case cand.Cost <= cur.Cost:
-		return cand
+	case !cand.Res.Feasible():
+	case cand.Cost <= c.Cur.Cost:
+		c.Cur = cand
 	default:
-		rel := (cand.Cost - cur.Cost) / cur.Cost
-		if rng.Float64() < math.Exp(-rel/temp) {
-			return cand
+		rel := (cand.Cost - c.Cur.Cost) / c.Cur.Cost
+		if c.rng.Float64() < math.Exp(-rel/c.Temp) {
+			c.Cur = cand
 		}
 	}
-	return cur
+	if c.Cur.Cost < c.Best.Cost {
+		c.Best = c.Cur.Clone()
+	}
+	c.Temp *= c.cooling
 }
 
-var errInfeasibleSA = errSA("baselines: SA found no feasible solution")
-
-type errSA string
-
-func (e errSA) Error() string { return string(e) }
+// evaluate repairs and scores g in place on the chain's stream.
+func (c *Chain) evaluate(g *core.Genome) {
+	g.P, g.Res = core.RepairInSitu(c.ev, c.rng, g.P, g.Mem)
+	g.Cost = c.obj.Cost(g.Res, g.Mem)
+	c.Samples++
+	if c.trace != nil {
+		c.trace(core.TracePoint{
+			Sample:   c.Samples,
+			Cost:     g.Cost,
+			Metric:   g.Res.MetricValue(c.obj.Metric),
+			Mem:      g.Mem,
+			Feasible: g.Res.Feasible(),
+		})
+	}
+}

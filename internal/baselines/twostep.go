@@ -61,7 +61,9 @@ func (o TwoStepOptions) withDefaults() TwoStepOptions {
 
 // TwoStep runs the two-step scheme: sample capacity candidates, run a
 // partition-only GA under each, and keep the best candidate under the
-// co-exploration cost. Returns the best genome found.
+// co-exploration cost. Returns the best genome found. Each GA scores
+// opt.Objective at its candidate's fixed capacity, so its genomes' and
+// trace points' costs already compare across candidates.
 func TwoStep(ev *eval.Evaluator, opt TwoStepOptions) (*core.Genome, error) {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -85,11 +87,6 @@ func TwoStep(ev *eval.Evaluator, opt TwoStepOptions) (*core.Genome, error) {
 			base := sampleBase
 			gaOpt.Trace = func(tp core.TracePoint) {
 				tp.Sample += base
-				// Report the two-step cost (Formula 2 with this candidate's
-				// capacity) so curves are comparable with co-optimization.
-				if tp.Feasible && opt.Objective.Alpha > 0 {
-					tp.Cost = float64(mem.TotalBytes()) + opt.Objective.Alpha*tp.Metric
-				}
 				opt.Trace(tp)
 			}
 		}
@@ -98,10 +95,7 @@ func TwoStep(ev *eval.Evaluator, opt TwoStepOptions) (*core.Genome, error) {
 		if err != nil {
 			continue // this capacity admitted no feasible partition
 		}
-		cost := opt.Objective.Alpha * g.Res.MetricValue(opt.Objective.Metric)
-		cost += float64(mem.TotalBytes())
-		g.Cost = cost
-		if best == nil || cost < best.Cost {
+		if best == nil || g.Cost < best.Cost {
 			best = g
 		}
 	}

@@ -136,7 +136,7 @@ func (o *Optimizer) StatsSnapshot() Stats {
 
 func (o *Optimizer) bestCost() float64 {
 	if o.best == nil {
-		return infeasibleCost
+		return eval.InfeasibleCost
 	}
 	return o.best.Cost
 }
@@ -356,11 +356,7 @@ func (o *Optimizer) score(c candidate, sample int) *Genome {
 		g.P, res = repairInSitu(o.ev, rng, g.P, g.Mem, o.opt.DisableDeltaEval)
 	}
 	g.Res = res
-	if res.Feasible() {
-		g.Cost = o.cost(g, res)
-	} else {
-		g.Cost = infeasibleCost + float64(len(res.Infeasible))
-	}
+	g.Cost = o.opt.Objective.Cost(res, g.Mem)
 	return g
 }
 
@@ -400,14 +396,6 @@ func (o *Optimizer) mutate(g *Genome) {
 	if o.opt.Mem.Search && o.rng.Float64() < MutDSE {
 		g.Mem = MutateMemConfig(o.rng, o.opt.Mem, g.Mem)
 	}
-}
-
-func (o *Optimizer) cost(g *Genome, res *eval.Result) float64 {
-	c := res.MetricValue(o.opt.Objective.Metric)
-	if o.opt.Objective.Alpha > 0 {
-		return float64(g.Mem.TotalBytes()) + o.opt.Objective.Alpha*c
-	}
-	return c
 }
 
 // selectNext forms the next generation by tournament selection over the

@@ -16,17 +16,6 @@ import (
 	"cocco/internal/partition"
 )
 
-// infeasibleCost is the fitness sentinel for genomes that remain infeasible
-// after in-situ repair. Large enough to lose every tournament against any
-// real cost, small enough to stay well-ordered in float64 arithmetic.
-const infeasibleCost = 1e30
-
-// InfeasibleCost exports the sentinel so other optimizers sharing genomes
-// with the GA (the orchestrator's scout islands) can keep their costs
-// comparable — and, unlike math.Inf, serializable — under the same
-// convention.
-const InfeasibleCost = infeasibleCost
-
 // Genome is one candidate solution: a partition scheme and the memory
 // configuration it runs on.
 type Genome struct {
@@ -71,7 +60,8 @@ func PaperSpace(kind hw.BufferKind) MemSearch {
 type TracePoint struct {
 	// Sample is the 1-based evaluation counter.
 	Sample int
-	// Cost is the genome's objective cost (infeasibleCost if unrepaired).
+	// Cost is the genome's objective cost (eval.Objective.Cost, so at
+	// least eval.InfeasibleCost when the sample stayed infeasible).
 	Cost float64
 	// Metric is the raw metric value (EMA bytes or energy pJ).
 	Metric float64

@@ -57,9 +57,33 @@ func ParseMetric(s string) (Metric, error) {
 // Objective is the optimization objective. With Alpha == 0 it is the
 // partition-only Formula 1; with Alpha > 0 it is the co-exploration
 // Formula 2: BUF_SIZE + α·ΣCost_M (buffer size in bytes, energy in pJ).
+// Every optimizer ranks genomes by Cost, so their costs compare directly.
 type Objective struct {
 	Metric Metric
 	Alpha  float64
+}
+
+// InfeasibleCost is the cost floor of a result that stays infeasible after
+// repair: it loses to every real cost, and one infeasible subgraph fewer
+// ranks lower. Unlike math.Inf it stays well-ordered under addition and
+// serializes in JSON.
+const InfeasibleCost = 1e30
+
+// Cost ranks a result on mem: Formula 1 or 2 of its metric when it is
+// feasible, InfeasibleCost plus its number of infeasible subgraphs when not.
+func (o Objective) Cost(res *Result, mem hw.MemConfig) float64 {
+	if !res.Feasible() {
+		return InfeasibleCost + float64(len(res.Infeasible))
+	}
+	return o.Of(res.MetricValue(o.Metric), mem)
+}
+
+// Of is Formula 1 or 2 of a feasible metric value on mem.
+func (o Objective) Of(metric float64, mem hw.MemConfig) float64 {
+	if o.Alpha > 0 {
+		return float64(mem.TotalBytes()) + o.Alpha*metric
+	}
+	return metric
 }
 
 // SubgraphCost holds the partition-independent raw costs of one subgraph.
@@ -782,18 +806,10 @@ func (r *Result) MetricValue(m Metric) float64 {
 	return float64(r.EMABytes)
 }
 
-// Cost evaluates the paper's cost functions for the partition and memory
-// configuration. Infeasible partitions return +Inf-like sentinel via ok =
-// false; callers (the GA) repair rather than rank such genomes.
+// Cost evaluates the partition on mem from scratch and ranks it with obj.
 func (e *Evaluator) Cost(p *partition.Partition, mem hw.MemConfig, obj Objective) (cost float64, res *Result) {
 	res = e.Partition(p, mem)
-	cost = obj.Alpha * res.MetricValue(obj.Metric)
-	if obj.Alpha == 0 {
-		cost = res.MetricValue(obj.Metric)
-	} else {
-		cost += float64(mem.TotalBytes())
-	}
-	return cost, res
+	return obj.Cost(res, mem), res
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -101,11 +101,10 @@ func AblationPrefetch(cfg Config) ([]AblationPrefetchRow, string) {
 				t.AddRow(m, prefetch, "n/a", "n/a", "n/a")
 				continue
 			}
-			cost := float64(mem.TotalBytes()) + obj.Alpha*best.Res.EnergyPJ
-			row := AblationPrefetchRow{Model: m, Prefetch: prefetch, CostFormula2: cost,
+			row := AblationPrefetchRow{Model: m, Prefetch: prefetch, CostFormula2: best.Cost,
 				MaxWgtKB: best.Res.MaxWgtFootprint / hw.KiB, NumSubgraphs: best.P.NumSubgraphs()}
 			rows = append(rows, row)
-			t.AddRow(m, prefetch, fmt.Sprintf("%.4g", cost), row.MaxWgtKB, row.NumSubgraphs)
+			t.AddRow(m, prefetch, fmt.Sprintf("%.4g", best.Cost), row.MaxWgtKB, row.NumSubgraphs)
 		}
 	}
 	return rows, t.String()

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"cocco/internal/baselines"
@@ -15,9 +14,8 @@ import (
 // Scout islands run non-GA searches inside the migration ring: they inject
 // structurally different solutions into the GA populations (the paper's
 // §4.3 benefit 4, continuously instead of only at initialization) and pick
-// up GA discoveries as restart material. Scouts follow the GA cost
-// convention (core.InfeasibleCost sentinel, Formula 1/2 objective) so their
-// genomes are directly comparable in tournaments.
+// up GA discoveries as restart material. Scouts score with the GA's
+// eval.Objective, so their genomes are directly comparable in tournaments.
 
 func newScout(ev *eval.Evaluator, opt Options, kind ScoutKind, runSeed int64, ringIdx int) (island, error) {
 	switch kind {
@@ -29,109 +27,54 @@ func newScout(ev *eval.Evaluator, opt Options, kind ScoutKind, runSeed int64, ri
 	return nil, fmt.Errorf("search: unknown scout kind %v", kind)
 }
 
-// scoutCost scores a scout genome with the GA's cost function (finite
-// infeasible sentinel included, so costs serialize and compare cleanly).
-func scoutCost(obj eval.Objective, g *core.Genome) float64 {
-	if !g.Res.Feasible() {
-		return core.InfeasibleCost + float64(len(g.Res.Infeasible))
-	}
-	c := g.Res.MetricValue(obj.Metric)
-	if obj.Alpha > 0 {
-		return float64(g.Mem.TotalBytes()) + obj.Alpha*c
-	}
-	return c
-}
-
-// saScout anneals one simulated-annealing chain over the shared evaluator,
-// paced so one orchestrator round consumes as many samples as a GA island's
-// round (MigrateEvery × population). Each sample is baselines.AnnealStep —
-// the exact move set and acceptance rule of the SA baseline, with its
-// default geometric relative-temperature cooling — on the scout's own RNG
-// stream.
+// saScout steps one baselines.Chain, the SA baseline's own chain, on the
+// scout's stream, paced so one orchestrator round consumes as many samples
+// as a GA island's round (MigrateEvery × population). The chain holds the
+// search state; the scout adds the pacing, migration and snapshots.
 type saScout struct {
 	ev      *eval.Evaluator
-	obj     eval.Objective
-	ms      core.MemSearch
 	ringIdx int
-
-	budget  int // total sample budget (the per-island Core.MaxSamples)
 	perStep int // samples per optimizer-step equivalent (population size)
 
-	seed int64
-	src  *core.Source
-	rng  *rand.Rand
-
-	cur, bst *core.Genome
-	temp     float64
-	cooling  float64
-	samples  int
+	seed  int64
+	src   *core.Source // the chain's stream, restored in place
+	chain *baselines.Chain
 }
 
 func newSAScout(ev *eval.Evaluator, opt Options, runSeed int64, ringIdx int) *saScout {
 	s := &saScout{
 		ev:      ev,
-		obj:     opt.Core.Objective,
-		ms:      opt.Core.Mem,
 		ringIdx: ringIdx,
-		budget:  opt.Core.MaxSamples,
 		perStep: opt.Core.Population,
 		seed:    core.ChildSeedStream(runSeed, core.StreamScouts, ringIdx),
-		temp:    baselines.DefaultSAInitialTemp,
 	}
 	s.src = core.NewSource(s.seed)
-	s.rng = rand.New(s.src)
-	s.cooling = math.Pow(baselines.DefaultSAFinalTemp/baselines.DefaultSAInitialTemp,
-		1/math.Max(float64(s.budget-1), 1))
+	s.chain = baselines.NewChain(ev, opt.Core.Objective, opt.Core.Mem, opt.Core.MaxSamples, rand.New(s.src))
 	return s
 }
 
-// evaluate repairs and scores a genome in place on the scout's RNG.
-func (s *saScout) evaluate(g *core.Genome) {
-	g.P, g.Res = core.RepairInSitu(s.ev, s.rng, g.P, g.Mem)
-	g.Cost = scoutCost(s.obj, g)
-	s.samples++
-}
-
-func (s *saScout) done() bool { return s.samples >= s.budget }
+func (s *saScout) done() bool { return s.chain.Done() }
 
 func (s *saScout) step(gens int) bool {
-	if s.done() {
+	if s.chain.Done() {
 		return false
 	}
-	n := gens * s.perStep
-	for i := 0; i < n && s.samples < s.budget; i++ {
-		s.anneal1()
+	for i := 0; i < gens*s.perStep && !s.chain.Done(); i++ {
+		s.chain.Step()
 	}
 	return true
-}
-
-// anneal1 advances the chain by one sample.
-func (s *saScout) anneal1() {
-	if s.cur == nil {
-		s.cur = &core.Genome{
-			P:   core.RandomPartition(s.ev.Graph(), s.rng, core.PNewInit),
-			Mem: core.RandomMemConfig(s.rng, s.ms),
-		}
-		s.evaluate(s.cur)
-		s.bst = s.cur.Clone()
-		return
-	}
-	s.cur = baselines.AnnealStep(s.ev.Graph(), s.rng, s.ms, s.cur, s.temp, s.evaluate)
-	if s.cur.Cost < s.bst.Cost {
-		s.bst = s.cur.Clone()
-	}
-	s.temp *= s.cooling
 }
 
 // emigrants ships the chain's best, then its current state. No RNG draws:
 // a chain has no population to sample from.
 func (s *saScout) emigrants(n int) []*core.Genome {
-	if s.bst == nil {
+	c := s.chain
+	if c.Best == nil {
 		return nil
 	}
-	out := []*core.Genome{s.bst.Clone()}
-	if n > 1 && s.cur != nil {
-		out = append(out, s.cur.Clone())
+	out := []*core.Genome{c.Best.Clone()}
+	if n > 1 && c.Cur != nil {
+		out = append(out, c.Cur.Clone())
 	}
 	return out
 }
@@ -144,14 +87,15 @@ func (s *saScout) emigrants(n int) []*core.Genome {
 // a pure function of (partition, mem), so the recompute is bit-identical
 // to the result the migrant originally had and no RNG is consumed.
 func (s *saScout) immigrate(gs []*core.Genome) {
+	c := s.chain
 	for _, m := range gs {
-		if s.cur == nil || m.Cost < s.cur.Cost {
-			s.cur = m.Clone()
-			if s.cur.Res == nil {
-				s.cur.Res = s.ev.Partition(s.cur.P, s.cur.Mem)
+		if c.Cur == nil || m.Cost < c.Cur.Cost {
+			c.Cur = m.Clone()
+			if c.Cur.Res == nil {
+				c.Cur.Res = s.ev.Partition(c.Cur.P, c.Cur.Mem)
 			}
-			if s.bst == nil || s.cur.Cost < s.bst.Cost {
-				s.bst = s.cur.Clone()
+			if c.Best == nil || c.Cur.Cost < c.Best.Cost {
+				c.Best = c.Cur.Clone()
 			}
 		}
 	}
@@ -159,22 +103,23 @@ func (s *saScout) immigrate(gs []*core.Genome) {
 
 // best only reports feasible solutions, mirroring the GA contract.
 func (s *saScout) best() *core.Genome {
-	if s.bst == nil || s.bst.Cost >= core.InfeasibleCost {
+	if s.chain.Best == nil || s.chain.Best.Cost >= eval.InfeasibleCost {
 		return nil
 	}
-	return s.bst
+	return s.chain.Best
 }
 
-func (s *saScout) stats() core.Stats { return core.Stats{Samples: s.samples} }
+func (s *saScout) stats() core.Stats { return core.Stats{Samples: s.chain.Samples} }
 
 func (s *saScout) snapshot() serialize.IslandJSON {
+	c := s.chain
 	return serialize.IslandJSON{
 		Kind:    "sa",
 		RNG:     serialize.RNGStateJSON{Seed: s.seed, State: s.src.State()},
-		Samples: s.samples,
-		Temp:    s.temp,
-		Cur:     EncodeGenome(s.cur, false),
-		Best:    EncodeGenome(s.bst, true),
+		Samples: c.Samples,
+		Temp:    c.Temp,
+		Cur:     EncodeGenome(c.Cur, false),
+		Best:    EncodeGenome(c.Best, true),
 	}
 }
 
@@ -190,17 +135,17 @@ func (s *saScout) restore(j serialize.IslandJSON) error {
 	if (j.Cur == nil) != (j.Best == nil) || (j.Cur == nil && j.Samples != 0) {
 		return fmt.Errorf("search: island %d: sa snapshot needs cur and best together, or neither before its first sample", s.ringIdx)
 	}
+	c := s.chain
 	var err error
-	if s.cur, err = DecodeGenome(s.ev.Graph(), j.Cur, false); err != nil {
+	if c.Cur, err = DecodeGenome(s.ev.Graph(), j.Cur, false); err != nil {
 		return fmt.Errorf("search: island %d cur: %w", s.ringIdx, err)
 	}
-	if s.bst, err = DecodeGenome(s.ev.Graph(), j.Best, true); err != nil {
+	if c.Best, err = DecodeGenome(s.ev.Graph(), j.Best, true); err != nil {
 		return fmt.Errorf("search: island %d best: %w", s.ringIdx, err)
 	}
-	s.samples = j.Samples
-	s.temp = j.Temp
-	s.src = core.NewSource(int64(j.RNG.State))
-	s.rng = rand.New(s.src)
+	c.Samples = j.Samples
+	c.Temp = j.Temp
+	s.src.Seed(int64(j.RNG.State))
 	return nil
 }
 
@@ -255,8 +200,7 @@ func (g *greedyScout) step(int) bool {
 	p, samples := baselines.Greedy(g.ev, g.mem, g.obj.Metric)
 	g.samples = samples
 	res := g.ev.Partition(p, g.mem)
-	g.bst = &core.Genome{P: p, Mem: g.mem, Res: res}
-	g.bst.Cost = scoutCost(g.obj, g.bst)
+	g.bst = &core.Genome{P: p, Mem: g.mem, Res: res, Cost: g.obj.Cost(res, g.mem)}
 	return true
 }
 
@@ -270,7 +214,7 @@ func (g *greedyScout) emigrants(int) []*core.Genome {
 func (g *greedyScout) immigrate([]*core.Genome) {}
 
 func (g *greedyScout) best() *core.Genome {
-	if g.bst == nil || g.bst.Cost >= core.InfeasibleCost {
+	if g.bst == nil || g.bst.Cost >= eval.InfeasibleCost {
 		return nil
 	}
 	return g.bst
