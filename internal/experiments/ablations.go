@@ -9,6 +9,7 @@ import (
 	"cocco/internal/core"
 	"cocco/internal/eval"
 	"cocco/internal/hw"
+	"cocco/internal/models"
 	"cocco/internal/partition"
 	"cocco/internal/report"
 	"cocco/internal/search"
@@ -29,11 +30,10 @@ type AblationTilingRow struct {
 // AblationTiling quantifies design choice 1 of DESIGN.md: how much resident
 // buffer the consumption-centric flow saves over the production-centric one.
 func AblationTiling() ([]AblationTilingRow, string) {
-	modelsUnderTest := []string{"resnet50", "googlenet", "randwire-a", "nasnet"}
 	var rows []AblationTilingRow
 	t := report.NewTable("Ablation: production-centric vs consumption-centric resident tiles",
 		"model", "L", "prod/cons footprint ratio")
-	for _, m := range modelsUnderTest {
+	for _, m := range models.CoExplorationModels() {
 		ev := evaluatorFor(m, platform1())
 		g := ev.Graph()
 		for _, l := range []int{3, 5} {

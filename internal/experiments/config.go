@@ -88,5 +88,6 @@ func platform1() hw.Platform { return hw.DefaultPlatform() }
 // paperFixedMem returns the paper's fixed platform for the partition
 // studies: 1 MB global buffer and 1.125 MB weight buffer (§5.2, Figure 3).
 func paperFixedMem() hw.MemConfig {
-	return hw.MemConfig{Kind: hw.SeparateBuffer, GlobalBytes: 1024 * hw.KiB, WeightBytes: 1152 * hw.KiB}
+	mem, _ := fixedMem("Buf(M)", hw.SeparateBuffer)
+	return mem
 }

@@ -7,6 +7,7 @@ import (
 	"cocco/internal/baselines"
 	"cocco/internal/core"
 	"cocco/internal/eval"
+	"cocco/internal/models"
 	"cocco/internal/report"
 )
 
@@ -29,14 +30,12 @@ type Fig11Row struct {
 func Figure11(cfg Config) ([]Fig11Row, string) {
 	mem := paperFixedMem()
 	obj := eval.Objective{Metric: eval.MetricEMA}
-	modelList := []string{"vgg16", "resnet50", "resnet152", "googlenet",
-		"transformer", "gpt", "randwire-a", "randwire-b"}
 
 	var rows []Fig11Row
 	t := report.NewTable("Figure 11: graph partition, EMA-opt (normalized to Halide greedy)",
 		"model", "method", "EMA(MB)", "BW(GB/s)", "EMA-norm", "BW-norm", "subgraphs")
 
-	for _, m := range modelList {
+	for _, m := range models.PaperModels() {
 		ev := evaluatorFor(m, platform1())
 
 		gp, _ := baselines.Greedy(ev, mem, obj.Metric)

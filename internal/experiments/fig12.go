@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
-	"cocco/internal/baselines"
 	"cocco/internal/core"
 	"cocco/internal/eval"
 	"cocco/internal/hw"
@@ -38,7 +38,13 @@ func Figure12(cfg Config) (*Fig12Result, string) {
 	stride := maxInt(cfg.CoOptSamples/100, 1)
 
 	res := &Fig12Result{SamplesTo105: map[string]map[string]int{}}
-	methods := []string{"Buf(S)+GA", "Buf(M)+GA", "Buf(L)+GA", "RS+GA", "GS+GA", "SA", "Cocco"}
+	var methods []string
+	for _, method := range CoOptMethods() {
+		if _, fixed := fixedMem(method, hw.SeparateBuffer); fixed {
+			method += "+GA"
+		}
+		methods = append(methods, method)
+	}
 
 	for _, m := range modelsUnderTest {
 		ev := evaluatorFor(m, platform1())
@@ -49,9 +55,9 @@ func Figure12(cfg Config) (*Fig12Result, string) {
 			curve := ConvergenceCurve{Model: m, Method: method}
 			best := math.Inf(1)
 			trace := func(tp core.TracePoint) {
-				// For fixed-HW and two-step runs the cost has been re-based
-				// to Formula 2 with the run's capacity; infeasible samples
-				// keep their sentinel and never improve `best`.
+				// Every method's trace cost is Formula 2 (the fixed-buffer
+				// runs re-base theirs); infeasible samples never improve
+				// `best`.
 				if tp.Feasible && tp.Cost < best {
 					best = tp.Cost
 				}
@@ -107,59 +113,23 @@ func Figure12(cfg Config) (*Fig12Result, string) {
 }
 
 // runConvergenceMethod executes one method with the trace hook attached.
-// Fixed-HW variants run a partition-only GA under the named capacity; the
-// trace cost for those is re-based to Formula 2 with that capacity.
+// A Buf(X)+GA method runs a partition-only GA under its fixed buffer, and
+// its trace cost is re-based to Formula 2 with that capacity.
 func runConvergenceMethod(ev *eval.Evaluator, cfg Config, obj eval.Objective, method string, trace func(core.TracePoint)) {
-	space := core.PaperSpace(hw.SeparateBuffer)
-	fixedTrace := func(mem hw.MemConfig) func(core.TracePoint) {
-		return func(tp core.TracePoint) {
+	mem, fixed := fixedMem(strings.TrimSuffix(method, "+GA"), hw.SeparateBuffer)
+	if !fixed {
+		coExplore(ev, cfg, hw.SeparateBuffer, obj, method, trace)
+		return
+	}
+	_, _, _ = core.Run(ev, core.Options{
+		Seed: cfg.Seed, Workers: cfg.Workers, Population: cfg.Population, MaxSamples: cfg.CoOptSamples,
+		Objective: eval.Objective{Metric: obj.Metric},
+		Mem:       core.MemSearch{Fixed: mem},
+		Trace: func(tp core.TracePoint) {
 			if tp.Feasible {
-				tp.Cost = float64(mem.TotalBytes()) + obj.Alpha*tp.Metric
+				tp.Cost = obj.Of(tp.Metric, mem)
 			}
 			trace(tp)
-		}
-	}
-	fixedRun := func(gKB, wKB int64) {
-		mem := hw.MemConfig{Kind: hw.SeparateBuffer, GlobalBytes: gKB * hw.KiB, WeightBytes: wKB * hw.KiB}
-		_, _, _ = core.Run(ev, core.Options{
-			Seed: cfg.Seed, Workers: cfg.Workers, Population: cfg.Population, MaxSamples: cfg.CoOptSamples,
-			Objective: eval.Objective{Metric: obj.Metric},
-			Mem:       core.MemSearch{Fixed: mem},
-			Trace:     fixedTrace(mem),
-		})
-	}
-
-	switch method {
-	case "Buf(S)+GA":
-		fixedRun(512, 576)
-	case "Buf(M)+GA":
-		fixedRun(1024, 1152)
-	case "Buf(L)+GA":
-		fixedRun(2048, 2304)
-	case "RS+GA", "GS+GA":
-		sm := baselines.RandomSearch
-		if method == "GS+GA" {
-			sm = baselines.GridSearch
-		}
-		_, _ = baselines.TwoStep(ev, baselines.TwoStepOptions{
-			Seed: cfg.Seed, Workers: cfg.Workers, Method: sm,
-			Candidates:          cfg.TwoStepCandidates,
-			SamplesPerCandidate: cfg.CoOptSamples / maxInt(cfg.TwoStepCandidates, 1),
-			Kind:                space.Kind, Global: space.Global, Weight: space.Weight,
-			Objective: obj, Trace: trace,
-		})
-	case "SA":
-		_, _ = baselines.SA(ev, baselines.SAOptions{
-			Seed: cfg.Seed, MaxSamples: cfg.CoOptSamples, Objective: obj,
-			Mem:   space,
-			Trace: trace,
-		})
-	case "Cocco":
-		_, _, _ = core.Run(ev, core.Options{
-			Seed: cfg.Seed, Workers: cfg.Workers, Population: cfg.Population, MaxSamples: cfg.CoOptSamples,
-			Objective: obj,
-			Mem:       space,
-			Trace:     trace,
-		})
-	}
+		},
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"cocco/internal/core"
 	"cocco/internal/eval"
 	"cocco/internal/hw"
+	"cocco/internal/models"
 	"cocco/internal/report"
 )
 
@@ -28,13 +29,12 @@ type Fig13Group struct {
 // (scaled by cfg) on the four co-exploration models and reports the
 // sample-distribution trajectory in ten groups.
 func Figure13(cfg Config) (map[string][]Fig13Group, string) {
-	modelsUnderTest := []string{"resnet50", "googlenet", "randwire-a", "nasnet"}
 	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: PaperAlpha}
 	const groups = 10
 
 	out := map[string][]Fig13Group{}
 	var text string
-	for _, m := range modelsUnderTest {
+	for _, m := range models.CoExplorationModels() {
 		ev := evaluatorFor(m, platform1())
 		type pt struct {
 			buf    float64

@@ -6,6 +6,7 @@ import (
 	"cocco/internal/core"
 	"cocco/internal/eval"
 	"cocco/internal/hw"
+	"cocco/internal/models"
 	"cocco/internal/report"
 )
 
@@ -22,13 +23,12 @@ type Fig14Row struct {
 // {5e-4, 1e-3, 2e-3, 5e-3, 1e-2} on the four co-exploration models: larger
 // α trades memory capacity for lower energy (§5.4.1).
 func Figure14(cfg Config) ([]Fig14Row, string) {
-	modelsUnderTest := []string{"resnet50", "googlenet", "randwire-a", "nasnet"}
 	alphas := []float64{5e-4, 1e-3, 2e-3, 5e-3, 1e-2}
 
 	var rows []Fig14Row
 	t := report.NewTable("Figure 14: α sweep (energy normalized to α=5e-4 per model)",
 		"model", "alpha", "capacity(MB)", "energy(mJ)", "norm energy")
-	for _, m := range modelsUnderTest {
+	for _, m := range models.CoExplorationModels() {
 		ev := evaluatorFor(m, platform1())
 		var baseEnergy float64
 		for i, a := range alphas {

@@ -5,6 +5,7 @@ import (
 
 	"cocco/internal/graph"
 	"cocco/internal/hw"
+	"cocco/internal/models"
 	"cocco/internal/partition"
 	"cocco/internal/report"
 )
@@ -26,12 +27,11 @@ type Fig3Row struct {
 // weight buffers.
 func Figure3() ([]Fig3Row, string) {
 	memCfg := paperFixedMem()
-	modelsUnderTest := []string{"resnet50", "googlenet", "randwire-a", "nasnet"}
 
 	var rows []Fig3Row
 	t := report.NewTable("Figure 3: subgraph fusion depth study (L = layers per subgraph)",
 		"model", "L", "EMA(MB)", "avgBW(GB/s)", "ΔEMA vs L=1", "ΔBW vs L=1")
-	for _, m := range modelsUnderTest {
+	for _, m := range models.CoExplorationModels() {
 		ev := evaluatorFor(m, hw.DefaultPlatform())
 		var base Fig3Row
 		for _, l := range []int{1, 3, 5} {

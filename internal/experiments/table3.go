@@ -6,6 +6,7 @@ import (
 	"cocco/internal/core"
 	"cocco/internal/eval"
 	"cocco/internal/hw"
+	"cocco/internal/models"
 	"cocco/internal/report"
 )
 
@@ -27,13 +28,12 @@ type Table3Row struct {
 // cores over the crossbar (§5.4.2); batch samples reuse resident weights
 // (§5.4.3).
 func Table3(cfg Config) ([]Table3Row, string) {
-	modelsUnderTest := []string{"resnet50", "googlenet", "randwire-a", "nasnet"}
 	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: PaperAlpha}
 
 	var rows []Table3Row
 	t := report.NewTable("Table 3: multi-core and batch study (shared buffer, energy-capacity co-opt)",
 		"model", "cores", "batch", "energy(mJ)", "latency(ms)", "size(KB)")
-	for _, m := range modelsUnderTest {
+	for _, m := range models.CoExplorationModels() {
 		for _, cores := range []int{1, 2, 4} {
 			for _, batch := range []int{1, 2, 8} {
 				pl := platform1()

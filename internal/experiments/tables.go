@@ -7,6 +7,7 @@ import (
 	"cocco/internal/core"
 	"cocco/internal/eval"
 	"cocco/internal/hw"
+	"cocco/internal/models"
 	"cocco/internal/partition"
 	"cocco/internal/report"
 )
@@ -45,12 +46,11 @@ func Table2(cfg Config) ([]CoOptRow, string) {
 }
 
 func coOptStudy(cfg Config, kind hw.BufferKind, title string) ([]CoOptRow, string) {
-	modelsUnderTest := []string{"resnet50", "googlenet", "randwire-a", "nasnet"}
 	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: PaperAlpha}
 
 	var rows []CoOptRow
 	t := report.NewTable(title, "model", "method", "size(A)", "size(W)", "cost", "energy")
-	for _, m := range modelsUnderTest {
+	for _, m := range models.CoExplorationModels() {
 		ev := evaluatorFor(m, platform1())
 		for _, method := range CoOptMethods() {
 			mem, ok := exploreMem(ev, cfg, kind, obj, method)
@@ -73,39 +73,56 @@ func coOptStudy(cfg Config, kind hw.BufferKind, title string) ([]CoOptRow, strin
 	return rows, t.String()
 }
 
+// fixedBufs are the paper's fixed Small/Medium/Large buffers (§5.3), in
+// KiB: the separate design's global and weight capacities. The shared
+// design's one capacity is the weight figure.
+var fixedBufs = []struct {
+	method         string
+	global, weight int64
+}{{"Buf(S)", 512, 576}, {"Buf(M)", 1024, 1152}, {"Buf(L)", 2048, 2304}}
+
+// fixedMem returns a fixed-buffer method's memory for the design, and false
+// for a method that explores memory.
+func fixedMem(method string, kind hw.BufferKind) (hw.MemConfig, bool) {
+	for _, b := range fixedBufs {
+		if b.method != method {
+			continue
+		}
+		if kind == hw.SharedBuffer {
+			return hw.MemConfig{Kind: kind, GlobalBytes: b.weight * hw.KiB}, true
+		}
+		return hw.MemConfig{Kind: kind, GlobalBytes: b.global * hw.KiB, WeightBytes: b.weight * hw.KiB}, true
+	}
+	return hw.MemConfig{}, false
+}
+
 // exploreMem runs the method's hardware-exploration phase and returns the
 // chosen memory configuration.
 func exploreMem(ev *eval.Evaluator, cfg Config, kind hw.BufferKind, obj eval.Objective, method string) (hw.MemConfig, bool) {
-	space := core.PaperSpace(kind)
-	fixed := func(gKB, wKB int64) hw.MemConfig {
-		m := hw.MemConfig{Kind: kind, GlobalBytes: gKB * hw.KiB}
-		if kind == hw.SeparateBuffer {
-			m.WeightBytes = wKB * hw.KiB
-		}
-		return m
+	if mem, ok := fixedMem(method, kind); ok {
+		return mem, true
 	}
+	if best := coExplore(ev, cfg, kind, obj, method, nil); best != nil {
+		return best.Mem, true
+	}
+	return hw.MemConfig{}, false
+}
+
+// coExplore runs one of the methods that explore memory (RS+GA, GS+GA, SA
+// and Cocco) over the paper's space for the design, reporting every sample
+// to trace when it is non-nil. It returns the best genome, or nil when the
+// method found no feasible one.
+func coExplore(ev *eval.Evaluator, cfg Config, kind hw.BufferKind, obj eval.Objective, method string, trace func(core.TracePoint)) *core.Genome {
+	space := core.PaperSpace(kind)
+	var best *core.Genome
+	var err error
 	switch method {
-	case "Buf(S)":
-		if kind == hw.SharedBuffer {
-			return fixed(576, 0), true
-		}
-		return fixed(512, 576), true
-	case "Buf(M)":
-		if kind == hw.SharedBuffer {
-			return fixed(1152, 0), true
-		}
-		return fixed(1024, 1152), true
-	case "Buf(L)":
-		if kind == hw.SharedBuffer {
-			return fixed(2304, 0), true
-		}
-		return fixed(2048, 2304), true
 	case "RS+GA", "GS+GA":
 		sm := baselines.RandomSearch
 		if method == "GS+GA" {
 			sm = baselines.GridSearch
 		}
-		best, err := baselines.TwoStep(ev, baselines.TwoStepOptions{
+		best, err = baselines.TwoStep(ev, baselines.TwoStepOptions{
 			Seed:                cfg.Seed,
 			Workers:             cfg.Workers,
 			Method:              sm,
@@ -115,38 +132,31 @@ func exploreMem(ev *eval.Evaluator, cfg Config, kind hw.BufferKind, obj eval.Obj
 			Global:              space.Global,
 			Weight:              space.Weight,
 			Objective:           obj,
+			Trace:               trace,
 		})
-		if err != nil {
-			return hw.MemConfig{}, false
-		}
-		return best.Mem, true
 	case "SA":
-		best, err := baselines.SA(ev, baselines.SAOptions{
+		best, err = baselines.SA(ev, baselines.SAOptions{
 			Seed:       cfg.Seed,
 			MaxSamples: cfg.CoOptSamples,
 			Objective:  obj,
 			Mem:        space,
+			Trace:      trace,
 		})
-		if err != nil {
-			return hw.MemConfig{}, false
-		}
-		return best.Mem, true
 	case "Cocco":
-		best, _, err := core.Run(ev, core.Options{
+		best, _, err = core.Run(ev, core.Options{
 			Seed:       cfg.Seed,
 			Workers:    cfg.Workers,
 			Population: cfg.Population,
 			MaxSamples: cfg.CoOptSamples,
 			Objective:  obj,
 			Mem:        space,
+			Trace:      trace,
 		})
-		if err != nil {
-			return hw.MemConfig{}, false
-		}
-		return best.Mem, true
-	default:
-		return hw.MemConfig{}, false
 	}
+	if err != nil {
+		return nil
+	}
+	return best
 }
 
 // finalPartitionCost runs the final partition-only Cocco pass at the chosen
