@@ -58,19 +58,21 @@ func ParseMetric(s string) (Metric, error) {
 // partition-only Formula 1; with Alpha > 0 it is the co-exploration
 // Formula 2: BUF_SIZE + α·ΣCost_M (buffer size in bytes, energy in pJ).
 // Every optimizer ranks genomes by Cost, so their costs compare directly.
+// A negative Alpha reads as Formula 1.
 type Objective struct {
 	Metric Metric
 	Alpha  float64
 }
 
 // InfeasibleCost is the cost floor of a result that stays infeasible after
-// repair: it loses to every real cost, and one infeasible subgraph fewer
-// ranks lower. Unlike math.Inf it stays well-ordered under addition and
-// serializes in JSON.
+// repair: it loses to every real cost and, unlike math.Inf, serializes in
+// JSON.
 const InfeasibleCost = 1e30
 
 // Cost ranks a result on mem: Formula 1 or 2 of its metric when it is
 // feasible, InfeasibleCost plus its number of infeasible subgraphs when not.
+// A float64 step at 1e30 is 2^47, so that sum rounds to InfeasibleCost
+// itself: infeasible results tie.
 func (o Objective) Cost(res *Result, mem hw.MemConfig) float64 {
 	if !res.Feasible() {
 		return InfeasibleCost + float64(len(res.Infeasible))
