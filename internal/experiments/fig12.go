@@ -38,13 +38,7 @@ func Figure12(cfg Config) (*Fig12Result, string) {
 	stride := maxInt(cfg.CoOptSamples/100, 1)
 
 	res := &Fig12Result{SamplesTo105: map[string]map[string]int{}}
-	var methods []string
-	for _, method := range CoOptMethods() {
-		if _, fixed := fixedMem(method, hw.SeparateBuffer); fixed {
-			method += "+GA"
-		}
-		methods = append(methods, method)
-	}
+	methods := []string{"Buf(S)+GA", "Buf(M)+GA", "Buf(L)+GA", "RS+GA", "GS+GA", "SA", "Cocco"}
 
 	for _, m := range modelsUnderTest {
 		ev := evaluatorFor(m, platform1())
