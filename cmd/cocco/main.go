@@ -4,6 +4,13 @@
 // populations exchanging genomes by ring migration — and -checkpoint /
 // -resume make long runs interruptible.
 //
+// The flags that shape the search fill a coccod job spec, and the search is
+// built from it as coccod builds a job's: serve.NormalizeSpec, then
+// serve.BuildOptions and serve.NewEvaluator. So the CLI refuses what
+// coccod's admission refuses, with admission's message, and inherits its
+// caps. Workers, checkpoints, dist workers, cache files and printing stay
+// the CLI's.
+//
 // Examples:
 //
 //	cocco -model resnet50 -metric ema -samples 50000
@@ -26,13 +33,13 @@ import (
 
 	"cocco/internal/core"
 	"cocco/internal/eval"
-	"cocco/internal/hw"
 	"cocco/internal/models"
 	"cocco/internal/partition"
 	"cocco/internal/report"
 	"cocco/internal/search"
 	"cocco/internal/search/dist"
 	"cocco/internal/serialize"
+	"cocco/internal/serve"
 	"cocco/internal/tiling"
 )
 
@@ -40,28 +47,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cocco: ")
 
+	spec := specFlags(flag.CommandLine)
 	var (
-		model    = flag.String("model", "resnet50", "model name: "+strings.Join(models.Names(), ", "))
-		metric   = flag.String("metric", "energy", "optimization metric: ema | energy")
-		alpha    = flag.Float64("alpha", 0.002, "Formula 2 preference α (0 = partition-only Formula 1)")
-		samples  = flag.Int("samples", 50_000, "genome-evaluation budget per island (total = islands x samples)")
-		popSize  = flag.Int("population", 100, "GA population size")
-		seed     = flag.Int64("seed", 42, "random seed")
-		doSearch = flag.Bool("search", false, "co-explore the memory configuration (DSE)")
-		kind     = flag.String("kind", "separate", "buffer design: separate | shared")
-		glbKB    = flag.Int64("glb", 1024, "global buffer KB (fixed-HW runs; shared capacity for -kind shared)")
-		wgtKB    = flag.Int64("wgt", 1152, "weight buffer KB (fixed-HW separate runs)")
-		cores    = flag.Int("cores", 1, "number of accelerator cores")
-		batch    = flag.Int("batch", 1, "batch size")
-		workers  = flag.Int("workers", 0, "evaluation goroutines (0 = all CPUs); results are identical for any value")
-		tcfgFlag = flag.String("tiling", tiling.DefaultConfig().String(), "base tile as HxW (e.g. 2x2)")
-		show     = flag.Int("show", 8, "number of subgraphs to print from the best partition")
-		dump     = flag.String("dump", "", "write the best partition as JSON to this path")
+		workers = flag.Int("workers", 0, "evaluation goroutines (0 = all CPUs); results are identical for any value")
+		show    = flag.Int("show", 8, "number of subgraphs to print from the best partition")
+		dump    = flag.String("dump", "", "write the best partition as JSON to this path")
 
-		islands    = flag.Int("islands", 1, "GA islands; 1 reproduces the plain search bit-for-bit")
-		migEvery   = flag.Int("migrate-every", 5, "generations between ring migrations")
-		migrants   = flag.Int("migrants", 2, "genomes each island sends per migration")
-		scouts     = flag.String("scouts", "", "comma-separated scout islands to add to the ring: sa, greedy")
 		checkpoint = flag.String("checkpoint", "", "write a resumable snapshot to this path at every migration barrier")
 		resume     = flag.String("resume", "", "resume from this snapshot if it exists (same flags required)")
 		maxRounds  = flag.Int("max-rounds", 0, "pause after this many migration rounds (0 = run to completion)")
@@ -73,18 +64,18 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := models.Build(*model)
+	norm, err := serve.NormalizeSpec(*spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tcfg, err := tiling.ParseConfig(*tcfgFlag)
+	sopt, err := serve.BuildOptions(norm)
 	if err != nil {
 		log.Fatal(err)
 	}
-	platform := hw.DefaultPlatform()
-	platform.Cores = *cores
-	platform.Batch = *batch
-	ev, err := eval.New(g, platform, tcfg)
+	sopt.Core.Workers = *workers
+	sopt.Checkpoint = *checkpoint
+	sopt.MaxRounds = *maxRounds
+	ev, err := serve.NewEvaluator(norm)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,57 +91,11 @@ func main() {
 		}
 	}
 
-	m, err := eval.ParseMetric(*metric)
-	if err != nil {
-		log.Fatal(err)
-	}
-	obj := eval.Objective{Metric: m, Alpha: *alpha}
-	bufKind, err := hw.ParseBufferKind(*kind)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ms := core.MemSearch{Kind: bufKind}
-	if *doSearch {
-		ms = core.PaperSpace(bufKind)
-		if obj.Alpha == 0 {
-			log.Fatal("-search requires -alpha > 0 (Formula 2)")
-		}
-	} else {
-		ms.Fixed = hw.MemConfig{Kind: bufKind, GlobalBytes: *glbKB * hw.KiB}
-		if bufKind == hw.SeparateBuffer {
-			ms.Fixed.WeightBytes = *wgtKB * hw.KiB
-		}
-	}
-
+	g := ev.Graph()
 	fmt.Printf("model %s: %d nodes, %d edges, %s weights, %.1f GMACs\n",
 		g.Name, g.Len(), g.Edges(), report.Bytes(g.TotalWeightBytes()),
 		float64(g.TotalMACs())/1e9)
 
-	sopt := search.Options{
-		Core: core.Options{
-			Seed:       *seed,
-			Workers:    *workers,
-			Population: *popSize,
-			MaxSamples: *samples,
-			Objective:  obj,
-			Mem:        ms,
-		},
-		Islands:      *islands,
-		MigrateEvery: *migEvery,
-		Migrants:     *migrants,
-		Checkpoint:   *checkpoint,
-		MaxRounds:    *maxRounds,
-	}
-	if *scouts != "" {
-		for _, s := range strings.Split(*scouts, ",") {
-			k, err := search.ParseScoutKind(strings.TrimSpace(s))
-			if err != nil {
-				log.Fatal(err)
-			}
-			sopt.Scouts = append(sopt.Scouts, k)
-		}
-	}
 	var (
 		best  *core.Genome
 		stats *search.Stats
@@ -211,6 +156,40 @@ func main() {
 		}
 		fmt.Printf("\nwrote %s (%d bytes)\n", *dump, len(data))
 	}
+}
+
+// specFlags registers on fs the flags that shape the search and returns the
+// job spec they fill, the spec coccod admits: main normalizes it and builds
+// through serve.BuildOptions and serve.NewEvaluator, so the CLI and a
+// served job share one translation and the admission caps.
+func specFlags(fs *flag.FlagSet) *serialize.JobSpecJSON {
+	s := new(serialize.JobSpecJSON)
+	fs.StringVar(&s.Model, "model", "resnet50", "model name: "+strings.Join(models.Names(), ", "))
+	fs.StringVar(&s.Metric, "metric", "energy", "optimization metric: ema | energy")
+	fs.Float64Var(&s.Alpha, "alpha", 0.002, "Formula 2 preference α (0 = partition-only Formula 1)")
+	fs.IntVar(&s.Samples, "samples", 50_000, "genome-evaluation budget per island (total = islands x samples)")
+	fs.IntVar(&s.Population, "population", 100, "GA population size")
+	fs.Int64Var(&s.Seed, "seed", 42, "random seed")
+	fs.BoolVar(&s.MemSearch, "search", false, "co-explore the memory configuration (DSE)")
+	fs.StringVar(&s.Kind, "kind", "separate", "buffer design: separate | shared")
+	fs.Int64Var(&s.GLBKiB, "glb", 1024, "global buffer KB (fixed-HW runs; shared capacity for -kind shared)")
+	fs.Int64Var(&s.WGTKiB, "wgt", 1152, "weight buffer KB (fixed-HW separate runs)")
+	fs.IntVar(&s.Cores, "cores", 1, "number of accelerator cores")
+	fs.IntVar(&s.Batch, "batch", 1, "batch size")
+	fs.StringVar(&s.Tiling, "tiling", tiling.DefaultConfig().String(), "base tile as HxW (e.g. 2x2)")
+	fs.IntVar(&s.Islands, "islands", 1, "GA islands; 1 reproduces the plain search bit-for-bit")
+	fs.IntVar(&s.MigrateEvery, "migrate-every", 5, "generations between ring migrations")
+	fs.IntVar(&s.Migrants, "migrants", 2, "genomes each island sends per migration")
+	fs.Func("scouts", "comma-separated scout islands to add to the ring: sa, greedy", func(v string) error {
+		s.Scouts = nil
+		if v != "" {
+			for _, k := range strings.Split(v, ",") {
+				s.Scouts = append(s.Scouts, strings.TrimSpace(k))
+			}
+		}
+		return nil
+	})
+	return s
 }
 
 // printIslands summarizes each ring member's contribution: samples spent,

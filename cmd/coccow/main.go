@@ -1,8 +1,10 @@
 // Command coccow is the distributed-search worker. It builds one evaluator
 // for a model/platform/tiling triple, listens on -listen, and serves
-// coordinator sessions (cocco -dist-workers) until killed. The handshake
-// compares evaluator fingerprints, so a worker started with different flags
-// than its coordinator refuses the session instead of silently diverging.
+// coordinator sessions (cocco -dist-workers) until killed. The evaluator
+// comes from serve.NewEvaluator, the function that builds its coordinator's
+// and every coccod job's. The handshake compares evaluator fingerprints, so
+// a worker started with different flags than its coordinator refuses the
+// session instead of silently diverging.
 //
 // Example — a 2-process fleet on one machine:
 //
@@ -28,11 +30,10 @@ import (
 	"syscall"
 	"time"
 
-	"cocco/internal/eval"
-	"cocco/internal/hw"
 	"cocco/internal/models"
 	"cocco/internal/search/dist"
 	"cocco/internal/serialize"
+	"cocco/internal/serve"
 	"cocco/internal/tiling"
 )
 
@@ -52,18 +53,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := models.Build(*model)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tcfg, err := tiling.ParseConfig(*tcfgFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	platform := hw.DefaultPlatform()
-	platform.Cores = *cores
-	platform.Batch = *batch
-	ev, err := eval.New(g, platform, tcfg)
+	ev, err := serve.NewEvaluator(serialize.JobSpecJSON{Model: *model, Tiling: *tcfgFlag, Cores: *cores, Batch: *batch})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +75,7 @@ func main() {
 	}
 	// The resolved address matters with -listen :0; print it in a greppable
 	// form so scripts (and the CI dist-smoke job) can pick it up.
-	fmt.Printf("coccow listening on %s (model %s, %d nodes)\n", ln.Addr(), g.Name, g.Len())
+	fmt.Printf("coccow listening on %s (model %s, %d nodes)\n", ln.Addr(), ev.Graph().Name, ev.Graph().Len())
 
 	stop := make(chan struct{})
 	sig := make(chan os.Signal, 1)

@@ -60,8 +60,9 @@ func PaperSpace(kind hw.BufferKind) MemSearch {
 type TracePoint struct {
 	// Sample is the 1-based evaluation counter.
 	Sample int
-	// Cost is the genome's objective cost (eval.Objective.Cost, so at
-	// least eval.InfeasibleCost when the sample stayed infeasible).
+	// Cost is the genome's objective cost (eval.Objective.Cost, so
+	// eval.InfeasibleCost when the sample stayed infeasible: infeasible
+	// samples tie).
 	Cost float64
 	// Metric is the raw metric value (EMA bytes or energy pJ).
 	Metric float64

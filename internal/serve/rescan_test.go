@@ -18,10 +18,11 @@ func queuedManifest(id string, spec serialize.JobSpecJSON) *serialize.JobManifes
 	}
 }
 
-// inadmissibleManifests are two queued manifests that POST /jobs refuses:
+// inadmissibleManifests are three queued manifests that POST /jobs refuses:
 // one over the population and ring caps, one naming its metric "EMA",
-// which only a strict parser tells from energy.
-func inadmissibleManifests(t testing.TB) (overCaps, badMetric *serialize.JobManifestJSON) {
+// which only a strict parser tells from energy, and one with α = -1,
+// which eval.Objective would read as Formula 1.
+func inadmissibleManifests(t testing.TB) (overCaps, badMetric, negAlpha *serialize.JobManifestJSON) {
 	t.Helper()
 	spec, err := NormalizeSpec(testSpec(11))
 	if err != nil {
@@ -31,7 +32,9 @@ func inadmissibleManifests(t testing.TB) (overCaps, badMetric *serialize.JobMani
 	big.Population, big.Islands = 5_000, 70
 	ema := spec
 	ema.Metric = "EMA"
-	return queuedManifest("j000001", big), queuedManifest("j000002", ema)
+	neg := spec
+	neg.Alpha = -1
+	return queuedManifest("j000001", big), queuedManifest("j000002", ema), queuedManifest("j000003", neg)
 }
 
 func writeManifest(t testing.TB, dir string, m *serialize.JobManifestJSON) {
@@ -55,8 +58,8 @@ func TestRescanRefusesInadmissibleSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overCaps, badMetric := inadmissibleManifests(t)
-	for _, m := range []*serialize.JobManifestJSON{queuedManifest("j000000", spec), overCaps, badMetric} {
+	overCaps, badMetric, negAlpha := inadmissibleManifests(t)
+	for _, m := range []*serialize.JobManifestJSON{queuedManifest("j000000", spec), overCaps, badMetric, negAlpha} {
 		writeManifest(t, dir, m)
 	}
 
@@ -75,7 +78,7 @@ func TestRescanRefusesInadmissibleSpecs(t *testing.T) {
 
 	for _, tc := range []struct {
 		id, want string
-	}{{overCaps.ID, "population"}, {badMetric.ID, `unknown metric "EMA"`}} {
+	}{{overCaps.ID, "population"}, {badMetric.ID, `unknown metric "EMA"`}, {negAlpha.ID, "alpha"}} {
 		m, err := s.Manifest(tc.id)
 		if err != nil {
 			t.Fatal(err)
@@ -165,8 +168,8 @@ func FuzzRescan(f *testing.F) {
 	queued := queuedManifest("j000000", spec)
 	done := *queued
 	done.State, done.Slices = serialize.JobStateDone, 3
-	overCaps, badMetric := inadmissibleManifests(f)
-	for _, m := range []*serialize.JobManifestJSON{queued, &done, overCaps, badMetric} {
+	overCaps, badMetric, negAlpha := inadmissibleManifests(f)
+	for _, m := range []*serialize.JobManifestJSON{queued, &done, overCaps, badMetric, negAlpha} {
 		m := *m
 		m.ID = "j000000"
 		data, err := serialize.EncodeJobManifest(&m)

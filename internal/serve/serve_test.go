@@ -44,14 +44,14 @@ func directRun(t *testing.T, spec serialize.JobSpecJSON, sliceRounds int) (*seri
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := buildOptions(spec)
+	opt, err := BuildOptions(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Core.Workers = 1
 	opt.Checkpoint = filepath.Join(t.TempDir(), "direct.ckpt")
 	opt.MaxRounds = sliceRounds
-	ev, err := newEvaluator(spec)
+	ev, err := NewEvaluator(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +324,12 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad metric", func(sp *serialize.JobSpecJSON) { sp.Metric = "joules" }, "metric"},
 		{"bad scout", func(sp *serialize.JobSpecJSON) { sp.Scouts = []string{"psychic"} }, "scout"},
 		{"mem search without alpha", func(sp *serialize.JobSpecJSON) { sp.MemSearch = true }, "alpha"},
+		{"negative alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = -1 }, "alpha"},
+		{"mem search with negative alpha", func(sp *serialize.JobSpecJSON) {
+			sp.MemSearch, sp.Alpha = true, -1
+		}, "alpha"},
+		{"NaN alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = math.NaN() }, "alpha"},
+		{"infinite alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = math.Inf(1) }, "alpha"},
 		{"tiny population", func(sp *serialize.JobSpecJSON) { sp.Population = 1 }, "population"},
 		{"huge population", func(sp *serialize.JobSpecJSON) { sp.Population = 2_000_000_000 }, "population"},
 		{"huge samples", func(sp *serialize.JobSpecJSON) { sp.Samples = MaxSamples + 1 }, "samples"},

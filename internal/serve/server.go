@@ -427,7 +427,7 @@ func (s *Server) worker() {
 // outcome: requeue (paused), finish (done, with or without a feasible
 // genome), cancel, or fail.
 func (s *Server) runSlice(j *job) {
-	opt, err := buildOptions(j.spec)
+	opt, err := BuildOptions(j.spec)
 	if err != nil {
 		s.finishSlice(j, nil, nil, err, 0)
 		return
@@ -442,7 +442,7 @@ func (s *Server) runSlice(j *job) {
 	ev := j.ev
 	s.mu.Unlock()
 	if ev == nil {
-		ev, err = newEvaluator(j.spec)
+		ev, err = NewEvaluator(j.spec)
 		if err != nil {
 			s.finishSlice(j, nil, nil, fmt.Errorf("serve: job %s evaluator: %w", j.id, err), 0)
 			return

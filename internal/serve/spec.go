@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"cocco/internal/core"
 	"cocco/internal/eval"
@@ -19,13 +20,19 @@ import (
 // search.Options from a persisted spec is therefore a pure function, which
 // is what lets a restarted server resume a job under the exact fingerprint
 // that produced its checkpoint.
+//
+// NormalizeSpec, BuildOptions and NewEvaluator are the one front door to a
+// search: cmd/cocco copies its flags into a spec and builds through the
+// three, and cmd/coccow builds its evaluator with NewEvaluator, so a served
+// job, a CLI run and a fleet worker get the same search and the same
+// evaluator from the same choices, and the CLI meets the admission caps.
 
 // Admission caps. A spec asking for more is rejected (HTTP 400) before the
 // daemon reserves anything for it: one request for a two-billion-genome
 // population would otherwise take the whole process, and every job on it,
-// down with an out-of-memory crash. Each cap sits well above every value
-// the CLI defaults, examples, tests, and the paper's 400k-sample budgets
-// use.
+// down with an out-of-memory crash. cocco's flags pass through the same
+// caps. Each cap sits well above every value the CLI defaults, examples,
+// tests, and the paper's 400k-sample budgets use.
 const (
 	MaxPopulation = 2_000     // genomes per island; cocco's default is 100
 	MaxSamples    = 4_000_000 // per island; 10x the paper's 400k budget
@@ -37,9 +44,9 @@ const (
 )
 
 // NormalizeSpec fills defaults and validates every field of a submitted job
-// spec, mirroring cmd/cocco's flag defaults. The returned spec is what the
-// manifest stores; normalizing before persisting keeps spec→options a pure
-// function across server restarts.
+// spec. cmd/cocco's flag defaults are a fixed point of it (its tests check
+// that). The returned spec is what the manifest stores; normalizing before
+// persisting keeps spec→options a pure function across server restarts.
 func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	if spec.Model == "" {
 		return spec, fmt.Errorf("serve: job spec: model is required")
@@ -77,6 +84,12 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	names, err := parseNames(spec)
 	if err != nil {
 		return spec, err
+	}
+	// eval.Objective reads any α ≤ 0 as Formula 1, so a negative α would
+	// silently drop the capacity term. JSON carries no NaN or ±Inf, but a
+	// -alpha flag parses them.
+	if spec.Alpha < 0 || math.IsNaN(spec.Alpha) || math.IsInf(spec.Alpha, 0) {
+		return spec, fmt.Errorf("serve: job spec: alpha must be a finite number >= 0")
 	}
 	if spec.MemSearch && spec.Alpha == 0 {
 		return spec, fmt.Errorf("serve: job spec: mem_search requires alpha > 0 (Formula 2)")
@@ -157,11 +170,12 @@ func parseNames(spec serialize.JobSpecJSON) (n specNames, err error) {
 	return n, nil
 }
 
-// buildOptions converts a normalized spec into search.Options. Scheduling
+// BuildOptions converts a normalized spec into search.Options. Scheduling
 // concerns — Checkpoint, MaxRounds, Workers, Progress — are left zero for
-// the scheduler to fill per slice; none of them shape the trajectory, so
-// the options fingerprint is a pure function of the spec.
-func buildOptions(spec serialize.JobSpecJSON) (search.Options, error) {
+// the caller to fill (the server per slice, cocco from its flags); none of
+// them shape the trajectory, so the options fingerprint is a pure function
+// of the spec.
+func BuildOptions(spec serialize.JobSpecJSON) (search.Options, error) {
 	names, err := parseNames(spec)
 	if err != nil {
 		return search.Options{}, err
@@ -187,8 +201,10 @@ func buildOptions(spec serialize.JobSpecJSON) (search.Options, error) {
 	}, nil
 }
 
-// newEvaluator builds the job's evaluator from its normalized spec.
-func newEvaluator(spec serialize.JobSpecJSON) (*eval.Evaluator, error) {
+// NewEvaluator builds the job's evaluator from its model, tiling, cores and
+// batch, the only fields it reads. coccow passes a spec holding just those
+// four from its flags.
+func NewEvaluator(spec serialize.JobSpecJSON) (*eval.Evaluator, error) {
 	g, err := models.Build(spec.Model)
 	if err != nil {
 		return nil, err
