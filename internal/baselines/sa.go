@@ -56,8 +56,9 @@ type Chain struct {
 	Cur, Best *core.Genome
 	// Temp is the temperature, a fraction of Cur's cost.
 	Temp float64
-	// Samples counts the genomes evaluated.
-	Samples int
+	// Samples counts the genomes evaluated, and Feasible those of them
+	// that fit after repair.
+	Samples, Feasible int
 
 	ev      *eval.Evaluator
 	obj     eval.Objective
@@ -128,6 +129,9 @@ func (c *Chain) evaluate(g *core.Genome) {
 	g.P, g.Res = core.RepairInSitu(c.ev, c.rng, g.P, g.Mem)
 	g.Cost = c.obj.Cost(g.Res, g.Mem)
 	c.Samples++
+	if g.Res.Feasible() {
+		c.Feasible++
+	}
 	if c.trace != nil {
 		c.trace(core.TracePoint{
 			Sample:   c.Samples,

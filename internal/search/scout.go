@@ -109,17 +109,20 @@ func (s *saScout) best() *core.Genome {
 	return s.chain.Best
 }
 
-func (s *saScout) stats() core.Stats { return core.Stats{Samples: s.chain.Samples} }
+func (s *saScout) stats() core.Stats {
+	return core.Stats{Samples: s.chain.Samples, FeasibleSamples: s.chain.Feasible}
+}
 
 func (s *saScout) snapshot() serialize.IslandJSON {
 	c := s.chain
 	return serialize.IslandJSON{
-		Kind:    "sa",
-		RNG:     serialize.RNGStateJSON{Seed: s.seed, State: s.src.State()},
-		Samples: c.Samples,
-		Temp:    c.Temp,
-		Cur:     EncodeGenome(c.Cur, false),
-		Best:    EncodeGenome(c.Best, true),
+		Kind:            "sa",
+		RNG:             serialize.RNGStateJSON{Seed: s.seed, State: s.src.State()},
+		Samples:         c.Samples,
+		FeasibleSamples: c.Feasible,
+		Temp:            c.Temp,
+		Cur:             EncodeGenome(c.Cur, false),
+		Best:            EncodeGenome(c.Best, true),
 	}
 }
 
@@ -143,7 +146,9 @@ func (s *saScout) restore(j serialize.IslandJSON) error {
 	if c.Best, err = DecodeGenome(s.ev.Graph(), j.Best, true); err != nil {
 		return fmt.Errorf("search: island %d best: %w", s.ringIdx, err)
 	}
-	c.Samples = j.Samples
+	// A snapshot from a build that did not count the chain's feasible
+	// samples restores with 0 here.
+	c.Samples, c.Feasible = j.Samples, j.FeasibleSamples
 	c.Temp = j.Temp
 	s.src.Seed(int64(j.RNG.State))
 	return nil
@@ -220,6 +225,8 @@ func (g *greedyScout) best() *core.Genome {
 	return g.bst
 }
 
+// stats reports the merger's samples: subgraph costings, not genomes, so
+// none of them counts as a feasible genome.
 func (g *greedyScout) stats() core.Stats { return core.Stats{Samples: g.samples} }
 
 func (g *greedyScout) snapshot() serialize.IslandJSON {

@@ -139,7 +139,9 @@ type Stats struct {
 	// BestIsland is the ring index the returned best genome came from.
 	BestIsland int
 	// IslandStats holds each GA island's optimizer statistics, in ring
-	// order. Scout islands contribute a Stats with only Samples filled.
+	// order. Scout islands contribute a Stats with only Samples and
+	// FeasibleSamples filled; the greedy scout's samples are the merger's
+	// subgraph costings, none of them a feasible genome.
 	IslandStats []core.Stats
 	// MigrantsSent and MigrantsReceived count the genomes each ring island
 	// exported and imported across all migration barriers, in ring order

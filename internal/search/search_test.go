@@ -276,6 +276,58 @@ func TestCheckpointChainWithScouts(t *testing.T) {
 	}
 }
 
+// TestSAScoutCountsFeasibleSamples: an SA scout counts its chain's samples
+// that fit, as a GA island counts its genomes, and a pause and resume keeps
+// that count: the checkpoint carries it, and the resumed ring reports the
+// uninterrupted ring's number.
+func TestSAScoutCountsFeasibleSamples(t *testing.T) {
+	opt := Options{
+		Core: core.Options{
+			Seed: 11, Workers: 1, Population: 20, MaxSamples: 600,
+			Objective: eval.Objective{Metric: eval.MetricEMA},
+			Mem:       core.MemSearch{Fixed: fixedMem()},
+		},
+		Islands: 1, MigrateEvery: 2, Scouts: []ScoutKind{ScoutSA},
+	}
+	_, want, err := Run(evaluatorFor(t, "mobilenetv2"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := want.IslandStats[1]
+	if sa.FeasibleSamples <= 0 || sa.FeasibleSamples > sa.Samples {
+		t.Fatalf("sa scout: %d feasible of %d samples, want a positive count no larger", sa.FeasibleSamples, sa.Samples)
+	}
+	if sum := want.IslandStats[0].FeasibleSamples + sa.FeasibleSamples; want.FeasibleSamples != sum {
+		t.Errorf("ring reports %d feasible samples, its islands %d", want.FeasibleSamples, sum)
+	}
+
+	paused := opt
+	paused.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
+	paused.MaxRounds = 2
+	if _, _, err := Run(evaluatorFor(t, "mobilenetv2"), paused); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(paused.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := serialize.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := cp.Islands[1]
+	if snap.Best == nil || snap.Best.Cost >= eval.InfeasibleCost || snap.FeasibleSamples <= 0 {
+		t.Fatalf("paused sa scout: best %+v, %d feasible samples; want a feasible best and a positive count", snap.Best, snap.FeasibleSamples)
+	}
+	_, got, err := RunOrResume(evaluatorFor(t, "mobilenetv2"), opt, paused.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.IslandStats[1].FeasibleSamples != sa.FeasibleSamples {
+		t.Errorf("resumed sa scout: %d feasible samples, uninterrupted %d", got.IslandStats[1].FeasibleSamples, sa.FeasibleSamples)
+	}
+}
+
 // TestResumeRejectsMismatch pins the checkpoint safety rails: wrong graph
 // and wrong configuration both fail loudly, and so do hostile files.
 func TestResumeRejectsMismatch(t *testing.T) {
