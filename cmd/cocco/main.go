@@ -4,12 +4,9 @@
 // populations exchanging genomes by ring migration — and -checkpoint /
 // -resume make long runs interruptible.
 //
-// The flags that shape the search fill a coccod job spec, and the search is
-// built from it as coccod builds a job's: serve.NormalizeSpec, then
-// serve.BuildOptions and serve.NewEvaluator. So the CLI refuses what
-// coccod's admission refuses, with admission's message, and inherits its
-// caps. Workers, checkpoints, dist workers, cache files and printing stay
-// the CLI's.
+// The search-shaping flags fill a coccod job spec, built as coccod builds a
+// job's (serve.NormalizeSpec, BuildOptions, NewEvaluator): cocco refuses
+// what admission refuses, with its message and caps.
 //
 // Examples:
 //
@@ -158,10 +155,8 @@ func main() {
 	}
 }
 
-// specFlags registers on fs the flags that shape the search and returns the
-// job spec they fill, the spec coccod admits: main normalizes it and builds
-// through serve.BuildOptions and serve.NewEvaluator, so the CLI and a
-// served job share one translation and the admission caps.
+// specFlags registers the search-shaping flags on fs and returns the job
+// spec they fill.
 func specFlags(fs *flag.FlagSet) *serialize.JobSpecJSON {
 	s := new(serialize.JobSpecJSON)
 	fs.StringVar(&s.Model, "model", "resnet50", "model name: "+strings.Join(models.Names(), ", "))

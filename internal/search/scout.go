@@ -146,8 +146,7 @@ func (s *saScout) restore(j serialize.IslandJSON) error {
 	if c.Best, err = DecodeGenome(s.ev.Graph(), j.Best, true); err != nil {
 		return fmt.Errorf("search: island %d best: %w", s.ringIdx, err)
 	}
-	// A snapshot from a build that did not count the chain's feasible
-	// samples restores with 0 here.
+	// A snapshot from a build that did not count Feasible restores 0.
 	c.Samples, c.Feasible = j.Samples, j.FeasibleSamples
 	c.Temp = j.Temp
 	s.src.Seed(int64(j.RNG.State))

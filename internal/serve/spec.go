@@ -21,11 +21,9 @@ import (
 // is what lets a restarted server resume a job under the exact fingerprint
 // that produced its checkpoint.
 //
-// NormalizeSpec, BuildOptions and NewEvaluator are the one front door to a
-// search: cmd/cocco copies its flags into a spec and builds through the
-// three, and cmd/coccow builds its evaluator with NewEvaluator, so a served
-// job, a CLI run and a fleet worker get the same search and the same
-// evaluator from the same choices, and the CLI meets the admission caps.
+// NormalizeSpec, BuildOptions and NewEvaluator are also the front door of
+// cmd/cocco, which fills a spec from its flags, and NewEvaluator that of
+// cmd/coccow: a job, a CLI run and a fleet worker build alike.
 
 // Admission caps. A spec asking for more is rejected (HTTP 400) before the
 // daemon reserves anything for it: one request for a two-billion-genome
@@ -85,9 +83,8 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	if err != nil {
 		return spec, err
 	}
-	// eval.Objective reads any α ≤ 0 as Formula 1, so a negative α would
-	// silently drop the capacity term. JSON carries no NaN or ±Inf, but a
-	// -alpha flag parses them.
+	// eval.Objective reads α < 0 as Formula 1. JSON carries no NaN or ±Inf;
+	// cocco's -alpha parses both.
 	if spec.Alpha < 0 || math.IsNaN(spec.Alpha) || math.IsInf(spec.Alpha, 0) {
 		return spec, fmt.Errorf("serve: job spec: alpha must be a finite number >= 0")
 	}
