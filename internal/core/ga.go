@@ -49,10 +49,10 @@ type Optimizer struct {
 
 // NewOptimizer validates options and prepares a run.
 func NewOptimizer(ev *eval.Evaluator, opt Options) (*Optimizer, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	opt = opt.WithDefaults()
 	// The master stream's state is one word, so the optimizer state is
 	// checkpointable as (seed, state).
 	src := NewSource(opt.Seed)

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 
@@ -106,11 +107,12 @@ type Options struct {
 	// master RNG and each sample's repair uses a child RNG derived from
 	// (Seed, sample index), so results are bit-identical for every worker
 	// count; Workers only changes wall-clock time.
-	Workers int
+	Workers int `json:"-"`
 	// Population size (paper Fig. 13 uses 500).
 	Population int
 	// MaxSamples is the total genome-evaluation budget (paper: up to
-	// 400,000 for partition-only, 50,000 for co-exploration).
+	// 400,000 for partition-only, 50,000 for co-exploration); it has no
+	// default.
 	MaxSamples int
 	// Objective is the cost function.
 	Objective eval.Objective
@@ -118,9 +120,9 @@ type Options struct {
 	Mem MemSearch
 	// Init optionally seeds the initial population with partitions from
 	// other optimizers (§4.3 benefit 4).
-	Init []*partition.Partition
+	Init []*partition.Partition `json:"-"`
 	// Trace, if non-nil, receives every evaluated sample.
-	Trace func(TracePoint)
+	Trace func(TracePoint) `json:"-"`
 	// DisableCrossover and DisableInSituSplit support the ablation
 	// benchmarks; both default to enabled behavior.
 	DisableCrossover   bool
@@ -139,26 +141,45 @@ type Options struct {
 	DisableGenomeMemo bool
 }
 
-// WithDefaults returns the options with every unset field resolved exactly
-// as NewOptimizer would resolve it. The island orchestrator uses it to pace
-// scout islands off the effective population size.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
+// Admission caps: a run asking for more is refused before anything is
+// allocated for it. Each sits well above every budget the CLIs, examples,
+// tests and the paper use.
+const (
+	MaxPopulation = 2_000     // genomes per population; the CLIs default to 100
+	MaxSamples    = 4_000_000 // per run; 10x the paper's 400k budget
+)
 
-// withDefaults fills unset fields.
-func (o Options) withDefaults() Options {
+// WithDefaults returns the options with every zero field filled as
+// NewOptimizer fills it: Population 100 and, for any non-positive value,
+// Workers runtime.NumCPU(). A negative or out-of-range field stays for
+// Validate to refuse; MaxSamples has no default.
+func (o Options) WithDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.Population <= 0 {
+	if o.Population == 0 {
 		o.Population = 100
-	}
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = 50_000
 	}
 	return o
 }
 
-func (o Options) validate() error {
+// Validate reports the first rule the options break once WithDefaults has
+// filled them: the population and sample ranges, a finite α ≥ 0 (Formula 1
+// at 0), a known metric and buffer kind, and a non-empty memory space.
+func (o Options) Validate() error {
+	o = o.WithDefaults()
+	switch {
+	case o.Population < 2 || o.Population > MaxPopulation:
+		return fmt.Errorf("core: population must be in [2, %d], got %d", MaxPopulation, o.Population)
+	case o.MaxSamples < 1 || o.MaxSamples > MaxSamples:
+		return fmt.Errorf("core: samples must be in [1, %d], got %d", MaxSamples, o.MaxSamples)
+	case o.Objective.Alpha < 0 || math.IsNaN(o.Objective.Alpha) || math.IsInf(o.Objective.Alpha, 0):
+		return fmt.Errorf("core: alpha must be a finite number >= 0, got %g", o.Objective.Alpha)
+	case o.Objective.Metric != eval.MetricEMA && o.Objective.Metric != eval.MetricEnergy:
+		return fmt.Errorf("core: unknown metric %d", o.Objective.Metric)
+	case o.Mem.Kind != hw.SeparateBuffer && o.Mem.Kind != hw.SharedBuffer:
+		return fmt.Errorf("core: unknown buffer kind %d", o.Mem.Kind)
+	}
 	if o.Mem.Search {
 		if o.Mem.Global.Count() == 0 {
 			return fmt.Errorf("core: empty global-buffer range")

@@ -69,7 +69,7 @@ func TestWorkersDeterminism(t *testing.T) {
 // TestWorkersDefaulted checks that an unset Workers falls back to a positive
 // CPU count and that oversubscription (more workers than candidates) works.
 func TestWorkersDefaulted(t *testing.T) {
-	if w := (Options{}).withDefaults().Workers; w < 1 {
+	if w := (Options{}).WithDefaults().Workers; w < 1 {
 		t.Errorf("defaulted Workers = %d, want >= 1", w)
 	}
 	ev := testEval(t, "vgg16")

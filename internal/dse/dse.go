@@ -107,6 +107,8 @@ type Options struct {
 	// Search is the per-config search template. Core.Seed seeds config 0;
 	// config i runs with Seed+i so points explore independently but
 	// reproducibly. Core.Mem and Checkpoint are overwritten per config.
+	// Run refuses the whole sweep if any config's options fail
+	// search.Options.Validate.
 	Search search.Options
 	// Workers is the number of configs searched concurrently (default 1).
 	// Worker count never changes any config's result — each config's search
@@ -143,13 +145,20 @@ type Report struct {
 // Run executes the sweep and returns the outcomes in grid order. The
 // returned error is nil even when individual points are infeasible or
 // paused — those are recorded outcomes; only environmental failures
-// (invalid grid, checkpoint I/O, corrupted resume files, OnConfigDone
-// aborts) are errors. On error the partial Report holds every outcome that
-// completed before the abort.
+// (invalid grid or search options, checkpoint I/O, corrupted resume files,
+// OnConfigDone aborts) are errors. On error the partial Report holds every
+// outcome that completed before the abort.
 func Run(opt Options) (*Report, error) {
 	configs, err := opt.Grid.Configs()
 	if err != nil {
 		return nil, err
+	}
+	// Every config's search is admitted before any runs or the checkpoint
+	// dir is touched, so a bad template fails the sweep, not its configs.
+	for _, cfg := range configs {
+		if err := configSearch(opt.Search, cfg).Validate(); err != nil {
+			return nil, fmt.Errorf("dse: config %s: %w", cfg.ID(), err)
+		}
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
@@ -327,9 +336,7 @@ func runConfig(opt Options, st *sweepState, gc *eval.GraphContext, cfg Config) (
 		}
 	}
 
-	sopt := opt.Search
-	sopt.Core.Seed += int64(cfg.Index)
-	sopt.Core.Mem = core.MemSearch{Kind: cfg.Mem.Kind, Fixed: cfg.Mem}
+	sopt := configSearch(opt.Search, cfg)
 	sopt.Checkpoint = ckptPath
 	resumed := false
 	if ckptPath != "" {
@@ -381,6 +388,14 @@ func runConfig(opt Options, st *sweepState, gc *eval.GraphContext, cfg Config) (
 		os.Remove(ckptPath) // the outcome file supersedes the search checkpoint
 	}
 	return out, nil
+}
+
+// configSearch is cfg's search: the template at seed Core.Seed+cfg.Index,
+// with cfg's memory fixed.
+func configSearch(tmpl search.Options, cfg Config) search.Options {
+	tmpl.Core.Seed += int64(cfg.Index)
+	tmpl.Core.Mem = core.MemSearch{Kind: cfg.Mem.Kind, Fixed: cfg.Mem}
+	return tmpl
 }
 
 // loadOutcome restores a persisted outcome, returning (nil, nil) when the

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,6 +108,50 @@ func TestGridConfigsRejectsBadPoints(t *testing.T) {
 	shared := Grid{Models: []string{"googlenet"}, Kinds: []hw.BufferKind{hw.SharedBuffer}, GlobalBytes: mib, WeightBytes: []int64{1, 1}}
 	if configs, err := shared.Configs(); err != nil || len(configs) != 1 {
 		t.Errorf("shared grid with an ignored repeated weight: %d configs, %v", len(configs), err)
+	}
+}
+
+// TestRunRefusesInadmissibleOptions: each input cmd/dse once ran anyway is
+// refused with its rule's message before any config runs, so no outcome is
+// reported and the checkpoint dir stays untouched.
+func TestRunRefusesInadmissibleOptions(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Options)
+		want string
+	}{
+		{"-samples -5", func(o *Options) { o.Search.Core.MaxSamples = -5 }, "samples must be in [1, "},
+		{"-samples 0", func(o *Options) { o.Search.Core.MaxSamples = 0 }, "samples must be in [1, "},
+		{"-population 1", func(o *Options) { o.Search.Core.Population = 1 }, "population must be in [2, "},
+		{"-alpha -1", func(o *Options) { o.Search.Core.Objective.Alpha = -1 }, "alpha must be a finite number >= 0"},
+		{"-alpha NaN", func(o *Options) { o.Search.Core.Objective.Alpha = math.NaN() }, "alpha must be a finite number >= 0"},
+		{"-cores 300", func(o *Options) { o.Grid.Cores = []int{300} }, "cores must be <= 256"},
+		{"-islands -1", func(o *Options) { o.Search.Islands = -1 }, "islands must be >= 1"},
+	}
+	for _, tc := range cases {
+		dir := filepath.Join(t.TempDir(), "sweep")
+		done := 0
+		opt := Options{
+			Grid: Grid{
+				Models:      []string{"mobilenetv2"},
+				GlobalBytes: []int64{1024 * hw.KiB},
+				WeightBytes: []int64{1152 * hw.KiB},
+			},
+			Search:        testSearch(),
+			Workers:       2,
+			CheckpointDir: dir,
+			OnConfigDone:  func(Outcome) error { done++; return nil },
+		}
+		tc.mut(&opt)
+		if _, err := Run(opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if done != 0 {
+			t.Errorf("%s: %d configs reported done", tc.name, done)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Errorf("%s: checkpoint dir holds %d entries, want none", tc.name, len(ents))
+		}
 	}
 }
 

@@ -90,14 +90,13 @@ func (g Grid) Configs() ([]Config, error) {
 			return nil, fmt.Errorf("dse: grid model: %w", err)
 		}
 	}
-	for _, c := range g.Cores {
-		if c < 1 {
-			return nil, fmt.Errorf("dse: grid cores must be >= 1, got %d", c)
-		}
-	}
-	for _, b := range g.Batch {
-		if b < 1 {
-			return nil, fmt.Errorf("dse: grid batch must be >= 1, got %d", b)
+	platform := hw.DefaultPlatform()
+	for _, cores := range g.Cores {
+		for _, batch := range g.Batch {
+			platform.Cores, platform.Batch = cores, batch
+			if err := platform.Validate(); err != nil {
+				return nil, fmt.Errorf("dse: grid platform: %w", err)
+			}
 		}
 	}
 	repeats := []error{

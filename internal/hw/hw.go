@@ -78,11 +78,17 @@ func (m MemConfig) Validate() error {
 	if m.GlobalBytes <= 0 {
 		return fmt.Errorf("hw: non-positive global buffer %d", m.GlobalBytes)
 	}
-	if m.Kind == SharedBuffer && m.WeightBytes != 0 {
-		return fmt.Errorf("hw: shared buffer with non-zero weight buffer %d", m.WeightBytes)
-	}
-	if m.Kind == SeparateBuffer && m.WeightBytes <= 0 {
-		return fmt.Errorf("hw: separate design needs a weight buffer, got %d", m.WeightBytes)
+	switch m.Kind {
+	case SharedBuffer:
+		if m.WeightBytes != 0 {
+			return fmt.Errorf("hw: shared buffer with non-zero weight buffer %d", m.WeightBytes)
+		}
+	case SeparateBuffer:
+		if m.WeightBytes <= 0 {
+			return fmt.Errorf("hw: separate design needs a weight buffer, got %d", m.WeightBytes)
+		}
+	default:
+		return fmt.Errorf("hw: unknown buffer kind %d", m.Kind)
 	}
 	return nil
 }
@@ -295,13 +301,25 @@ func DefaultPlatform() Platform {
 	return Platform{Core: DefaultCore(), Energy: DefaultEnergy(), Area: DefaultArea(), Cores: 1, Batch: 1}
 }
 
-// Validate checks structural sanity.
+// Platform caps, far above Table 3's 4 cores and batch 8.
+const (
+	MaxCores = 256
+	MaxBatch = 1_024
+)
+
+// Validate checks structural sanity and the platform caps.
 func (p Platform) Validate() error {
 	if p.Cores < 1 {
 		return fmt.Errorf("hw: cores must be >= 1, got %d", p.Cores)
 	}
+	if p.Cores > MaxCores {
+		return fmt.Errorf("hw: cores must be <= %d, got %d", MaxCores, p.Cores)
+	}
 	if p.Batch < 1 {
 		return fmt.Errorf("hw: batch must be >= 1, got %d", p.Batch)
+	}
+	if p.Batch > MaxBatch {
+		return fmt.Errorf("hw: batch must be <= %d, got %d", MaxBatch, p.Batch)
 	}
 	if p.Core.FreqHz <= 0 || p.Core.DRAMBytesPerSec <= 0 {
 		return fmt.Errorf("hw: non-positive core rates")

@@ -76,6 +76,7 @@ func TestMemConfigValidate(t *testing.T) {
 		{Kind: SeparateBuffer, GlobalBytes: 0, WeightBytes: MiB},
 		{Kind: SeparateBuffer, GlobalBytes: MiB, WeightBytes: 0},
 		{Kind: SharedBuffer, GlobalBytes: MiB, WeightBytes: MiB},
+		{Kind: BufferKind(7), GlobalBytes: MiB, WeightBytes: MiB},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -158,6 +159,16 @@ func TestPlatformValidate(t *testing.T) {
 	bad.Batch = 0
 	if bad.Validate() == nil {
 		t.Error("zero batch accepted")
+	}
+	bad = p
+	bad.Cores = MaxCores + 1
+	if bad.Validate() == nil {
+		t.Error("cores above the cap accepted")
+	}
+	bad = p
+	bad.Batch = MaxBatch + 1
+	if bad.Validate() == nil {
+		t.Error("batch above the cap accepted")
 	}
 	bad = p
 	bad.Core.Utilization = 1.5

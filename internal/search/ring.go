@@ -50,11 +50,15 @@ type RingHost struct {
 	islands []island
 }
 
-// NewRingHost constructs the islands for global ring indices [lo,hi).
-// opt.Core.Workers is this process's scoring-goroutine budget; it is split
-// across the hosted islands only (a remote slice of the ring spends its own
-// machine's CPUs, not a share of the coordinator's).
+// NewRingHost constructs the islands for global ring indices [lo,hi), once
+// Options.Validate admits opt. opt.Core.Workers is this process's
+// scoring-goroutine budget; it is split across the hosted islands only (a
+// remote slice of the ring spends its own machine's CPUs, not a share of
+// the coordinator's).
 func NewRingHost(ev *eval.Evaluator, opt Options, lo, hi int) (*RingHost, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.WithDefaults()
 	ring := opt.Islands + len(opt.Scouts)
 	if lo < 0 || hi > ring || lo >= hi {

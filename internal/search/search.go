@@ -86,16 +86,16 @@ type Options struct {
 	Scouts []ScoutKind
 	// Checkpoint, if non-empty, is the path the orchestrator writes its
 	// snapshot to at every CheckpointEvery-th migration barrier.
-	Checkpoint string
+	Checkpoint string `json:"-"`
 	// CheckpointEvery is the barrier period of checkpoint writes (default 1).
-	CheckpointEvery int
+	CheckpointEvery int `json:"-"`
 	// MaxRounds, when positive, pauses the run after that many rounds even
 	// if sample budget remains, writing a final checkpoint when Checkpoint
 	// is set. Like Workers it never shapes the trajectory — a paused-and-
 	// resumed run replays the uninterrupted one — so it is not part of the
 	// checkpoint fingerprint. Time-boxed jobs run with MaxRounds and resume
 	// later.
-	MaxRounds int
+	MaxRounds int `json:"-"`
 	// Progress, when non-nil, is called after every completed round (post-
 	// migration, post-checkpoint) with the run so far: the best feasible
 	// genome (nil if none yet) and the tally a finished run would return.
@@ -103,24 +103,61 @@ type Options struct {
 	// returns. Purely observational: like Workers and Trace it never shapes
 	// the trajectory and is excluded from the checkpoint fingerprint. The
 	// job server (internal/serve) streams these to polling clients.
-	Progress func(best *core.Genome, st *Stats)
+	Progress func(best *core.Genome, st *Stats) `json:"-"`
 }
 
+// Ring caps, checked with core's by Validate.
+const (
+	MaxRing     = 64    // GA islands plus scouts
+	MaxMigrants = 1_000 // per island per barrier
+)
+
+// WithDefaults returns the options with every zero field filled: Islands
+// 1, MigrateEvery 5, Migrants 2, core's defaults, and CheckpointEvery 1
+// for any non-positive value. A negative or out-of-range field stays for
+// Validate to refuse.
 func (o Options) WithDefaults() Options {
 	o.Core = o.Core.WithDefaults()
-	if o.Islands <= 0 {
+	if o.Islands == 0 {
 		o.Islands = 1
 	}
-	if o.MigrateEvery <= 0 {
+	if o.MigrateEvery == 0 {
 		o.MigrateEvery = 5
 	}
-	if o.Migrants <= 0 {
+	if o.Migrants == 0 {
 		o.Migrants = 2
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 1
 	}
 	return o
+}
+
+// Validate reports the first rule the options break once WithDefaults has
+// filled them: core.Options.Validate's, then the ring's — islands,
+// migrate-every and migrants at least 1, at most MaxMigrants migrants,
+// at most MaxRing islands plus scouts, and known scout kinds.
+func (o Options) Validate() error {
+	o = o.WithDefaults()
+	if err := o.Core.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case o.Islands < 1:
+		return fmt.Errorf("search: islands must be >= 1, got %d", o.Islands)
+	case o.MigrateEvery < 1:
+		return fmt.Errorf("search: migrate-every must be >= 1, got %d", o.MigrateEvery)
+	case o.Migrants < 1 || o.Migrants > MaxMigrants:
+		return fmt.Errorf("search: migrants must be in [1, %d], got %d", MaxMigrants, o.Migrants)
+	case o.Islands > MaxRing || len(o.Scouts) > MaxRing-o.Islands: // no overflowing sum
+		return fmt.Errorf("search: islands + scouts must be <= %d", MaxRing)
+	}
+	for _, k := range o.Scouts {
+		if k != ScoutSA && k != ScoutGreedy {
+			return fmt.Errorf("search: unknown scout kind %d", k)
+		}
+	}
+	return nil
 }
 
 // Stats aggregates a completed orchestrated run.
@@ -259,6 +296,9 @@ type loop struct {
 }
 
 func newLoop(ev *eval.Evaluator, opt Options, open OpenRing) (*loop, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.WithDefaults()
 	if opt.MaxRounds > 0 && opt.Checkpoint == "" {
 		// A pause without a snapshot discards the whole trajectory — the

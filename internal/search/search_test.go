@@ -482,3 +482,36 @@ func TestRunOrResume(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOptionsValidate: a zero field reads as WithDefaults fills it, and
+// every admission rule refuses its field, negative values included.
+func TestOptionsValidate(t *testing.T) {
+	base := Options{Core: core.Options{MaxSamples: 100, Mem: core.MemSearch{Fixed: fixedMem()}}}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("zero fields refused: %v", err)
+	}
+	cases := []struct {
+		mut  func(*Options)
+		want string
+	}{
+		{func(o *Options) { o.Core.MaxSamples = 0 }, "samples must be in [1, "},
+		{func(o *Options) { o.Core.Population = -3 }, "population must be in [2, "},
+		{func(o *Options) { o.Core.Objective.Alpha = math.Inf(1) }, "alpha must be a finite number >= 0"},
+		{func(o *Options) { o.Core.Mem.Fixed.Kind = 7 }, "unknown buffer kind 7"},
+		{func(o *Options) { o.Core.Mem = core.MemSearch{Search: true} }, "empty global-buffer range"},
+		{func(o *Options) { o.Islands = -1 }, "islands must be >= 1"},
+		{func(o *Options) { o.MigrateEvery = -2 }, "migrate-every must be >= 1"},
+		{func(o *Options) { o.Migrants = -1 }, "migrants must be in [1, "},
+		{func(o *Options) { o.Islands, o.Scouts = math.MaxInt, []ScoutKind{ScoutSA} }, "islands + scouts must be <= 64"},
+	}
+	for i, tc := range cases {
+		opt := base
+		tc.mut(&opt)
+		if err := opt.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: got %v, want an error containing %q", i, err, tc.want)
+		}
+		if _, _, err := Run(evaluatorFor(t, "vgg16"), opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: Run got %v, want an error containing %q", i, err, tc.want)
+		}
+	}
+}

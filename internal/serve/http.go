@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"cocco/internal/serialize"
@@ -61,11 +62,17 @@ func statusFor(err error) int {
 // maxSpecBytes caps a POST /jobs body. A job spec is well under 1 KiB.
 const maxSpecBytes = 64 << 10
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+// decodeSpec reads one job spec, refusing any field JobSpecJSON lacks.
+func decodeSpec(r io.Reader) (spec serialize.JobSpecJSON, err error) {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var spec serialize.JobSpecJSON
-	if err := dec.Decode(&spec); err != nil {
+	err = dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

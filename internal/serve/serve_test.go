@@ -17,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"cocco/internal/core"
+	"cocco/internal/hw"
 	"cocco/internal/search"
 	"cocco/internal/serialize"
 )
@@ -305,6 +307,43 @@ func TestCancelSemantics(t *testing.T) {
 	}
 }
 
+// submitValidationCases are malformed specs, each one field off testSpec,
+// and a substring of admission's refusal.
+var submitValidationCases = []struct {
+	name string
+	mut  func(*serialize.JobSpecJSON)
+	want string
+}{
+	{"no model", func(sp *serialize.JobSpecJSON) { sp.Model = "" }, "model is required"},
+	{"bad model", func(sp *serialize.JobSpecJSON) { sp.Model = "notanet" }, "notanet"},
+	{"bad tiling", func(sp *serialize.JobSpecJSON) { sp.Tiling = "bogus" }, "tiling"},
+	{"no samples", func(sp *serialize.JobSpecJSON) { sp.Samples = 0 }, "samples"},
+	{"bad metric", func(sp *serialize.JobSpecJSON) { sp.Metric = "joules" }, "metric"},
+	{"bad scout", func(sp *serialize.JobSpecJSON) { sp.Scouts = []string{"psychic"} }, "scout"},
+	{"mem search without alpha", func(sp *serialize.JobSpecJSON) { sp.MemSearch = true }, "alpha"},
+	{"negative alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = -1 }, "alpha"},
+	{"mem search with negative alpha", func(sp *serialize.JobSpecJSON) {
+		sp.MemSearch, sp.Alpha = true, -1
+	}, "alpha"},
+	{"NaN alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = math.NaN() }, "alpha"},
+	{"infinite alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = math.Inf(1) }, "alpha"},
+	{"tiny population", func(sp *serialize.JobSpecJSON) { sp.Population = 1 }, "population"},
+	{"huge population", func(sp *serialize.JobSpecJSON) { sp.Population = 2_000_000_000 }, "population"},
+	{"huge samples", func(sp *serialize.JobSpecJSON) { sp.Samples = core.MaxSamples + 1 }, "samples"},
+	{"huge ring", func(sp *serialize.JobSpecJSON) {
+		sp.Islands, sp.Scouts = search.MaxRing, []string{"sa"}
+	}, "islands + scouts"},
+	{"overflowing ring", func(sp *serialize.JobSpecJSON) {
+		sp.Islands, sp.Scouts = math.MaxInt, []string{"sa"}
+	}, "islands + scouts"},
+	{"huge migrants", func(sp *serialize.JobSpecJSON) { sp.Migrants = search.MaxMigrants + 1 }, "migrants"},
+	{"huge cores", func(sp *serialize.JobSpecJSON) { sp.Cores = hw.MaxCores + 1 }, "cores"},
+	{"huge batch", func(sp *serialize.JobSpecJSON) { sp.Batch = hw.MaxBatch + 1 }, "batch"},
+	// 2^54+1 KiB is 2^64+1024 bytes: unchecked, it wraps to a 1 KiB buffer.
+	{"wrapping glb", func(sp *serialize.JobSpecJSON) { sp.GLBKiB = 1<<54 + 1 }, "glb_kib"},
+	{"huge wgt", func(sp *serialize.JobSpecJSON) { sp.WGTKiB = MaxBufferKiB + 1 }, "wgt_kib"},
+}
+
 // TestSubmitValidation: malformed specs are refused before admission.
 func TestSubmitValidation(t *testing.T) {
 	s, err := NewServer(Options{Dir: t.TempDir()})
@@ -312,41 +351,7 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cases := []struct {
-		name string
-		mut  func(*serialize.JobSpecJSON)
-		want string
-	}{
-		{"no model", func(sp *serialize.JobSpecJSON) { sp.Model = "" }, "model is required"},
-		{"bad model", func(sp *serialize.JobSpecJSON) { sp.Model = "notanet" }, "notanet"},
-		{"bad tiling", func(sp *serialize.JobSpecJSON) { sp.Tiling = "bogus" }, "tiling"},
-		{"no samples", func(sp *serialize.JobSpecJSON) { sp.Samples = 0 }, "samples"},
-		{"bad metric", func(sp *serialize.JobSpecJSON) { sp.Metric = "joules" }, "metric"},
-		{"bad scout", func(sp *serialize.JobSpecJSON) { sp.Scouts = []string{"psychic"} }, "scout"},
-		{"mem search without alpha", func(sp *serialize.JobSpecJSON) { sp.MemSearch = true }, "alpha"},
-		{"negative alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = -1 }, "alpha"},
-		{"mem search with negative alpha", func(sp *serialize.JobSpecJSON) {
-			sp.MemSearch, sp.Alpha = true, -1
-		}, "alpha"},
-		{"NaN alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = math.NaN() }, "alpha"},
-		{"infinite alpha", func(sp *serialize.JobSpecJSON) { sp.Alpha = math.Inf(1) }, "alpha"},
-		{"tiny population", func(sp *serialize.JobSpecJSON) { sp.Population = 1 }, "population"},
-		{"huge population", func(sp *serialize.JobSpecJSON) { sp.Population = 2_000_000_000 }, "population"},
-		{"huge samples", func(sp *serialize.JobSpecJSON) { sp.Samples = MaxSamples + 1 }, "samples"},
-		{"huge ring", func(sp *serialize.JobSpecJSON) {
-			sp.Islands, sp.Scouts = MaxRing, []string{"sa"}
-		}, "islands + scouts"},
-		{"overflowing ring", func(sp *serialize.JobSpecJSON) {
-			sp.Islands, sp.Scouts = math.MaxInt, []string{"sa"}
-		}, "islands + scouts"},
-		{"huge migrants", func(sp *serialize.JobSpecJSON) { sp.Migrants = MaxMigrants + 1 }, "migrants"},
-		{"huge cores", func(sp *serialize.JobSpecJSON) { sp.Cores = MaxCores + 1 }, "cores"},
-		{"huge batch", func(sp *serialize.JobSpecJSON) { sp.Batch = MaxBatch + 1 }, "batch"},
-		// 2^54+1 KiB is 2^64+1024 bytes: unchecked, it wraps to a 1 KiB buffer.
-		{"wrapping glb", func(sp *serialize.JobSpecJSON) { sp.GLBKiB = 1<<54 + 1 }, "glb_kib"},
-		{"huge wgt", func(sp *serialize.JobSpecJSON) { sp.WGTKiB = MaxBufferKiB + 1 }, "wgt_kib"},
-	}
-	for _, tc := range cases {
+	for _, tc := range submitValidationCases {
 		spec := testSpec(11)
 		tc.mut(&spec)
 		if _, err := s.Submit(spec); err == nil || !strings.Contains(err.Error(), tc.want) {
