@@ -106,6 +106,9 @@ func RunOrResume(ev *eval.Evaluator, opt Options, resumePath string) (*core.Geno
 
 // newCoordinator checks the options; it dials nobody.
 func newCoordinator(ev *eval.Evaluator, opt Options) (*coordinator, error) {
+	if err := opt.Search.Validate(); err != nil {
+		return nil, err
+	}
 	sopt := opt.Search.WithDefaults()
 	if sopt.Core.Init != nil || sopt.Core.Trace != nil {
 		return nil, errors.New("dist: Core.Init and Core.Trace are not supported in distributed runs")
@@ -148,7 +151,6 @@ func (c *coordinator) open(cp *serialize.CheckpointJSON) (search.Ring, error) {
 	}
 
 	hello := helloMsg{Proto: ProtocolVersion, Fingerprint: evFingerprint(c.ev)}
-	wireOpt := encodeOptions(c.sopt)
 	config := search.Fingerprint(c.sopt)
 	err := c.each(func(p *peer) error {
 		var ack helloMsg
@@ -158,7 +160,7 @@ func (c *coordinator) open(cp *serialize.CheckpointJSON) (search.Ring, error) {
 		if ack.Fingerprint != hello.Fingerprint {
 			return fmt.Errorf("evaluator fingerprint mismatch:\n  coordinator %s\n  worker      %s", hello.Fingerprint, ack.Fingerprint)
 		}
-		assign := assignMsg{Options: wireOpt, Config: config, Lo: p.lo, Hi: p.hi}
+		assign := assignMsg{Options: c.sopt, Config: config, Lo: p.lo, Hi: p.hi}
 		if cp != nil {
 			assign.Round, assign.Migrations = cp.Round, cp.Migrations
 			assign.Islands = cp.Islands[p.lo:p.hi]

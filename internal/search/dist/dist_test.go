@@ -333,6 +333,11 @@ func TestDistOptionValidation(t *testing.T) {
 			Workers: []string{"a"},
 		}, "MaxRounds requires a Checkpoint"},
 		{"repeated address", Options{Search: base, Workers: []string{"a:1", "b:2", "a:1"}}, "worker a:1 listed twice"},
+		// Refused before dialling: nothing listens on port 1.
+		{"inadmissible population", Options{
+			Search:  func() search.Options { o := base; o.Core.Population = 1; return o }(),
+			Workers: []string{"127.0.0.1:1"},
+		}, "population must be in [2, "},
 	}
 	for _, tc := range cases {
 		if _, _, err := Run(ev, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {

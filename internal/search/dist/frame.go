@@ -34,8 +34,9 @@ import (
 //	sum     uint64   FNV-1a over everything before it
 const (
 	// ProtocolVersion gates the wire format and the message semantics.
-	// Coordinator and worker refuse to talk across versions.
-	ProtocolVersion = 1
+	// Coordinator and worker refuse to talk across versions. Version 2's
+	// assign frame carries search.Options whole.
+	ProtocolVersion = 2
 
 	frameMagic  = "COCCDIST"
 	headerSize  = len(frameMagic) + 4 + 4 + 4

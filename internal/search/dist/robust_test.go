@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
@@ -156,6 +158,78 @@ func TestProgressRejectedInDist(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "Progress") {
 		t.Errorf("got %v, want Progress rejection", err)
+	}
+}
+
+// TestWorkerRefusesInadmissibleAssign: an assign frame whose options pass
+// the fingerprint check but break an admission rule gets an error naming
+// the field, before the worker allocates a population, and the worker then
+// serves a valid session.
+func TestWorkerRefusesInadmissibleAssign(t *testing.T) {
+	addr := startWorker(t, "mobilenetv2")
+	ev := evaluatorFor(t, "mobilenetv2")
+	cases := []struct {
+		name string
+		mut  func(*search.Options)
+		want string
+	}{
+		{"population 1", func(o *search.Options) { o.Core.Population = 1 }, "population"},
+		{"population 2e9", func(o *search.Options) { o.Core.Population = 2_000_000_000 }, "population"},
+		{"samples -1", func(o *search.Options) { o.Core.MaxSamples = -1 }, "samples"},
+		{"ring 65", func(o *search.Options) { o.Islands = search.MaxRing }, "islands + scouts"},
+		{"migrants 1001", func(o *search.Options) { o.Migrants = search.MaxMigrants + 1 }, "migrants"},
+		{"metric 7", func(o *search.Options) { o.Core.Objective.Metric = 7 }, "metric"},
+		{"buffer kind 7", func(o *search.Options) { o.Core.Mem.Kind = 7 }, "buffer kind"},
+		{"scout kind 9", func(o *search.Options) { o.Scouts = []search.ScoutKind{9} }, "scout kind"},
+	}
+	hello := helloMsg{Proto: ProtocolVersion, Fingerprint: evFingerprint(ev)}
+	for _, tc := range cases {
+		opt := testOptions() // one SA scout: 64 islands make a ring of 65
+		tc.mut(&opt)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newWire(conn, 30*time.Second)
+		if err := w.request(MsgHello, hello, MsgHelloAck, &helloMsg{}); err != nil {
+			t.Fatalf("%s: hello: %v", tc.name, err)
+		}
+		assign := assignMsg{Options: opt, Config: search.Fingerprint(opt), Lo: 0, Hi: 1}
+		err = w.request(MsgAssign, assign, MsgAssignAck, nil)
+		conn.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "fingerprint") {
+			t.Errorf("%s: got %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
+	}
+	best, _, err := Run(ev, Options{Search: testOptions(), Workers: []string{addr}, IOTimeout: 30 * time.Second})
+	if err != nil || best == nil {
+		t.Fatalf("valid session after the refusals: best %v, err %v", best, err)
+	}
+}
+
+// TestWorkerAnswersOtherProtocolVersion: a hello framed in another protocol
+// version gets an error frame naming the mismatch, so a peer of that
+// version reports it instead of a bare EOF, and the worker then serves a
+// valid session.
+func TestWorkerAnswersOtherProtocolVersion(t *testing.T) {
+	addr := startWorker(t, "mobilenetv2")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := EncodeFrame(MsgHello, []byte(`{}`))
+	binary.LittleEndian.PutUint32(frame[len(frameMagic):], ProtocolVersion-1)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := ReadFrame(bufio.NewReader(conn))
+	if err != nil || typ != MsgError || !strings.Contains(string(payload), "unsupported protocol version") {
+		t.Fatalf("got frame %d %q (%v), want an error frame naming the protocol version", typ, payload, err)
+	}
+	best, _, err := Run(evaluatorFor(t, "mobilenetv2"), Options{Search: testOptions(), Workers: []string{addr}, IOTimeout: 30 * time.Second})
+	if err != nil || best == nil {
+		t.Fatalf("valid session after the mismatch: best %v, err %v", best, err)
 	}
 }
 

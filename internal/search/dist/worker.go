@@ -127,8 +127,10 @@ func serveConn(conn net.Conn, ev *eval.Evaluator, cfg ServeConfig, draining *ato
 				_ = writeMsg(s.w, MsgError, errorMsg{Err: ErrDraining.Error()})
 				return ErrDraining
 			}
-			if err == io.EOF {
-				return io.EOF
+			if errors.Is(err, ErrVersion) {
+				// The frame is in this build's version, which the peer cannot
+				// read either: it reports the mismatch instead of a bare EOF.
+				_ = writeMsg(s.w, MsgError, errorMsg{Err: err.Error()})
 			}
 			return err
 		}
@@ -158,15 +160,12 @@ func (s *session) handle(t MsgType, payload []byte) error {
 		if err := json.Unmarshal(payload, &a); err != nil {
 			return fmt.Errorf("dist: decode assign: %w", err)
 		}
-		opt, err := decodeOptions(a.Options, s.workers)
-		if err != nil {
-			return err
-		}
-		// The self-check that keeps optionsWire honest: a trajectory-shaping
-		// field missing from the wire form changes the fingerprint.
+		opt := a.Options
+		opt.Core.Workers = s.workers
 		if local := search.Fingerprint(opt); local != a.Config {
 			return fmt.Errorf("dist: options fingerprint mismatch after decode:\n  coordinator %s\n  worker      %s", a.Config, local)
 		}
+		// NewRingHost refuses inadmissible options before building islands.
 		host, err := search.NewRingHost(s.ev, opt, a.Lo, a.Hi)
 		if err != nil {
 			return err
