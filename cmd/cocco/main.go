@@ -53,7 +53,7 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "write a resumable snapshot to this path at every migration barrier")
 		resume     = flag.String("resume", "", "resume from this snapshot if it exists (same flags required)")
 		maxRounds  = flag.Int("max-rounds", 0, "pause after this many migration rounds (0 = run to completion)")
-		cacheLoad  = flag.String("cache-load", "", "warm-start from this cost-cache snapshot if it exists (same model/core-geometry/tiling required — memory capacities, core count, and batch may differ; results are identical, only faster)")
+		cacheLoad  = flag.String("cache-load", "", "warm-start from this cost-cache snapshot if it exists (same model/core-geometry/tiling required — memory capacities, core count, and batch may differ; results are identical, only faster); a file that does not load is an error")
 		cacheSave  = flag.String("cache-save", "", "write the cost cache to this path after the search, for future -cache-load runs")
 
 		distWorkers   = flag.String("dist-workers", "", "comma-separated coccow addresses; run the island ring across these worker processes (bit-identical to the same flags in-process)")

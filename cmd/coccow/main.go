@@ -48,7 +48,7 @@ func main() {
 		batch     = flag.Int("batch", 1, "batch size (must match the coordinator)")
 		workers   = flag.Int("workers", 0, "evaluation goroutines for this process (0 = all CPUs)")
 		tcfgFlag  = flag.String("tiling", tiling.DefaultConfig().String(), "base tile as HxW (must match the coordinator)")
-		cacheLoad = flag.String("cache-load", "", "warm-start from this cost-cache snapshot if it exists")
+		cacheLoad = flag.String("cache-load", "", "warm-start from this cost-cache snapshot if it exists; a file that does not load is an error")
 		ioTimeout = flag.Duration("io-timeout", 3*time.Minute, "per-frame I/O deadline on coordinator sessions; must exceed the fleet's slowest MigrateEvery-round step (0 = no deadline)")
 	)
 	flag.Parse()

@@ -103,7 +103,6 @@ func main() {
 		Workers:               *workers,
 		CheckpointDir:         *ckptDir,
 		DisableCacheSnapshots: *noCache,
-		Warnf:                 log.Printf,
 		OnConfigDone: func(o dse.Outcome) error {
 			cost := "-"
 			if o.Feasible {
@@ -176,7 +175,9 @@ func buildGrid(modelsFlag, kind, glb, wgt, cores, batch, tcfg string) (dse.Grid,
 	return g, nil
 }
 
-// parseKBAxis parses a capacity axis in KB: "a,b,c" or inclusive "min:max:step".
+// parseKBAxis parses a capacity axis in KB: "a,b,c" or inclusive
+// "min:max:step". Each value is at most hw.MaxBufferKiB and a range at most
+// hw.MaxRangeCandidates long, both checked before anything is expanded.
 func parseKBAxis(s string) ([]int64, error) {
 	if strings.Contains(s, ":") {
 		parts := strings.Split(s, ":")
@@ -185,27 +186,39 @@ func parseKBAxis(s string) ([]int64, error) {
 		}
 		var r [3]int64
 		for i, p := range parts {
-			v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
+			v, err := parseKB(p)
 			if err != nil {
-				return nil, fmt.Errorf("bad range bound %q", p)
+				return nil, err
 			}
 			r[i] = v
 		}
-		vals := (hw.MemRange{Min: r[0] * hw.KiB, Max: r[1] * hw.KiB, Step: r[2] * hw.KiB}).Candidates()
-		if len(vals) == 0 {
-			return nil, fmt.Errorf("empty range %q", s)
+		rng := hw.MemRange{Min: r[0], Max: r[1], Step: r[2]}
+		if err := rng.Validate(); err != nil {
+			return nil, fmt.Errorf("range %q: %w", s, err)
 		}
-		return vals, nil
+		return rng.Candidates(), nil
 	}
 	var out []int64
 	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
+		v, err := parseKB(p)
 		if err != nil {
-			return nil, fmt.Errorf("bad KB value %q", p)
+			return nil, err
 		}
-		out = append(out, v*hw.KiB)
+		out = append(out, v)
 	}
 	return out, nil
+}
+
+// parseKB parses one KB value in [1, hw.MaxBufferKiB] as bytes.
+func parseKB(s string) (int64, error) {
+	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad KB value %q", s)
+	}
+	if v < 1 || v > hw.MaxBufferKiB {
+		return 0, fmt.Errorf("KB value must be in [1, %d], got %d", hw.MaxBufferKiB, v)
+	}
+	return v * hw.KiB, nil
 }
 
 func parseIntList(s string) ([]int, error) {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"cocco/internal/eval"
+	"cocco/internal/hw"
 )
 
 // TestGAStepAllocs pins the bytes a warm GA step allocates per sample, on
@@ -39,5 +41,19 @@ func TestGAStepAllocs(t *testing.T) {
 	}
 	if perSample := (after.TotalAlloc - before.TotalAlloc) / uint64(samples); perSample > 4_500 {
 		t.Errorf("a warm GA step allocates %d B per sample, want at most 4500", perSample)
+	}
+}
+
+// TestRandomMemConfigAllocs: a memory draw picks Min + k·Step and expands
+// no candidate list.
+func TestRandomMemConfigAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins describe the build without the race detector")
+	}
+	rng := rand.New(NewSource(1))
+	for _, ms := range []MemSearch{PaperSpace(hw.SeparateBuffer), PaperSpace(hw.SharedBuffer)} {
+		if n := testing.AllocsPerRun(100, func() { RandomMemConfig(rng, ms) }); n != 0 {
+			t.Errorf("%v: %v allocations a draw, want 0", ms.Kind, n)
+		}
 	}
 }

@@ -219,6 +219,14 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewOptimizer(ev, Options{Mem: MemSearch{Search: true}}); err == nil {
 		t.Error("empty search range accepted")
 	}
+	// A searched range is bounded: a positive minimum, at most
+	// hw.MaxRangeCandidates candidates.
+	for _, r := range []hw.MemRange{{Min: 1, Max: 1 << 20, Step: 1}, {Min: 0, Max: hw.MiB, Step: hw.KiB}} {
+		opt := Options{MaxSamples: 10, Mem: MemSearch{Search: true, Kind: hw.SharedBuffer, Global: r}}
+		if err := opt.Validate(); err == nil {
+			t.Errorf("range %+v admitted", r)
+		}
+	}
 	if _, err := NewOptimizer(ev, Options{Mem: MemSearch{Fixed: hw.MemConfig{}}}); err == nil {
 		t.Error("invalid fixed config accepted")
 	}
@@ -280,6 +288,26 @@ func TestRandomMemUniformWithinRange(t *testing.T) {
 	}
 	if len(seen) < 15 {
 		t.Errorf("poor spread: only %d distinct capacities", len(seen))
+	}
+}
+
+// TestRandomMemConfigMatchesExpansion: a draw is Min + k·Step for the k
+// the one rng.Intn(Count()) call picks, so on both paper spaces (all three
+// paper ranges) the sequence matches indexing the expanded candidates with
+// the same calls.
+func TestRandomMemConfigMatchesExpansion(t *testing.T) {
+	for _, ms := range []MemSearch{PaperSpace(hw.SeparateBuffer), PaperSpace(hw.SharedBuffer)} {
+		rng, ref := rand.New(NewSource(5)), rand.New(NewSource(5))
+		g, w := ms.Global.Candidates(), ms.Weight.Candidates()
+		for i := 0; i < 1_000; i++ {
+			want := hw.MemConfig{Kind: ms.Kind, GlobalBytes: g[ref.Intn(len(g))]}
+			if ms.Kind == hw.SeparateBuffer {
+				want.WeightBytes = w[ref.Intn(len(w))]
+			}
+			if got := RandomMemConfig(rng, ms); got != want {
+				t.Fatalf("%v draw %d: %v, want %v", ms.Kind, i, got, want)
+			}
+		}
 	}
 }
 

@@ -165,7 +165,8 @@ func (o Options) WithDefaults() Options {
 
 // Validate reports the first rule the options break once WithDefaults has
 // filled them: the population and sample ranges, a finite α ≥ 0 (Formula 1
-// at 0), a known metric and buffer kind, and a non-empty memory space.
+// at 0), a known metric and buffer kind, and a valid memory space (a fixed
+// configuration, or capacity ranges passing hw.MemRange.Validate).
 func (o Options) Validate() error {
 	o = o.WithDefaults()
 	switch {
@@ -181,11 +182,11 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: unknown buffer kind %d", o.Mem.Kind)
 	}
 	if o.Mem.Search {
-		if o.Mem.Global.Count() == 0 {
-			return fmt.Errorf("core: empty global-buffer range")
+		if err := o.Mem.Global.Validate(); err != nil {
+			return fmt.Errorf("core: global-buffer range: %w", err)
 		}
-		if o.Mem.Kind == hw.SeparateBuffer && o.Mem.Weight.Count() == 0 {
-			return fmt.Errorf("core: empty weight-buffer range")
+		if err := o.Mem.Weight.Validate(); o.Mem.Kind == hw.SeparateBuffer && err != nil {
+			return fmt.Errorf("core: weight-buffer range: %w", err)
 		}
 	} else if err := o.Mem.Fixed.Validate(); err != nil {
 		return fmt.Errorf("core: fixed memory config: %w", err)
@@ -201,8 +202,7 @@ func RandomMemConfig(rng *rand.Rand, ms MemSearch) hw.MemConfig {
 		return ms.Fixed
 	}
 	pick := func(r hw.MemRange) int64 {
-		c := r.Candidates()
-		return c[rng.Intn(len(c))]
+		return r.Min + int64(rng.Intn(r.Count()))*r.Step
 	}
 	if ms.Kind == hw.SharedBuffer {
 		return hw.MemConfig{Kind: hw.SharedBuffer, GlobalBytes: pick(ms.Global)}

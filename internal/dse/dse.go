@@ -20,15 +20,16 @@
 // Pareto front bit-identical to an uninterrupted run (pinned by
 // TestSweepResumeParetoIdentical).
 //
-// Checkpointed sweeps are also warm-startable: every geometry group — the
-// configs of one model sharing one core geometry, which under the shared
-// GraphContext cost cache all read and write the same entries — persists
-// ONE cost-cache snapshot, <model>_t<tiling>_<geometry>.cache, written
-// after each member config completes or pauses and loaded once per group
-// before its first search. Keep-first load semantics make warm starts
-// bit-identical to cold runs. Stale per-config <ID>.cache files from the
-// older one-file-per-config layout are ignored with a warning (Warnf), not
-// a failure, so pre-existing checkpoint dirs remain resumable.
+// Checkpointed sweeps are also warm-startable: the configs of one model
+// share the sweep platform's core geometry, so under the shared
+// GraphContext cost cache they all read and write the same entries, and
+// the model persists ONE cost-cache snapshot,
+// <model>_t<tiling>_<geometry>.cache, written after each config completes
+// or pauses and loaded once, before the worker pool starts. Keep-first load
+// semantics make warm starts bit-identical to cold runs. A missing snapshot
+// is a cold start; one that does not load fails the sweep before any config
+// runs (serialize.LoadCostCacheFile's rule). No other .cache file in the
+// directory is ever opened.
 package dse
 
 import (
@@ -118,18 +119,13 @@ type Options struct {
 	// search checkpoints, completed-outcome files, and cost-cache snapshots
 	// live there. Required when Search.MaxRounds is set.
 	CheckpointDir string
-	// DisableCacheSnapshots turns off the per-geometry cost-cache warm-start
+	// DisableCacheSnapshots turns off the per-model cost-cache warm-start
 	// files (<model>_t<tiling>_<geometry>.cache) a checkpointed sweep
-	// otherwise writes on completion or pause and loads once per geometry
-	// group before searching. Loads are keep-first and never change results —
-	// the snapshot only changes how fast the first evaluations go — so the
-	// flag exists for ablation and disk frugality, not correctness.
+	// otherwise loads before searching and writes on each completion or
+	// pause. Loads are keep-first and never change results — the snapshot
+	// only changes how fast the first evaluations go — so the flag exists
+	// for ablation and disk frugality, not correctness.
 	DisableCacheSnapshots bool
-	// Warnf, when non-nil, receives non-fatal sweep diagnostics (stale cache
-	// files being skipped, old-format snapshots ignored). Nil logs them to
-	// stderr with a "dse: " prefix. It may be called from worker goroutines
-	// and must be safe for concurrent use.
-	Warnf func(format string, args ...any)
 	// OnConfigDone, when non-nil, observes every outcome as it lands
 	// (serialized under a lock). Returning an error aborts the sweep after
 	// in-flight configs finish; already-completed outcomes keep their
@@ -145,9 +141,10 @@ type Report struct {
 // Run executes the sweep and returns the outcomes in grid order. The
 // returned error is nil even when individual points are infeasible or
 // paused — those are recorded outcomes; only environmental failures
-// (invalid grid or search options, checkpoint I/O, corrupted resume files,
-// OnConfigDone aborts) are errors. On error the partial Report holds every
-// outcome that completed before the abort.
+// (invalid grid or search options, a cost-cache snapshot that does not
+// load, checkpoint I/O, corrupted resume files, OnConfigDone aborts) are
+// errors. On error the partial Report holds every outcome that completed
+// before the abort.
 func Run(opt Options) (*Report, error) {
 	configs, err := opt.Grid.Configs()
 	if err != nil {
@@ -168,26 +165,28 @@ func Run(opt Options) (*Report, error) {
 			return nil, fmt.Errorf("dse: checkpoint dir: %w", err)
 		}
 	}
-	st := &sweepState{warnf: opt.Warnf, loaded: make(map[string]bool)}
-	if st.warnf == nil {
-		st.warnf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "dse: "+format+"\n", args...)
-		}
-	}
-	if opt.CheckpointDir != "" && !opt.DisableCacheSnapshots {
-		expected := make(map[string]bool, len(configs))
-		for _, cfg := range configs {
-			expected[filepath.Base(groupCachePath(opt.CheckpointDir, cfg, hw.DefaultPlatform().Core))] = true
-		}
-		warnStaleCaches(opt.CheckpointDir, expected, st.warnf)
-	}
-
 	// One shared GraphContext per model: this is the whole point of the
 	// context/evaluator split. Configs() already validated the model names.
+	// The model's snapshot warm-starts the context's cost cache for the
+	// sweep platform's core geometry, which every config of the model
+	// shares, so it is loaded once, here.
 	ctxs := make(map[string]*eval.GraphContext, len(opt.Grid.Models))
 	for _, cfg := range configs {
-		if _, ok := ctxs[cfg.Model]; !ok {
-			ctxs[cfg.Model] = eval.NewGraphContext(models.MustBuild(cfg.Model), cfg.Tiling)
+		if _, ok := ctxs[cfg.Model]; ok {
+			continue
+		}
+		gc := eval.NewGraphContext(models.MustBuild(cfg.Model), cfg.Tiling)
+		ctxs[cfg.Model] = gc
+		if opt.CheckpointDir != "" && !opt.DisableCacheSnapshots {
+			platform := hw.DefaultPlatform()
+			ev, err := gc.NewEvaluator(platform)
+			if err != nil {
+				return nil, fmt.Errorf("dse: %w", err)
+			}
+			path := groupCachePath(opt.CheckpointDir, cfg, platform.Core)
+			if _, err := serialize.LoadCostCacheFile(ev, path); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, fmt.Errorf("dse: %w", err)
+			}
 		}
 	}
 
@@ -206,7 +205,7 @@ func Run(opt Options) (*Report, error) {
 				if aborted.Load() {
 					continue
 				}
-				out, err := runConfig(opt, st, ctxs[cfg.Model], cfg)
+				out, err := runConfig(opt, ctxs[cfg.Model], cfg)
 				if err != nil {
 					errs[cfg.Index] = err
 					aborted.Store(true)
@@ -245,57 +244,17 @@ func Run(opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// sweepState is the per-Run shared bookkeeping: the warning sink and the
-// set of geometry-group cache files already loaded, so each group's
-// snapshot is read once per sweep rather than once per member config
-// (loading again would be harmless — keep-first adds 0 — just wasted I/O).
-type sweepState struct {
-	warnf  func(format string, args ...any)
-	mu     sync.Mutex
-	loaded map[string]bool
-}
-
-// firstLoad reports whether the caller is the first to claim path this run.
-func (st *sweepState) firstLoad(path string) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.loaded[path] {
-		return false
-	}
-	st.loaded[path] = true
-	return true
-}
-
 // groupCachePath names the warm-start snapshot shared by every config of
 // one (model, tiling, core geometry) group. All grid points of a model
 // share the sweep platform's core geometry — the grid varies capacities,
-// kind, cores, and batch only — so this is one file per model in practice.
+// kind, cores, and batch only — so this is one file per model.
 func groupCachePath(dir string, cfg Config, core hw.Core) string {
 	return filepath.Join(dir, fmt.Sprintf("%s_t%s_%s.cache", cfg.Model, cfg.Tiling, core.GeometryID()))
 }
 
-// warnStaleCaches reports (without failing) any .cache file in the
-// checkpoint dir that no geometry group of this sweep will read — most
-// commonly per-config <ID>.cache files written by the older layout, which
-// the per-geometry naming superseded. They are left on disk untouched.
-func warnStaleCaches(dir string, expected map[string]bool, warnf func(string, ...any)) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return // the sweep will surface real I/O problems itself
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || filepath.Ext(name) != ".cache" || expected[name] {
-			continue
-		}
-		warnf("ignoring stale cache snapshot %s: not a per-geometry warm-start file of this sweep (older per-config snapshots are obsolete and can be deleted)",
-			filepath.Join(dir, name))
-	}
-}
-
 // runConfig searches one grid point, honoring persisted outcomes and
 // checkpoints when the sweep has a checkpoint directory.
-func runConfig(opt Options, st *sweepState, gc *eval.GraphContext, cfg Config) (*Outcome, error) {
+func runConfig(opt Options, gc *eval.GraphContext, cfg Config) (*Outcome, error) {
 	platform := hw.DefaultPlatform()
 	platform.Cores = cfg.Cores
 	platform.Batch = cfg.Batch
@@ -317,25 +276,6 @@ func runConfig(opt Options, st *sweepState, gc *eval.GraphContext, cfg Config) (
 	if err != nil {
 		return nil, fmt.Errorf("dse: config %s: %w", cfg.ID(), err)
 	}
-	// Warm-start: the geometry group's snapshot from a prior run (or a prior
-	// pause) pre-fills the shared cost cache, once per group per sweep.
-	// Keep-first load semantics make this invisible to results — the search
-	// trajectory is bit-identical either way — so a damaged or foreign file
-	// is an error, not a cold start. The one exception is an old-format
-	// snapshot (pre-geometry fingerprint): those can never match and are
-	// skipped loudly so existing checkpoint dirs stay resumable.
-	if cachePath != "" && st.firstLoad(cachePath) {
-		switch _, err := serialize.LoadCostCacheFile(ev, cachePath); {
-		case err == nil, errors.Is(err, os.ErrNotExist):
-			// A missing file is a cold start; the group's snapshot is
-			// written below.
-		case errors.Is(err, serialize.ErrCostCacheTooOld):
-			st.warnf("ignoring stale cache snapshot %s: %v (starting this geometry group cold)", cachePath, err)
-		default:
-			return nil, fmt.Errorf("dse: config %s: %w", cfg.ID(), err)
-		}
-	}
-
 	sopt := configSearch(opt.Search, cfg)
 	sopt.Checkpoint = ckptPath
 	resumed := false
@@ -351,10 +291,10 @@ func runConfig(opt Options, st *sweepState, gc *eval.GraphContext, cfg Config) (
 	}
 	// Persist the warm half regardless of how the search ended: the export
 	// walks the SHARED cache, so each completing config refreshes the
-	// geometry group's single snapshot with everything any sibling has
-	// computed so far. Writes are atomic and the cache only grows, so
-	// concurrent completions are safe — last writer wins with a superset
-	// semantics good enough for a warm start (loads are keep-first anyway).
+	// model's single snapshot with everything any sibling has computed so
+	// far. Writes are atomic and the cache only grows, so concurrent
+	// completions are safe — last writer wins with a superset semantics
+	// good enough for a warm start (loads are keep-first anyway).
 	if cachePath != "" {
 		snap, err := ev.ExportCache()
 		if err != nil {

@@ -1,16 +1,17 @@
 package dse
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"cocco/internal/core"
+	"cocco/internal/eval"
 	"cocco/internal/hw"
 	"cocco/internal/models"
 	"cocco/internal/search"
@@ -97,11 +98,20 @@ func TestGridConfigsRejectsBadPoints(t *testing.T) {
 		{Grid{Models: []string{"googlenet"}, Kinds: []hw.BufferKind{hw.SharedBuffer, hw.SharedBuffer}, GlobalBytes: mib}, "repeats buffer kind"},
 		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: mib, Cores: []int{1, 2, 1}}, "repeats cores"},
 		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: mib, Batch: []int{4, 4}}, "repeats batch"},
+		// Counted before anything is checked point by point or allocated.
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: kibs(400), WeightBytes: kibs(251)}, "at most 100000 points, got 100400"},
+		{Grid{Models: []string{"googlenet"}, GlobalBytes: mib, WeightBytes: mib,
+			Cores: make([]int, 1_000), Batch: make([]int, 1_000)}, "at most 100000 points, got 1000000"},
+		{Grid{Models: []string{"googlenet", "vgg16"}, Kinds: []hw.BufferKind{hw.SeparateBuffer, hw.SharedBuffer},
+			GlobalBytes: kibs(300), WeightBytes: kibs(200)}, "at most 100000 points, got 120600"},
 	}
 	for i, c := range cases {
 		if _, err := c.grid.Configs(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("case %d: err = %v, want it to contain %q", i, err, c.want)
 		}
+	}
+	if configs, err := (Grid{Models: []string{"googlenet"}, GlobalBytes: kibs(400), WeightBytes: kibs(250)}).Configs(); err != nil || len(configs) != MaxGridPoints {
+		t.Errorf("grid of exactly MaxGridPoints: %d configs, %v", len(configs), err)
 	}
 	// Shared-buffer points ignore the weight axis, so its repeats collide on
 	// no ID.
@@ -109,6 +119,15 @@ func TestGridConfigsRejectsBadPoints(t *testing.T) {
 	if configs, err := shared.Configs(); err != nil || len(configs) != 1 {
 		t.Errorf("shared grid with an ignored repeated weight: %d configs, %v", len(configs), err)
 	}
+}
+
+// kibs returns n distinct capacities, 1 KiB apart.
+func kibs(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i+1) * hw.KiB
+	}
+	return out
 }
 
 // TestRunRefusesInadmissibleOptions: each input cmd/dse once ran anyway is
@@ -301,7 +320,11 @@ func TestSweepWritesCacheSnapshots(t *testing.T) {
 	}
 	configs, _ := grid.Configs()
 	groupPath := groupCachePath(dir, configs[0], hw.DefaultPlatform().Core)
-	snap, err := serialize.ReadCostCacheFile(groupPath)
+	data, err := os.ReadFile(groupPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := serialize.DecodeCostCache(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +339,6 @@ func TestSweepWritesCacheSnapshots(t *testing.T) {
 	// Fresh checkpoint dir seeded with only the group snapshot: the whole
 	// grid re-searches from the warm cache and must reproduce every outcome.
 	warmDir := t.TempDir()
-	data, err := os.ReadFile(groupPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(groupCachePath(warmDir, configs[0], hw.DefaultPlatform().Core), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -369,10 +388,89 @@ func TestSweepRejectsCorruptCacheSnapshot(t *testing.T) {
 	}
 }
 
-// TestSweepSkipsStaleCacheFiles: pre-geometry cache files — per-config
-// names from the old layout, and old-format frames under the new name —
-// are reported through Warnf and skipped, never a hard failure, so
-// checkpoint dirs written before the shared cache remain resumable.
+// TestSweepRefusesBadCacheSnapshot pins serialize.LoadCostCacheFile's one
+// rule through the sweep: a model's snapshot that exists but does not load
+// — a damaged frame, another format version, a foreign fingerprint, a
+// sampled record that no longer re-derives — fails the sweep before any
+// config runs, with an error naming the file and saying to delete it; a
+// missing one is a cold start.
+func TestSweepRefusesBadCacheSnapshot(t *testing.T) {
+	grid := Grid{
+		Models:      []string{"mobilenetv2"},
+		GlobalBytes: []int64{1024 * hw.KiB},
+		WeightBytes: []int64{1152 * hw.KiB},
+	}
+	configs, _ := grid.Configs()
+	seed := t.TempDir()
+	if _, err := Run(Options{Grid: grid, Search: testSearch(), CheckpointDir: seed}); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(groupCachePath(seed, configs[0], hw.DefaultPlatform().Core))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reencode := func(mut func(*eval.CacheSnapshot)) []byte {
+		snap, err := serialize.DecodeCostCache(valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut(snap)
+		data, err := serialize.EncodeCostCache(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	corrupt := append([]byte(nil), valid...)
+	corrupt[len(corrupt)-9] ^= 0x40 // an arena byte: the checksum no longer matches
+	oldVersion := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(oldVersion[8:], serialize.CostCacheVersion-1)
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string // "" for a cold start
+	}{
+		{"missing", nil, ""},
+		{"corrupt frame", corrupt, "checksum mismatch"},
+		{"previous version", oldVersion, fmt.Sprintf("format version %d, want %d", serialize.CostCacheVersion-1, serialize.CostCacheVersion)},
+		{"foreign fingerprint", reencode(func(s *eval.CacheSnapshot) { s.Fingerprint = "keyfmt=1 graph=\"vgg16\"" }), "fingerprint mismatch"},
+		{"changed record 0", reencode(func(s *eval.CacheSnapshot) { s.Entries[0].MACs++ }), "entry 0: stored cost"},
+	} {
+		dir := t.TempDir()
+		path := groupCachePath(dir, configs[0], hw.DefaultPlatform().Core)
+		if tc.data != nil {
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := 0
+		_, err := Run(Options{Grid: grid, Search: testSearch(), CheckpointDir: dir,
+			OnConfigDone: func(Outcome) error { done++; return nil }})
+		if tc.want == "" {
+			if err != nil || done != len(configs) {
+				t.Errorf("%s: %d of %d configs done, err %v; want a cold start", tc.name, done, len(configs), err)
+			}
+			continue
+		}
+		for _, want := range []string{path, tc.want, "delete the file"} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: got %v, want an error containing %q", tc.name, err, want)
+			}
+		}
+		if done != 0 {
+			t.Errorf("%s: %d configs reported done", tc.name, done)
+		}
+		for _, pattern := range []string{"*.ckpt", "*.done.json"} {
+			if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) != 0 {
+				t.Errorf("%s: sweep wrote %v", tc.name, m)
+			}
+		}
+	}
+}
+
+// TestSweepSkipsStaleCacheFiles: a per-config <ID>.cache left by an older
+// layout is never opened; the sweep finishes and leaves the file as it was.
 func TestSweepSkipsStaleCacheFiles(t *testing.T) {
 	dir := t.TempDir()
 	grid := Grid{
@@ -381,54 +479,19 @@ func TestSweepSkipsStaleCacheFiles(t *testing.T) {
 		WeightBytes: []int64{288 * hw.KiB},
 	}
 	configs, _ := grid.Configs()
-	// A per-config cache file as the PR-7 layout named them.
-	stalePerConfig := filepath.Join(dir, configs[0].ID()+".cache")
-	if err := os.WriteFile(stalePerConfig, []byte("old per-config snapshot"), 0o644); err != nil {
+	stale := filepath.Join(dir, configs[0].ID()+".cache")
+	if err := os.WriteFile(stale, []byte("old per-config snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A version-1 frame under the new geometry-group name: magic + version 1,
-	// then padding so only the version check can reject it.
-	old := append([]byte("COCCACHE"), 1, 0, 0, 0)
-	old = append(old, make([]byte, 40)...)
-	groupPath := groupCachePath(dir, configs[0], hw.DefaultPlatform().Core)
-	if err := os.WriteFile(groupPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var warnings []string
-	rep, err := Run(Options{Grid: grid, Search: testSearch(), CheckpointDir: dir,
-		Warnf: func(format string, args ...any) {
-			mu.Lock()
-			warnings = append(warnings, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		}})
+	rep, err := Run(Options{Grid: grid, Search: testSearch(), CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Outcomes) != len(configs) {
 		t.Fatalf("sweep incomplete: %d outcomes, want %d", len(rep.Outcomes), len(configs))
 	}
-	wantSubstrings := []string{stalePerConfig, "version too old"}
-	for _, want := range wantSubstrings {
-		found := false
-		for _, w := range warnings {
-			if strings.Contains(w, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no warning mentioning %q in %q", want, warnings)
-		}
-	}
-	// The sweep ran cold past the stale files and replaced the group
-	// snapshot with a current-format one.
-	if _, err := serialize.ReadCostCacheFile(groupPath); err != nil {
-		t.Fatalf("group snapshot not rewritten in current format: %v", err)
-	}
-	// The stale per-config file is left untouched for the user to delete.
-	if _, err := os.Stat(stalePerConfig); err != nil {
-		t.Fatalf("stale per-config file was removed: %v", err)
+	if data, err := os.ReadFile(stale); err != nil || string(data) != "old per-config snapshot" {
+		t.Fatalf("stale per-config file changed: %q, %v", data, err)
 	}
 }
 

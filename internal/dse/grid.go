@@ -71,12 +71,15 @@ func (g Grid) withDefaults() Grid {
 	return g
 }
 
+// MaxGridPoints caps the configs one grid expands into.
+const MaxGridPoints = 100_000
+
 // Configs expands the grid into its points, in a fixed deterministic order
-// (model-major, then kind, capacities, cores, batch), validating every
-// memory configuration, model name and platform value up front, and
-// rejecting grids whose points would share a Config.ID (a repeated model or
-// axis value), so a sweep never fails halfway through on a malformed point
-// and no two points share checkpoint files.
+// (model-major, then kind, capacities, cores, batch), validating the point
+// count and every memory configuration, model name and platform value up
+// front, and rejecting grids whose points would share a Config.ID (a
+// repeated model or axis value), so a sweep never fails halfway through on
+// a malformed point and no two points share checkpoint files.
 func (g Grid) Configs() ([]Config, error) {
 	g = g.withDefaults()
 	if len(g.Models) == 0 {
@@ -84,6 +87,20 @@ func (g Grid) Configs() ([]Config, error) {
 	}
 	if len(g.GlobalBytes) == 0 {
 		return nil, fmt.Errorf("dse: grid has no global-buffer capacities")
+	}
+	// A float64 product of axis lengths cannot overflow, and is exact
+	// wherever it could be near the cap.
+	points := 0.0
+	for _, kind := range g.Kinds {
+		if kind == hw.SharedBuffer {
+			points += float64(len(g.GlobalBytes))
+		} else {
+			points += float64(len(g.GlobalBytes)) * float64(len(g.WeightBytes))
+		}
+	}
+	points *= float64(len(g.Models)) * float64(len(g.Cores)) * float64(len(g.Batch))
+	if points > MaxGridPoints {
+		return nil, fmt.Errorf("dse: grid must have at most %d points, got %.0f", MaxGridPoints, points)
 	}
 	for _, m := range g.Models {
 		if err := models.CheckName(m); err != nil {
@@ -113,15 +130,7 @@ func (g Grid) Configs() ([]Config, error) {
 			return nil, err
 		}
 	}
-	points := 0 // (capacity, weight) points per model
-	for _, kind := range g.Kinds {
-		if kind == hw.SharedBuffer {
-			points += len(g.GlobalBytes)
-		} else {
-			points += len(g.GlobalBytes) * len(g.WeightBytes)
-		}
-	}
-	out := make([]Config, 0, len(g.Models)*points*len(g.Cores)*len(g.Batch))
+	out := make([]Config, 0, int(points))
 	for _, model := range g.Models {
 		for _, kind := range g.Kinds {
 			wgts := g.WeightBytes

@@ -120,28 +120,32 @@ func (e *Evaluator) ExportCache() (*CacheSnapshot, error) {
 // geometry see the loaded entries immediately. Loads are keep-first: a key
 // already present keeps its existing *SubgraphCost (pointer stability for
 // delta handles), and concurrent Subgraph callers racing a load behave
-// exactly as they do racing each other. Because of that idempotence, loading
-// the same snapshot once per sibling config is harmless — later loads add 0.
-// The snapshot must carry this evaluator's fingerprint;
-// records with malformed keys (out-of-range or unsorted member ids) reject
-// the whole load — a fingerprint-matched snapshot can only contain them if
-// the file was corrupted in a way that defeated the codec's checksum.
+// exactly as they do racing each other.
+//
+// The whole snapshot is checked before anything is inserted, so a refused
+// load adds nothing. It must carry this evaluator's fingerprint; every
+// record's key must be ascending member ids within the graph; and a fixed
+// sample of the records, every ⌈n/16⌉-th from record 0, is re-derived on
+// the cold path (without touching the cache or its counters) and must
+// match in all seven fields, so a snapshot written under another cost model
+// is refused. Records outside the sample are trusted.
 func (e *Evaluator) LoadCache(snap *CacheSnapshot) (added int, err error) {
 	if want := e.CacheFingerprint(); snap.Fingerprint != want {
 		return 0, fmt.Errorf("eval: cache snapshot fingerprint mismatch:\n  have %s\n  want %s", snap.Fingerprint, want)
 	}
 	n := e.ctx.g.Len()
+	stride := (len(snap.Entries) + loadSamples - 1) / loadSamples
+	costs := make([]*SubgraphCost, len(snap.Entries))
 	for i := range snap.Entries {
 		r := &snap.Entries[i]
 		end := int64(r.Off) + int64(r.KeyLen)
 		if r.KeyLen == 0 || r.KeyLen%4 != 0 || end > int64(len(snap.Arena)) {
-			return added, fmt.Errorf("eval: cache snapshot entry %d: key window [%d:%d) invalid for %d-byte arena", i, r.Off, end, len(snap.Arena))
+			return 0, fmt.Errorf("eval: cache snapshot entry %d: key window [%d:%d) invalid for %d-byte arena", i, r.Off, end, len(snap.Arena))
 		}
-		key := snap.Arena[r.Off:end]
-		members := partition.AppendKeyMembers(make([]int, 0, r.KeyLen/4), string(key))
+		members := partition.AppendKeyMembers(make([]int, 0, r.KeyLen/4), string(snap.Arena[r.Off:end]))
 		for j, id := range members {
 			if id >= n || (j > 0 && id <= members[j-1]) {
-				return added, fmt.Errorf("eval: cache snapshot entry %d: member ids %v not ascending within graph of %d nodes", i, members, n)
+				return 0, fmt.Errorf("eval: cache snapshot entry %d: member ids %v not ascending within graph of %d nodes", i, members, n)
 			}
 		}
 		c := &SubgraphCost{
@@ -154,6 +158,16 @@ func (e *Evaluator) LoadCache(snap *CacheSnapshot) (added int, err error) {
 			ComputeCycles:  r.ComputeCycles,
 			GLBAccessBytes: r.GLBAccessBytes,
 		}
+		if i%stride == 0 {
+			if err := e.rederive(c); err != nil {
+				return 0, fmt.Errorf("eval: cache snapshot entry %d: %w", i, err)
+			}
+		}
+		costs[i] = c
+	}
+	for i, c := range costs {
+		r := &snap.Entries[i]
+		key := snap.Arena[r.Off : int64(r.Off)+int64(r.KeyLen)]
 		h := hashKey(key)
 		s := &e.cache.shards[h>>(64-shardBits)]
 		s.mu.Lock()
@@ -164,4 +178,27 @@ func (e *Evaluator) LoadCache(snap *CacheSnapshot) (added int, err error) {
 		s.mu.Unlock()
 	}
 	return added, nil
+}
+
+// loadSamples is the most records LoadCache re-derives from one snapshot.
+const loadSamples = 16
+
+// rederive computes c's subgraph on the cold path and reports a stored
+// cost that differs from it.
+func (e *Evaluator) rederive(c *SubgraphCost) error {
+	sc := e.scratch.Get().(*evalScratch)
+	d := e.computeSubgraph(sc, c.Members)
+	e.scratch.Put(sc)
+	if d.Err != nil {
+		return fmt.Errorf("stored cost of subgraph %v no longer derives: %w", c.Members, d.Err)
+	}
+	if stored, want := costFields(c), costFields(d); stored != want {
+		return fmt.Errorf("stored cost %v of subgraph %v, re-derived %v (written under another cost model?)", stored, c.Members, want)
+	}
+	return nil
+}
+
+// costFields lists the seven fields a snapshot record stores.
+func costFields(c *SubgraphCost) [7]int64 {
+	return [7]int64{c.WeightBytes, c.InBytes, c.OutBytes, c.ActFootprint, c.MACs, c.ComputeCycles, c.GLBAccessBytes}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"cocco/internal/hw"
+	"cocco/internal/models"
 	"cocco/internal/partition"
 	"cocco/internal/tiling"
 )
@@ -198,6 +200,63 @@ func TestLoadCacheRejectsMalformedRecords(t *testing.T) {
 	}
 	if n := ev.CacheEntries(); n != 0 {
 		t.Errorf("malformed loads left %d entries behind", n)
+	}
+}
+
+// TestLoadCacheRederivesSample: of 40 records, LoadCache re-derives
+// records 0, 3, 6, ..., 39 (every ⌈40/16⌉ = 3rd). A change to any field of
+// a sampled record refuses the whole load, which then adds nothing; a
+// change to a record outside the sample loads.
+func TestLoadCacheRederivesSample(t *testing.T) {
+	g := models.MustBuild("vgg16")
+	src, err := New(g, hw.DefaultPlatform(), tiling.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap *CacheSnapshot
+	for i := 1; i+1 < g.Len() && (snap == nil || len(snap.Entries) < 40); i++ {
+		src.Subgraph([]int{i})
+		src.Subgraph([]int{i, i + 1})
+		if snap, err = src.ExportCache(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(snap.Entries) < 40 {
+		t.Fatalf("fixture has %d records, want 40", len(snap.Entries))
+	}
+	snap.Entries = snap.Entries[:40]
+	fields := []func(*CacheRecord) *int64{
+		func(r *CacheRecord) *int64 { return &r.WeightBytes },
+		func(r *CacheRecord) *int64 { return &r.InBytes },
+		func(r *CacheRecord) *int64 { return &r.OutBytes },
+		func(r *CacheRecord) *int64 { return &r.ActFootprint },
+		func(r *CacheRecord) *int64 { return &r.MACs },
+		func(r *CacheRecord) *int64 { return &r.ComputeCycles },
+		func(r *CacheRecord) *int64 { return &r.GLBAccessBytes },
+	}
+	load := func(i, f int) (int, error) {
+		edited := *snap
+		edited.Entries = append([]CacheRecord(nil), snap.Entries...)
+		*fields[f](&edited.Entries[i])++
+		dst, err := New(g, hw.DefaultPlatform(), tiling.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		added, err := dst.LoadCache(&edited)
+		if dst.CacheEntries() != int64(added) {
+			t.Errorf("record %d field %d: %d entries cached, %d reported added", i, f, dst.CacheEntries(), added)
+		}
+		return added, err
+	}
+	for f := range fields {
+		for _, i := range []int{0, 3, 39} {
+			if added, err := load(i, f); err == nil || added != 0 || !strings.Contains(err.Error(), fmt.Sprintf("entry %d: stored cost", i)) {
+				t.Errorf("sampled record %d, field %d changed: added %d, err %v", i, f, added, err)
+			}
+		}
+		if added, err := load(1, f); err != nil || added != 40 {
+			t.Errorf("unsampled record 1, field %d changed: added %d, err %v; records outside the sample are trusted", f, added, err)
+		}
 	}
 }
 

@@ -112,16 +112,16 @@ func (r MemRange) Candidates() []int64 {
 	return out
 }
 
-// Clamp rounds v to the nearest candidate in the range.
+// Clamp rounds v to the nearest candidate in the range: Min below it, the
+// last candidate above it (Max only when Max is on the grid).
 func (r MemRange) Clamp(v int64) int64 {
 	if v <= r.Min {
 		return r.Min
 	}
-	if v >= r.Max {
-		return r.Max
+	if last := r.Min + int64(r.Count()-1)*r.Step; v >= last {
+		return last
 	}
-	k := (v - r.Min + r.Step/2) / r.Step
-	return r.Min + k*r.Step
+	return r.Min + (v-r.Min+r.Step/2)/r.Step*r.Step
 }
 
 // Contains reports whether v is a valid candidate.
@@ -138,6 +138,27 @@ func (r MemRange) Count() int {
 		return 0
 	}
 	return int((r.Max-r.Min)/r.Step) + 1
+}
+
+// MaxRangeCandidates caps a searched range and a dse capacity axis; the
+// paper's largest range has 47 candidates.
+const MaxRangeCandidates = 4_096
+
+// Validate checks a searched range: a positive minimum and step, and at
+// least one and at most MaxRangeCandidates candidates, counted without
+// overflow.
+func (r MemRange) Validate() error {
+	switch {
+	case r.Min < 1:
+		return fmt.Errorf("hw: range minimum must be >= 1, got %d", r.Min)
+	case r.Step < 1:
+		return fmt.Errorf("hw: range step must be >= 1, got %d", r.Step)
+	case r.Max < r.Min:
+		return fmt.Errorf("hw: empty range [%d, %d]", r.Min, r.Max)
+	case (r.Max-r.Min)/r.Step >= MaxRangeCandidates:
+		return fmt.Errorf("hw: range must have at most %d candidates, got %d", MaxRangeCandidates, (r.Max-r.Min)/r.Step+1)
+	}
+	return nil
 }
 
 // PaperGlobalRange is the paper's global-buffer search range.
@@ -301,10 +322,12 @@ func DefaultPlatform() Platform {
 	return Platform{Core: DefaultCore(), Energy: DefaultEnergy(), Area: DefaultArea(), Cores: 1, Batch: 1}
 }
 
-// Platform caps, far above Table 3's 4 cores and batch 8.
+// Platform caps, far above Table 3's 4 cores and batch 8, and a buffer
+// cap of 1 TiB, so a capacity in KiB times KiB stays far from overflow.
 const (
-	MaxCores = 256
-	MaxBatch = 1_024
+	MaxCores     = 256
+	MaxBatch     = 1_024
+	MaxBufferKiB = 1 << 30
 )
 
 // Validate checks structural sanity and the platform caps.

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,44 @@ func TestMemRangeClamp(t *testing.T) {
 	for _, c := range cases {
 		if got := r.Clamp(c.in); got != c.want {
 			t.Errorf("Clamp(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+// TestMemRangeClampOffGrid: when Max is off the grid, Clamp stays on it:
+// above the last candidate it returns that candidate, not Max, and no
+// rounding goes past it.
+func TestMemRangeClampOffGrid(t *testing.T) {
+	r := MemRange{Min: 128 * KiB, Max: 250 * KiB, Step: 64 * KiB} // 128, 192
+	for _, c := range []struct{ in, want int64 }{
+		{160 * KiB, 192 * KiB}, {191 * KiB, 192 * KiB}, {230 * KiB, 192 * KiB}, {400 * KiB, 192 * KiB},
+	} {
+		if got := r.Clamp(c.in); got != c.want || !r.Contains(got) {
+			t.Errorf("Clamp(%d KiB) = %d KiB, want %d KiB", c.in/KiB, got/KiB, c.want/KiB)
+		}
+	}
+}
+
+func TestMemRangeValidate(t *testing.T) {
+	for _, r := range []MemRange{PaperGlobalRange(), PaperWeightRange(), PaperSharedRange(),
+		{Min: 1, Max: MaxRangeCandidates, Step: 1}} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("%+v refused: %v", r, err)
+		}
+	}
+	for _, c := range []struct {
+		r    MemRange
+		want string
+	}{
+		{MemRange{Min: 0, Max: MiB, Step: KiB}, "minimum must be >= 1"},
+		{MemRange{Min: -KiB, Max: KiB, Step: KiB}, "minimum must be >= 1"},
+		{MemRange{Min: KiB, Max: MiB, Step: 0}, "step must be >= 1"},
+		{MemRange{Min: MiB, Max: KiB, Step: KiB}, "empty range"},
+		{MemRange{Min: 1, Max: MaxRangeCandidates + 1, Step: 1}, "at most 4096 candidates, got 4097"},
+		{MemRange{Min: 1, Max: math.MaxInt64, Step: 1}, "at most 4096 candidates, got 9223372036854775807"},
+	} {
+		if err := c.r.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, want an error containing %q", c.r, err, c.want)
 		}
 	}
 }

@@ -265,31 +265,30 @@ func TestDistResumesSingleProcessCheckpoint(t *testing.T) {
 	sameStats(t, "fleet-resumed", wantStats, gotStats)
 }
 
-// TestDistPauseOffCheckpointCadence pauses a fleet and an in-process run
-// at MaxRounds 2 under CheckpointEvery 3, so no cadence checkpoint has been
-// written yet and the pause writes its own: the two files must be
-// byte-identical, and a fleet resuming the fleet's file must reach the
-// uninterrupted run's best genome, with the Stats of an in-process resume.
-func TestDistPauseOffCheckpointCadence(t *testing.T) {
+// TestDistPauseCheckpointBytesMatch pauses a fleet and an in-process run
+// at MaxRounds 2: the two checkpoints must be byte-identical, and a fleet
+// resuming the fleet's file must reach the uninterrupted run's best genome,
+// with the Stats of an in-process resume.
+func TestDistPauseCheckpointBytesMatch(t *testing.T) {
 	model := "mobilenetv2"
 	wantBest, _, err := search.Run(evaluatorFor(t, model), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	offCadence := func(ckpt string, maxRounds int) search.Options {
+	paused := func(ckpt string, maxRounds int) search.Options {
 		o := testOptions()
-		o.Checkpoint, o.CheckpointEvery, o.MaxRounds = ckpt, 3, maxRounds
+		o.Checkpoint, o.MaxRounds = ckpt, maxRounds
 		return o
 	}
 
 	single := filepath.Join(dir, "single.ckpt")
-	if _, st, err := search.Run(evaluatorFor(t, model), offCadence(single, 2)); st == nil || !st.Paused {
+	if _, st, err := search.Run(evaluatorFor(t, model), paused(single, 2)); st == nil || !st.Paused {
 		t.Fatalf("in-process leg did not pause (stats %+v, err %v)", st, err)
 	}
 	fleet := filepath.Join(dir, "fleet.ckpt")
 	if _, st, err := Run(evaluatorFor(t, model), Options{
-		Search:  offCadence(fleet, 2),
+		Search:  paused(fleet, 2),
 		Workers: startWorkers(t, model, 2),
 	}); st == nil || !st.Paused {
 		t.Fatalf("fleet leg did not pause (stats %+v, err %v)", st, err)
@@ -306,9 +305,9 @@ func TestDistPauseOffCheckpointCadence(t *testing.T) {
 		t.Errorf("paused checkpoint bytes differ: fleet %d bytes, in-process %d", len(got), len(want))
 	}
 
-	wantStats := resumedInProcess(t, model, offCadence(fleet, 0), fleet)
+	wantStats := resumedInProcess(t, model, paused(fleet, 0), fleet)
 	gotBest, gotStats, err := RunOrResume(evaluatorFor(t, model), Options{
-		Search:  offCadence(fleet, 0),
+		Search:  paused(fleet, 0),
 		Workers: startWorkers(t, model, 2),
 	}, fleet)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cocco/internal/core"
+	"cocco/internal/hw"
 	"cocco/internal/search"
 )
 
@@ -181,6 +182,12 @@ func TestWorkerRefusesInadmissibleAssign(t *testing.T) {
 		{"metric 7", func(o *search.Options) { o.Core.Objective.Metric = 7 }, "metric"},
 		{"buffer kind 7", func(o *search.Options) { o.Core.Mem.Kind = 7 }, "buffer kind"},
 		{"scout kind 9", func(o *search.Options) { o.Scouts = []search.ScoutKind{9} }, "scout kind"},
+		{"range of 2^20", func(o *search.Options) {
+			o.Core.Mem = core.MemSearch{Search: true, Kind: hw.SharedBuffer, Global: hw.MemRange{Min: 1, Max: 1 << 20, Step: 1}}
+		}, "at most 4096 candidates"},
+		{"range from 0", func(o *search.Options) {
+			o.Core.Mem = core.MemSearch{Search: true, Kind: hw.SharedBuffer, Global: hw.MemRange{Min: 0, Max: hw.MiB, Step: hw.KiB}}
+		}, "minimum must be >= 1"},
 	}
 	hello := helloMsg{Proto: ProtocolVersion, Fingerprint: evFingerprint(ev)}
 	for _, tc := range cases {

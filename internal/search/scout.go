@@ -184,8 +184,7 @@ func greedyMem(ms core.MemSearch) hw.MemConfig {
 		return ms.Fixed
 	}
 	mid := func(r hw.MemRange) int64 {
-		c := r.Candidates()
-		return c[len(c)/2]
+		return r.Min + int64(r.Count()/2)*r.Step
 	}
 	m := hw.MemConfig{Kind: ms.Kind, GlobalBytes: mid(ms.Global)}
 	if ms.Kind == hw.SeparateBuffer {

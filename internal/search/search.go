@@ -85,13 +85,11 @@ type Options struct {
 	// Scouts appends non-GA islands to the migration ring.
 	Scouts []ScoutKind
 	// Checkpoint, if non-empty, is the path the orchestrator writes its
-	// snapshot to at every CheckpointEvery-th migration barrier.
+	// snapshot to at every migration barrier.
 	Checkpoint string `json:"-"`
-	// CheckpointEvery is the barrier period of checkpoint writes (default 1).
-	CheckpointEvery int `json:"-"`
 	// MaxRounds, when positive, pauses the run after that many rounds even
-	// if sample budget remains, writing a final checkpoint when Checkpoint
-	// is set. Like Workers it never shapes the trajectory — a paused-and-
+	// if sample budget remains; the last barrier's checkpoint is the one to
+	// resume from. Like Workers it never shapes the trajectory — a paused-and-
 	// resumed run replays the uninterrupted one — so it is not part of the
 	// checkpoint fingerprint. Time-boxed jobs run with MaxRounds and resume
 	// later.
@@ -113,9 +111,8 @@ const (
 )
 
 // WithDefaults returns the options with every zero field filled: Islands
-// 1, MigrateEvery 5, Migrants 2, core's defaults, and CheckpointEvery 1
-// for any non-positive value. A negative or out-of-range field stays for
-// Validate to refuse.
+// 1, MigrateEvery 5, Migrants 2 and core's defaults. A negative or
+// out-of-range field stays for Validate to refuse.
 func (o Options) WithDefaults() Options {
 	o.Core = o.Core.WithDefaults()
 	if o.Islands == 0 {
@@ -126,9 +123,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Migrants == 0 {
 		o.Migrants = 2
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
 	}
 	return o
 }
@@ -213,12 +207,12 @@ type island interface {
 // process it is a RingHost over the whole ring; internal/search/dist
 // implements it over a fleet of worker processes that each host a slice.
 // Both run under the one loop behind RunOrResumeOn — step, migrate,
-// checkpoint cadence, pause, aggregation, resume — so any partitioning of
-// the ring replays the in-process trajectory by construction.
+// checkpoint, pause, aggregation, resume — so any partitioning of the ring
+// replays the in-process trajectory by construction.
 //
 // The loop calls one Step per round; after a Step that did work, Migrate
-// (on a ring of two or more islands), Snapshots on checkpointing rounds,
-// and Results when Options.Progress is set; Results once more at the end.
+// (on a ring of two or more islands), Snapshots when checkpointing, and
+// Results when Options.Progress is set; Results once more at the end.
 type Ring interface {
 	// Step advances every island by one round of MigrateEvery optimizer
 	// steps (or a scout's equivalent). It reports whether any island did
@@ -372,7 +366,7 @@ func (l *loop) run() (*core.Genome, *Stats, error) {
 				return nil, nil, err
 			}
 		}
-		if l.opt.Checkpoint != "" && l.rounds%l.opt.CheckpointEvery == 0 {
+		if l.opt.Checkpoint != "" {
 			if err := l.save(); err != nil {
 				return nil, nil, err
 			}
@@ -387,15 +381,10 @@ func (l *loop) run() (*core.Genome, *Stats, error) {
 			l.opt.Progress(best, st)
 		}
 		if l.opt.MaxRounds > 0 && l.rounds-startRound >= l.opt.MaxRounds {
-			// Pause: snapshot the barrier state so the job can resume later.
+			// Pause: this barrier's checkpoint lets the job resume later.
 			// If the final allowed round happened to exhaust every island,
 			// the run is simply complete — not paused.
 			l.paused = !done
-			if l.paused && l.rounds%l.opt.CheckpointEvery != 0 {
-				if err := l.save(); err != nil {
-					return nil, nil, err
-				}
-			}
 			break
 		}
 	}

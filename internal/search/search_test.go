@@ -498,7 +498,17 @@ func TestOptionsValidate(t *testing.T) {
 		{func(o *Options) { o.Core.Population = -3 }, "population must be in [2, "},
 		{func(o *Options) { o.Core.Objective.Alpha = math.Inf(1) }, "alpha must be a finite number >= 0"},
 		{func(o *Options) { o.Core.Mem.Fixed.Kind = 7 }, "unknown buffer kind 7"},
-		{func(o *Options) { o.Core.Mem = core.MemSearch{Search: true} }, "empty global-buffer range"},
+		{func(o *Options) { o.Core.Mem = core.MemSearch{Search: true} }, "global-buffer range: hw: range minimum must be >= 1, got 0"},
+		{func(o *Options) {
+			o.Core.Mem = core.MemSearch{Search: true, Kind: hw.SharedBuffer, Global: hw.MemRange{Min: 0, Max: hw.MiB, Step: hw.KiB}}
+		}, "global-buffer range: hw: range minimum must be >= 1, got 0"},
+		{func(o *Options) {
+			o.Core.Mem = core.MemSearch{Search: true, Kind: hw.SharedBuffer, Global: hw.MemRange{Min: 1, Max: 1 << 20, Step: 1}}
+		}, "global-buffer range: hw: range must have at most 4096 candidates, got 1048576"},
+		{func(o *Options) {
+			o.Core.Mem = core.PaperSpace(hw.SeparateBuffer)
+			o.Core.Mem.Weight.Step = 0
+		}, "weight-buffer range: hw: range step must be >= 1, got 0"},
 		{func(o *Options) { o.Islands = -1 }, "islands must be >= 1"},
 		{func(o *Options) { o.MigrateEvery = -2 }, "migrate-every must be >= 1"},
 		{func(o *Options) { o.Migrants = -1 }, "migrants must be in [1, "},

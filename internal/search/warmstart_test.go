@@ -1,6 +1,7 @@
 package search
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"cocco/internal/eval"
 	"cocco/internal/hw"
 	"cocco/internal/models"
+	"cocco/internal/serialize"
 	"cocco/internal/tiling"
 )
 
@@ -134,4 +136,60 @@ func TestWarmStartBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCostCacheLoad drives fuzzed records and key arenas, stamped with the
+// target evaluator's own fingerprint, down a snapshot's whole path: the
+// encoder (inputs it refuses are skipped), the decoder, LoadCache, and one
+// small search round on mobilenetv2 over whatever loaded. Each step must
+// return an error or finish; none may panic. The seed is a real snapshot
+// of that search.
+func FuzzCostCacheLoad(f *testing.F) {
+	g := models.MustBuild("mobilenetv2")
+	opt := Options{Core: core.Options{
+		Seed: 5, Workers: 1, Population: 4, MaxSamples: 8,
+		Objective: eval.Objective{Metric: eval.MetricEMA},
+		Mem:       core.MemSearch{Fixed: fixedMem()},
+	}}
+	primer := eval.MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
+	if _, _, err := Run(primer, opt); err != nil {
+		f.Fatal(err)
+	}
+	snap, err := primer.ExportCache()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var recs []byte
+	for _, r := range snap.Entries {
+		recs = binary.LittleEndian.AppendUint32(recs, r.Off)
+		recs = binary.LittleEndian.AppendUint32(recs, r.KeyLen)
+		for _, v := range [...]int64{r.WeightBytes, r.InBytes, r.OutBytes, r.ActFootprint, r.MACs, r.ComputeCycles, r.GLBAccessBytes} {
+			recs = binary.LittleEndian.AppendUint64(recs, uint64(v))
+		}
+	}
+	f.Add(recs, snap.Arena)
+	f.Fuzz(func(t *testing.T, recs, arena []byte) {
+		ev := eval.MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
+		in := &eval.CacheSnapshot{Fingerprint: ev.CacheFingerprint(), Arena: arena}
+		for ; len(recs) >= 64; recs = recs[64:] {
+			v := func(i int) int64 { return int64(binary.LittleEndian.Uint64(recs[8+8*i:])) }
+			in.Entries = append(in.Entries, eval.CacheRecord{
+				Off: binary.LittleEndian.Uint32(recs), KeyLen: binary.LittleEndian.Uint32(recs[4:]),
+				WeightBytes: v(0), InBytes: v(1), OutBytes: v(2), ActFootprint: v(3),
+				MACs: v(4), ComputeCycles: v(5), GLBAccessBytes: v(6),
+			})
+		}
+		data, err := serialize.EncodeCostCache(in)
+		if err != nil {
+			return
+		}
+		back, err := serialize.DecodeCostCache(data)
+		if err != nil {
+			t.Fatalf("an encoded snapshot does not decode: %v", err)
+		}
+		if _, err := ev.LoadCache(back); err != nil {
+			return
+		}
+		_, _, _ = Run(ev, opt) // an error is a valid outcome; a panic fails the input
+	})
 }

@@ -36,18 +36,8 @@ import (
 // to the core geometry (graph + tiling + hw.Core) when the cost cache moved
 // onto the shared GraphContext: version-1 snapshots are valid only for the
 // exact platform that wrote them, which the geometry fingerprint can no
-// longer express, so they are rejected as too old rather than reinterpreted.
+// longer express, so they are rejected rather than reinterpreted.
 const CostCacheVersion = 2
-
-// ErrCostCacheTooOld and ErrCostCacheTooNew order a version mismatch so
-// callers can distinguish "stale file from an earlier release — safe to
-// ignore or regenerate" (errors.Is ErrCostCacheTooOld) from "file written
-// by a newer release than this binary" (ErrCostCacheTooNew). Neither means
-// corruption; the checksum guards that separately.
-var (
-	ErrCostCacheTooOld = fmt.Errorf("serialize: cost cache version too old")
-	ErrCostCacheTooNew = fmt.Errorf("serialize: cost cache version too new")
-)
 
 var costCacheMagic = [8]byte{'C', 'O', 'C', 'C', 'A', 'C', 'H', 'E'}
 
@@ -110,12 +100,7 @@ func DecodeCostCache(data []byte) (*eval.CacheSnapshot, error) {
 		return nil, fmt.Errorf("serialize: cost cache: not a cache snapshot (bad magic)")
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != CostCacheVersion {
-		if v < CostCacheVersion {
-			return nil, fmt.Errorf("%w: version %d, want %d (snapshot predates the shared geometry-keyed cache; regenerate it)",
-				ErrCostCacheTooOld, v, CostCacheVersion)
-		}
-		return nil, fmt.Errorf("%w: version %d, want %d (written by a newer release)",
-			ErrCostCacheTooNew, v, CostCacheVersion)
+		return nil, fmt.Errorf("serialize: cost cache: format version %d, want %d", v, CostCacheVersion)
 	}
 	if len(data) < 16 {
 		return nil, fmt.Errorf("serialize: cost cache: truncated header")
@@ -176,25 +161,24 @@ func WriteCostCacheFile(path string, snap *eval.CacheSnapshot) error {
 	return AtomicWriteFile(path, data, 0o644)
 }
 
-// ReadCostCacheFile reads and decodes a snapshot file.
-func ReadCostCacheFile(path string) (*eval.CacheSnapshot, error) {
+// LoadCostCacheFile warm-starts ev from a snapshot file, returning the
+// number of entries added. It is the one rule for every snapshot loader
+// (cocco and coccow -cache-load, dse's geometry-group files): a missing file
+// is an error wrapping os.ErrNotExist, which callers treat as a cold start;
+// any other file that does not load — a damaged frame, another format
+// version, a foreign fingerprint, a re-derived record that differs — is an
+// error naming the file and saying to delete it, and adds nothing.
+func LoadCostCacheFile(ev *eval.Evaluator, path string) (added int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("serialize: cost cache: %w", err)
+		return 0, fmt.Errorf("serialize: cost cache: %w", err)
 	}
-	return DecodeCostCache(data)
-}
-
-// LoadCostCacheFile warm-starts ev from a snapshot file, returning the
-// number of entries added. A missing file is an error wrapping
-// os.ErrNotExist, which callers treat as a cold start.
-func LoadCostCacheFile(ev *eval.Evaluator, path string) (added int, err error) {
-	snap, err := ReadCostCacheFile(path)
+	snap, err := DecodeCostCache(data)
+	if err == nil {
+		added, err = ev.LoadCache(snap)
+	}
 	if err != nil {
-		return 0, err
-	}
-	if added, err = ev.LoadCache(snap); err != nil {
-		return added, fmt.Errorf("serialize: cost cache %s: %w", path, err)
+		return 0, fmt.Errorf("serialize: cost cache %s: %w (delete the file to start cold)", path, err)
 	}
 	return added, nil
 }

@@ -3,6 +3,8 @@ package serialize
 import (
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -86,11 +88,11 @@ func TestCostCacheDecodeRejects(t *testing.T) {
 		{"version too new", func(d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[8:], CostCacheVersion+1)
 			return rechecksum(d)
-		}, "version too new"},
+		}, "format version 3, want 2"},
 		{"version too old", func(d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[8:], CostCacheVersion-1)
 			return rechecksum(d)
-		}, "version too old"},
+		}, "format version 1, want 2"},
 		{"truncated mid-records", func(d []byte) []byte { return d[:recordsOff+13] }, "truncated"},
 		{"truncated checksum", func(d []byte) []byte { return d[:len(d)-3] }, "truncated"},
 		{"trailing garbage", func(d []byte) []byte { return append(d, 0xEE) }, "trailing"},
@@ -129,29 +131,73 @@ func TestCostCacheDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestCostCacheVersionErrorsOrdered pins the errors.Is contract the dse
-// driver's stale-file skip rests on: an older frame matches only TooOld, a
-// newer frame only TooNew, and a current frame with other damage neither.
-func TestCostCacheVersionErrorsOrdered(t *testing.T) {
-	valid, err := EncodeCostCache(snapshotFixture(t))
+// TestLoadCostCacheFileRule pins the one rule every snapshot loader
+// shares: a missing file wraps os.ErrNotExist (a cold start); a file that
+// exists but does not load is an error naming it and saying to delete it,
+// and loads nothing.
+func TestLoadCostCacheFileRule(t *testing.T) {
+	snap := snapshotFixture(t)
+	valid, err := EncodeCostCache(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stamp := func(v uint32) []byte {
-		d := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(d[8:], v)
-		return rechecksum(d)
-	}
-	if _, err := DecodeCostCache(stamp(CostCacheVersion - 1)); !errors.Is(err, ErrCostCacheTooOld) || errors.Is(err, ErrCostCacheTooNew) {
-		t.Errorf("old frame: err = %v, want ErrCostCacheTooOld only", err)
-	}
-	if _, err := DecodeCostCache(stamp(CostCacheVersion + 1)); !errors.Is(err, ErrCostCacheTooNew) || errors.Is(err, ErrCostCacheTooOld) {
-		t.Errorf("new frame: err = %v, want ErrCostCacheTooNew only", err)
+	reencode := func(mut func(*eval.CacheSnapshot)) []byte {
+		s, err := DecodeCostCache(valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut(s)
+		data, err := EncodeCostCache(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)-9] ^= 0x40
-	if _, err := DecodeCostCache(corrupt); err == nil || errors.Is(err, ErrCostCacheTooOld) || errors.Is(err, ErrCostCacheTooNew) {
-		t.Errorf("corrupt current-version frame: err = %v, want neither version sentinel", err)
+	oldVersion := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(oldVersion[8:], CostCacheVersion-1)
+
+	dir := t.TempDir()
+	newEv := func() *eval.Evaluator {
+		return eval.MustNew(models.MustBuild("vgg16"), hw.DefaultPlatform(), tiling.DefaultConfig())
+	}
+	missing := filepath.Join(dir, "missing.cache")
+	if n, err := LoadCostCacheFile(newEv(), missing); !errors.Is(err, os.ErrNotExist) || n != 0 {
+		t.Errorf("missing file: added %d, err %v; want os.ErrNotExist", n, err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"corrupt frame", corrupt, "checksum mismatch"},
+		{"previous version", oldVersion, "format version 1, want 2"},
+		{"foreign fingerprint", reencode(func(s *eval.CacheSnapshot) { s.Fingerprint += " core=other" }), "fingerprint mismatch"},
+		// Record 0 is always in the re-derived sample.
+		{"changed record 0", reencode(func(s *eval.CacheSnapshot) { s.Entries[0].GLBAccessBytes-- }), "entry 0: stored cost"},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_")+".cache")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ev := newEv()
+		n, err := LoadCostCacheFile(ev, path)
+		for _, want := range []string{"serialize: cost cache " + path + ": ", tc.want, "(delete the file to start cold)"} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: got %v, want an error containing %q", tc.name, err, want)
+			}
+		}
+		if n != 0 || ev.CacheEntries() != 0 || errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: added %d (%d cached), err %v; want nothing loaded and no cold start", tc.name, n, ev.CacheEntries(), err)
+		}
+	}
+	path := filepath.Join(dir, "valid.cache")
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := LoadCostCacheFile(newEv(), path); err != nil || n != len(snap.Entries) {
+		t.Errorf("valid file: added %d, err %v; want all %d entries", n, err, len(snap.Entries))
 	}
 }
 
@@ -222,7 +268,7 @@ func FuzzCostCacheDecode(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("COCCACHE"))
 	f.Add([]byte{})
-	// An old-version frame: seeds the version-ordering branch.
+	// An old-version frame: seeds the version branch.
 	oldFrame := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(oldFrame[8:], CostCacheVersion-1)
 	f.Add(rechecksum(oldFrame))
@@ -231,9 +277,6 @@ func FuzzCostCacheDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeCostCache(data)
 		if err != nil {
-			if errors.Is(err, ErrCostCacheTooOld) && errors.Is(err, ErrCostCacheTooNew) {
-				t.Fatal("version error matches both ordering sentinels")
-			}
 			return
 		}
 		if _, err := EncodeCostCache(snap); err != nil {

@@ -341,7 +341,7 @@ var submitValidationCases = []struct {
 	{"huge batch", func(sp *serialize.JobSpecJSON) { sp.Batch = hw.MaxBatch + 1 }, "batch"},
 	// 2^54+1 KiB is 2^64+1024 bytes: unchecked, it wraps to a 1 KiB buffer.
 	{"wrapping glb", func(sp *serialize.JobSpecJSON) { sp.GLBKiB = 1<<54 + 1 }, "glb_kib"},
-	{"huge wgt", func(sp *serialize.JobSpecJSON) { sp.WGTKiB = MaxBufferKiB + 1 }, "wgt_kib"},
+	{"huge wgt", func(sp *serialize.JobSpecJSON) { sp.WGTKiB = hw.MaxBufferKiB + 1 }, "wgt_kib"},
 }
 
 // TestSubmitValidation: malformed specs are refused before admission.

@@ -24,20 +24,15 @@ import (
 // cmd/cocco, which fills a spec from its flags, and NewEvaluator that of
 // cmd/coccow: a job, a CLI run and a fleet worker build alike.
 
-// MaxBufferKiB caps glb_kib and wgt_kib: 1 TiB, so ×1024 stays far from
-// overflow. The other admission caps are core's, search's and hw's: a spec
-// asking for more is rejected (HTTP 400) before the daemon reserves
-// anything for it.
-const MaxBufferKiB = 1 << 30
-
 // NormalizeSpec fills defaults and validates every field of a submitted job
 // spec. cmd/cocco's flag defaults are a fixed point of it (its tests check
 // that). The returned spec is what the manifest stores; normalizing before
 // persisting keeps spec→options a pure function across server restarts.
 //
-// The spec's own rules are its names, its KiB fields and that mem_search
-// needs Formula 2; the platform and search rules are hw.Platform.Validate's
-// and search.Options.Validate's, the ones every other door checks.
+// The spec's own rules are its names, its KiB fields (at most
+// hw.MaxBufferKiB) and that mem_search needs Formula 2; the platform and
+// search rules are hw.Platform.Validate's and search.Options.Validate's, the
+// ones every other door checks.
 func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 	if spec.Model == "" {
 		return spec, fmt.Errorf("serve: job spec: model is required")
@@ -81,11 +76,11 @@ func NormalizeSpec(spec serialize.JobSpecJSON) (serialize.JobSpecJSON, error) {
 		if spec.GLBKiB < 0 || spec.WGTKiB < 0 {
 			return spec, fmt.Errorf("serve: job spec: buffer capacities must be positive")
 		}
-		if spec.GLBKiB > MaxBufferKiB {
-			return spec, fmt.Errorf("serve: job spec: glb_kib must be <= %d", MaxBufferKiB)
+		if spec.GLBKiB > hw.MaxBufferKiB {
+			return spec, fmt.Errorf("serve: job spec: glb_kib must be <= %d", hw.MaxBufferKiB)
 		}
-		if spec.WGTKiB > MaxBufferKiB {
-			return spec, fmt.Errorf("serve: job spec: wgt_kib must be <= %d", MaxBufferKiB)
+		if spec.WGTKiB > hw.MaxBufferKiB {
+			return spec, fmt.Errorf("serve: job spec: wgt_kib must be <= %d", hw.MaxBufferKiB)
 		}
 	}
 	opt, err := BuildOptions(spec)
