@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -41,48 +42,63 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	log.SetPrefix("dse: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(errorLine(err))
+	}
+}
 
+// errorLine is the line dse prints for a failure: the error behind exactly
+// one "dse: ", which package dse's own errors already start with.
+func errorLine(err error) string {
+	return "dse: " + strings.TrimPrefix(err.Error(), "dse: ")
+}
+
+// run parses args, runs the sweep they describe and prints its progress and
+// Pareto fronts to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dse", flag.ExitOnError)
 	var (
-		modelsFlag = flag.String("models", "googlenet", "comma-separated model names, or 'all': "+strings.Join(models.Names(), ", "))
-		kind       = flag.String("kind", "separate", "buffer design axis: separate | shared | both")
-		glb        = flag.String("glb", "256,512,1024,2048", "global/shared-buffer KB axis: comma list or min:max:step")
-		wgt        = flag.String("wgt", "288,576,1152,2304", "weight-buffer KB axis (separate kind): comma list or min:max:step")
-		coresFlag  = flag.String("cores", "1", "comma-separated core counts")
-		batchFlag  = flag.String("batch", "1", "comma-separated batch sizes")
-		tcfgFlag   = flag.String("tiling", tiling.DefaultConfig().String(), "base tile as HxW (e.g. 2x2)")
+		modelsFlag = fs.String("models", "googlenet", "comma-separated model names, or 'all': "+strings.Join(models.Names(), ", "))
+		kind       = fs.String("kind", "separate", "buffer design axis: separate | shared | both")
+		glb        = fs.String("glb", "256,512,1024,2048", "global/shared-buffer KB axis: comma list or min:max:step")
+		wgt        = fs.String("wgt", "288,576,1152,2304", "weight-buffer KB axis (separate kind): comma list or min:max:step")
+		coresFlag  = fs.String("cores", "1", "comma-separated core counts")
+		batchFlag  = fs.String("batch", "1", "comma-separated batch sizes")
+		tcfgFlag   = fs.String("tiling", tiling.DefaultConfig().String(), "base tile as HxW (e.g. 2x2)")
 
-		metric  = flag.String("metric", "energy", "optimization metric: ema | energy")
-		alpha   = flag.Float64("alpha", 0, "Formula 2 preference α (0 = partition-only Formula 1)")
-		samples = flag.Int("samples", 10_000, "genome-evaluation budget per island per config")
-		popSize = flag.Int("population", 100, "GA population size")
-		seed    = flag.Int64("seed", 42, "base seed; config i uses seed+i")
-		workers = flag.Int("workers", 1, "configs searched concurrently (never changes results)")
+		metric  = fs.String("metric", "energy", "optimization metric: ema | energy")
+		alpha   = fs.Float64("alpha", 0, "Formula 2 preference α (0 = partition-only Formula 1)")
+		samples = fs.Int("samples", 10_000, "genome-evaluation budget per island per config")
+		popSize = fs.Int("population", 100, "GA population size")
+		seed    = fs.Int64("seed", 42, "base seed; config i uses seed+i")
+		workers = fs.Int("workers", 1, "configs searched concurrently (never changes results)")
 
-		islands   = flag.Int("islands", 1, "GA islands per config")
-		migEvery  = flag.Int("migrate-every", 5, "generations between ring migrations")
-		migrants  = flag.Int("migrants", 2, "genomes each island sends per migration")
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-config checkpoints and outcomes plus per-geometry cost-cache snapshots (enables resume + warm starts)")
-		maxRounds = flag.Int("max-rounds", 0, "pause each config after this many rounds (0 = run to completion; needs -checkpoint-dir)")
-		noCache   = flag.Bool("no-cache-snapshots", false, "skip the per-geometry cost-cache warm-start files (results are identical either way)")
+		islands   = fs.Int("islands", 1, "GA islands per config")
+		migEvery  = fs.Int("migrate-every", 5, "generations between ring migrations")
+		migrants  = fs.Int("migrants", 2, "genomes each island sends per migration")
+		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-config checkpoints and outcomes plus per-geometry cost-cache snapshots (enables resume + warm starts)")
+		maxRounds = fs.Int("max-rounds", 0, "pause each config after this many rounds (0 = run to completion; needs -checkpoint-dir)")
+		noCache   = fs.Bool("no-cache-snapshots", false, "skip the per-geometry cost-cache warm-start files (results are identical either way)")
 
-		csvPath = flag.String("csv", "", "also write the full sweep table as CSV to this path")
-		full    = flag.Bool("full", false, "print the full sweep table, not just the Pareto fronts")
+		csvPath = fs.String("csv", "", "also write the full sweep table as CSV to this path")
+		full    = fs.Bool("full", false, "print the full sweep table, not just the Pareto fronts")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	grid, err := buildGrid(*modelsFlag, *kind, *glb, *wgt, *coresFlag, *batchFlag, *tcfgFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	configs, err := grid.Configs()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	m, err := eval.ParseMetric(*metric)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	obj := eval.Objective{Metric: m, Alpha: *alpha}
 
@@ -108,33 +124,34 @@ func main() {
 			if o.Feasible {
 				cost = fmt.Sprintf("%.6g", o.Cost)
 			}
-			fmt.Printf("[%3d/%d] %-10s %-28s cost=%-12s (%d samples)\n",
+			fmt.Fprintf(stdout, "[%3d/%d] %-10s %-28s cost=%-12s (%d samples)\n",
 				o.Config.Index+1, len(configs), o.Status, o.Config.String(), cost, o.Samples)
 			return nil
 		},
 	}
 
-	fmt.Printf("sweeping %d configs over %d models (%d workers)\n",
+	fmt.Fprintf(stdout, "sweeping %d configs over %d models (%d workers)\n",
 		len(configs), len(grid.Models), *workers)
 	rep, err := dse.Run(opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if *full {
-		fmt.Println(rep.Table())
+		fmt.Fprintln(stdout, rep.Table())
 	}
-	fmt.Println(rep.FrontTable())
+	fmt.Fprintln(stdout, rep.FrontTable())
 	if rep.Paused() {
-		fmt.Printf("sweep paused (some configs hit -max-rounds); rerun the same command to continue\n")
+		fmt.Fprintf(stdout, "sweep paused (some configs hit -max-rounds); rerun the same command to continue\n")
 	}
 	if *csvPath != "" {
 		if err := os.WriteFile(*csvPath, []byte(rep.Table().CSV()), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *csvPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *csvPath)
 	}
+	return nil
 }
 
 // buildGrid assembles the sweep grid from the flag values.

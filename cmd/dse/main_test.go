@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -36,5 +39,43 @@ func TestParseKBAxis(t *testing.T) {
 	}
 	if got, err := parseKBAxis("1:4096:1"); err != nil || len(got) != hw.MaxRangeCandidates {
 		t.Errorf("range of MaxRangeCandidates values: %d, %v", len(got), err)
+	}
+}
+
+// TestErrorLineHasOnePrefix: every error dse prints starts with exactly one
+// "dse: ", whether it comes from the flags, from package dse's grid or
+// sweep, or from another package beneath them.
+func TestErrorLineHasOnePrefix(t *testing.T) {
+	small := []string{"-models", "mobilenetv2", "-glb", "256", "-wgt", "288", "-samples", "40", "-population", "4"}
+	dir := t.TempDir()
+	if err := run(append(small, "-checkpoint-dir", dir), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	caches, _ := filepath.Glob(filepath.Join(dir, "*.cache"))
+	if len(caches) != 1 {
+		t.Fatalf("sweep left %d cost-cache snapshots, want 1", len(caches))
+	}
+	if err := os.WriteFile(caches[0], []byte("not a cost cache"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-glb", "0"}, "dse: -glb: KB value must be in"},
+		{[]string{"-models", "no-such-model"}, "dse: grid model: "},
+		{[]string{"-glb", "256,256"}, "dse: grid repeats global capacity"},
+		{[]string{"-metric", "latency"}, "dse: eval: unknown metric"},
+		{append(small, "-alpha", "-1"), "dse: config mobilenetv2_"},
+		{append(small, "-checkpoint-dir", dir), "dse: serialize: cost cache " + caches[0]},
+	} {
+		err := run(c.args, io.Discard)
+		if err == nil {
+			t.Errorf("%q: ran, want an error", c.args)
+			continue
+		}
+		if line := errorLine(err); !strings.HasPrefix(line, c.want) || strings.HasPrefix(line, "dse: dse: ") {
+			t.Errorf("%q: prints %q, want one \"dse: \" and %q", c.args, line, c.want)
+		}
 	}
 }

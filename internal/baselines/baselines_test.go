@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cocco/internal/core"
@@ -69,37 +70,67 @@ func TestDPValidAndAtLeastGreedyOnChains(t *testing.T) {
 }
 
 func TestEnumerationIsOptimal(t *testing.T) {
-	// The downset DP is exact, so no other method may beat it.
-	for _, model := range []string{"vgg16", "resnet50", "googlenet"} {
-		ev := testEval(t, model)
-		mem := paperMem()
-		enP, samples, err := Enumerate(ev, mem, eval.MetricEMA)
-		if err != nil {
-			t.Fatalf("%s: %v", model, err)
-		}
-		if samples <= 0 {
-			t.Errorf("%s: no candidate evaluations", model)
-		}
-		enCost := metricOf(ev, enP, mem, eval.MetricEMA)
+	// The downset DP is exact, so no other method may beat it. At two cores
+	// a subgraph's weights are sharded, ⌈W/2⌉ bytes per core (§5.4.2), so
+	// the enumeration must test candidates by the rule the GA's results
+	// apply, or the GA searches a larger feasible set and beats it.
+	for _, cores := range []int{1, 2} {
+		p := hw.DefaultPlatform()
+		p.Cores = cores
+		for _, model := range []string{"vgg16", "resnet50", "googlenet"} {
+			name := fmt.Sprintf("%s at %d cores", model, cores)
+			ev := eval.MustNew(models.MustBuild(model), p, tiling.DefaultConfig())
+			mem := paperMem()
+			enP, samples, err := Enumerate(ev, mem, eval.MetricEMA)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if samples <= 0 {
+				t.Errorf("%s: no candidate evaluations", name)
+			}
+			enCost := metricOf(ev, enP, mem, eval.MetricEMA)
 
-		gP, _ := Greedy(ev, mem, eval.MetricEMA)
-		dP, _ := DP(ev, mem, eval.MetricEMA)
-		if g := metricOf(ev, gP, mem, eval.MetricEMA); g < enCost {
-			t.Errorf("%s: greedy %g beat 'exact' enumeration %g", model, g, enCost)
+			gP, _ := Greedy(ev, mem, eval.MetricEMA)
+			dP, _ := DP(ev, mem, eval.MetricEMA)
+			if g := metricOf(ev, gP, mem, eval.MetricEMA); g < enCost {
+				t.Errorf("%s: greedy %g beat 'exact' enumeration %g", name, g, enCost)
+			}
+			if d := metricOf(ev, dP, mem, eval.MetricEMA); d < enCost {
+				t.Errorf("%s: DP %g beat 'exact' enumeration %g", name, d, enCost)
+			}
+			coccoBest, _, err := core.Run(ev, core.Options{
+				Seed: 3, Population: 60, MaxSamples: 8000,
+				Objective: eval.Objective{Metric: eval.MetricEMA},
+				Mem:       core.MemSearch{Fixed: mem},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if float64(coccoBest.Res.EMABytes) < enCost {
+				t.Errorf("%s: Cocco %d beat 'exact' enumeration %g", name, coccoBest.Res.EMABytes, enCost)
+			}
 		}
-		if d := metricOf(ev, dP, mem, eval.MetricEMA); d < enCost {
-			t.Errorf("%s: DP %g beat 'exact' enumeration %g", model, d, enCost)
-		}
-		coccoBest, _, err := core.Run(ev, core.Options{
-			Seed: 3, Population: 60, MaxSamples: 8000,
-			Objective: eval.Objective{Metric: eval.MetricEMA},
-			Mem:       core.MemSearch{Fixed: mem},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if float64(coccoBest.Res.EMABytes) < enCost {
-			t.Errorf("%s: Cocco %d beat 'exact' enumeration %g", model, coccoBest.Res.EMABytes, enCost)
+	}
+}
+
+// TestFitsIsContributionFits: Fits, which Enumerate, DP and Greedy test
+// candidates with, applies the rule every Result applies
+// (Contribution.Fits), weights sharded across cores, on every window of up
+// to 8 compute layers at two cores.
+func TestFitsIsContributionFits(t *testing.T) {
+	p := hw.DefaultPlatform()
+	p.Cores = 2
+	mem := paperMem()
+	for _, model := range []string{"resnet50", "googlenet"} {
+		ev := eval.MustNew(models.MustBuild(model), p, tiling.DefaultConfig())
+		ids := ev.Graph().ComputeIDs()
+		for i := range ids {
+			for j := i + 1; j <= len(ids) && j-i <= 8; j++ {
+				c := ev.Subgraph(ids[i:j])
+				if fits, want := ev.Fits(c, mem), ev.Contribution(c, mem).Fits; fits != want {
+					t.Fatalf("%s: window %v: Fits %v, Contribution.Fits %v", model, c.Members, fits, want)
+				}
+			}
 		}
 	}
 }

@@ -8,6 +8,19 @@ import (
 	"cocco/internal/partition"
 )
 
+// weightPrune is the most weight bytes a multi-layer subgraph may hold and
+// still pass ev.Fits on mem: the weight (or shared) capacity times the
+// platform's cores, because Fits checks one core's share ⌈W/cores⌉ and
+// ⌈W/c⌉ <= cap exactly when W <= cap·c. Weights only grow as a subgraph
+// grows, so a prune on this bound is monotone.
+func weightPrune(ev *eval.Evaluator, mem hw.MemConfig) int64 {
+	wgtCap := mem.WeightBytes
+	if mem.Kind == hw.SharedBuffer {
+		wgtCap = mem.GlobalBytes
+	}
+	return wgtCap * int64(ev.Platform().Cores)
+}
+
 // DP implements the Irregular-NN scheduler (§4.2.3): layers are arranged by
 // depth (topological order) and a sequential dynamic program chooses cut
 // points, so every subgraph consists of layers contiguous in that order —
@@ -28,15 +41,12 @@ func DP(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric) (*partition.Pa
 	// cost[i] = best cost of scheduling order[0:i].
 	cost := make([]float64, n+1)
 	cut := make([]int, n+1) // cut[i] = j such that order[j:i] is the last subgraph
+	wgtCap := weightPrune(ev, mem)
 	for i := 1; i <= n; i++ {
 		cost[i] = math.Inf(1)
 		// Grow the final subgraph backwards from i; stop when its weights
 		// alone exceed the capacity (weights grow monotonically with the
 		// range, activations do not, so only weights are safe to prune on).
-		wgtCap := mem.WeightBytes
-		if mem.Kind == hw.SharedBuffer {
-			wgtCap = mem.GlobalBytes
-		}
 		var wgt int64
 		for j := i - 1; j >= 0 && i-j <= maxRange; j-- {
 			wgt += g.Node(order[j]).WeightBytes()

@@ -119,10 +119,7 @@ func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric) (*parti
 	for i, id := range nodes {
 		nodeWeights[i] = g.Node(id).WeightBytes()
 	}
-	wgtCap := mem.WeightBytes
-	if mem.Kind == hw.SharedBuffer {
-		wgtCap = mem.GlobalBytes
-	}
+	wgtCap := weightPrune(ev, mem)
 
 	cost := make([]float64, len(all))
 	choice := make([]int, len(all)) // next downset index on the optimal path

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cocco/internal/core"
 	"cocco/internal/eval"
@@ -104,10 +105,18 @@ func TestGridConfigsRejectsBadPoints(t *testing.T) {
 			Cores: make([]int, 1_000), Batch: make([]int, 1_000)}, "at most 100000 points, got 1000000"},
 		{Grid{Models: []string{"googlenet", "vgg16"}, Kinds: []hw.BufferKind{hw.SeparateBuffer, hw.SharedBuffer},
 			GlobalBytes: kibs(300), WeightBytes: kibs(200)}, "at most 100000 points, got 120600"},
+		// Admitted by the point count, refused by its length before the
+		// repeat check, which compares every pair of values.
+		{Grid{Models: []string{"googlenet"}, Kinds: []hw.BufferKind{hw.SharedBuffer}, GlobalBytes: kibs(MaxGridPoints)},
+			"global capacity axis must have at most 4096 values, got 100000"},
 	}
 	for i, c := range cases {
+		start := time.Now()
 		if _, err := c.grid.Configs(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("case %d: err = %v, want it to contain %q", i, err, c.want)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("case %d: refused after %v, want under a second", i, d)
 		}
 	}
 	if configs, err := (Grid{Models: []string{"googlenet"}, GlobalBytes: kibs(400), WeightBytes: kibs(250)}).Configs(); err != nil || len(configs) != MaxGridPoints {

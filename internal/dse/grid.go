@@ -77,9 +77,10 @@ const MaxGridPoints = 100_000
 // Configs expands the grid into its points, in a fixed deterministic order
 // (model-major, then kind, capacities, cores, batch), validating the point
 // count and every memory configuration, model name and platform value up
-// front, and rejecting grids whose points would share a Config.ID (a
-// repeated model or axis value), so a sweep never fails halfway through on
-// a malformed point and no two points share checkpoint files.
+// front, and rejecting axes longer than hw.MaxRangeCandidates and grids
+// whose points would share a Config.ID (a repeated model or axis value), so
+// a sweep never fails halfway through on a malformed point and no two
+// points share checkpoint files.
 func (g Grid) Configs() ([]Config, error) {
 	g = g.withDefaults()
 	if len(g.Models) == 0 {
@@ -164,10 +165,14 @@ func (g Grid) Configs() ([]Config, error) {
 	return out, nil
 }
 
-// noRepeats rejects an axis holding a value twice: the grid points it
-// yields would share a Config.ID, and with it their checkpoint and outcome
-// files.
+// noRepeats rejects an axis longer than hw.MaxRangeCandidates, then one
+// holding a value twice: the grid points it yields would share a Config.ID,
+// and with it their checkpoint and outcome files. The repeat check compares
+// every pair of values, so the length is refused first.
 func noRepeats[T comparable](axis string, xs []T) error {
+	if len(xs) > hw.MaxRangeCandidates {
+		return fmt.Errorf("dse: grid %s axis must have at most %d values, got %d", axis, hw.MaxRangeCandidates, len(xs))
+	}
 	for i, x := range xs {
 		if slices.Contains(xs[:i], x) {
 			return fmt.Errorf("dse: grid repeats %s %v", axis, x)

@@ -178,9 +178,9 @@ func TestColdMissRaceKeepsFirst(t *testing.T) {
 
 // TestColdStressDisjoint hammers one evaluator from 16 goroutines with
 // DISJOINT cold member sets — no shared keys, so every goroutine drives the
-// full cold path (scratch pool, deriver, open-addressed insert incl. table
-// growth and arena reallocation) concurrently. Run under -race in CI; the
-// assertions here check pointer stability across growth.
+// full cold path (scratch pool, deriver, shard insert incl. map growth)
+// concurrently. Run under -race in CI; the assertions here check pointer
+// stability across growth.
 func TestColdStressDisjoint(t *testing.T) {
 	g := models.MustBuild("resnet152")
 	ev := testEvaluator(t, g)

@@ -12,7 +12,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,132 +123,31 @@ func (c *SubgraphCost) EMABytes() int64 { return c.WeightBytes + c.InBytes + c.O
 // shardBits/cacheShards fix the number of independently locked cost-cache
 // segments. The parallel GA hits the cache from every worker on every sample,
 // so a single mutex serializes the whole search; 64 shards keep contention
-// negligible at any realistic core count for a few KiB of fixed overhead.
-// The shard is chosen by the TOP bits of the key hash; the open-addressed
-// probe inside a shard uses the low bits, so the two never correlate.
+// negligible at any realistic core count for 1 KiB of fixed overhead. The
+// shard is chosen by the top bits of the key's FNV-1a hash.
 const (
 	shardBits   = 6
 	cacheShards = 1 << shardBits
 )
 
-// cacheEntry is one memoized subgraph cost. The key bytes live in the
-// shard's append-only arena (off/klen), so an entry is 24 bytes + pointer
-// with no per-entry string header, and the stored 64-bit hash lets probes
-// skip full key comparisons on non-matches.
-type cacheEntry struct {
-	hash uint64
-	off  uint32
-	klen uint32
-	c    *SubgraphCost
-}
-
-// cacheShard is one independently locked segment of the cost cache: an
-// open-addressed slot table (linear probing, power-of-two sized, 0 = empty,
-// else 1+index into entries) over an append-only entry array and key arena.
-// Entries are never deleted or moved, so *SubgraphCost pointers handed out
-// stay stable forever — the invariant delta handles rely on.
+// cacheShard is one independently locked segment of the cost cache, a map
+// from canonical member key to cost, made on its first insert. Entries are
+// never deleted or replaced, so a *SubgraphCost handed out stays the cost of
+// its key forever — the invariant delta handles rely on.
 type cacheShard struct {
-	mu      sync.Mutex
-	slots   []int32
-	entries []cacheEntry
-	arena   []byte
-}
-
-// lookup returns the cost stored in s under (h, key), or nil. Caller holds
-// s.mu. Like hashKey it is generic over ~string | ~[]byte, so the interned
-// keys of PartitionDelta and the scratch-buffer keys of Subgraph and
-// LoadCache share one probe loop; it is a function because methods cannot
-// take a type parameter.
-func lookup[K ~string | ~[]byte](s *cacheShard, h uint64, key K) *SubgraphCost {
-	if len(s.slots) == 0 {
-		return nil
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		ei := s.slots[i]
-		if ei == 0 {
-			return nil
-		}
-		e := &s.entries[ei-1]
-		// string([]byte) == string(key) compiles to an allocation-free compare.
-		if e.hash == h && e.klen == uint32(len(key)) &&
-			string(s.arena[e.off:e.off+e.klen]) == string(key) {
-			return e.c
-		}
-	}
-}
-
-// guardArena panics if appending klen key bytes to a shard arena already
-// holding arenaLen bytes would push the new entry's offset+length past the
-// uint32 range cacheEntry stores. Without the guard the uint32 conversions
-// in insert silently truncate once a shard's arena crosses 4 GiB,
-// corrupting every later entry's key window.
-func guardArena(arenaLen, klen int) {
-	if int64(arenaLen)+int64(klen) > math.MaxUint32 {
-		panic(fmt.Sprintf("eval: cost-cache shard arena would grow to %d bytes, past the 4 GiB uint32 offset range", int64(arenaLen)+int64(klen)))
-	}
-}
-
-// guardEntries panics if a shard holding n entries cannot accept another:
-// slots store the 1-based entry index as an int32, so n+1 must stay within
-// int32 range or place silently aliases an earlier entry.
-func guardEntries(n int) {
-	if int64(n)+1 > math.MaxInt32 {
-		panic(fmt.Sprintf("eval: cost-cache shard entry count %d would overflow the int32 slot index", n+1))
-	}
-}
-
-// insert stores c in s under (h, key), which must not be present. Caller
-// holds s.mu. The key bytes go straight into the arena, so neither key form
-// is materialized as a string first.
-func insert[K ~string | ~[]byte](s *cacheShard, h uint64, key K, c *SubgraphCost) {
-	guardArena(len(s.arena), len(key))
-	off := len(s.arena)
-	s.arena = append(s.arena, key...)
-	s.place(h, uint32(off), uint32(len(key)), c)
-}
-
-// place records the entry whose key bytes were just appended to the arena at
-// off, growing the slot table at load factor 3/4. Caller holds mu.
-func (s *cacheShard) place(h uint64, off, klen uint32, c *SubgraphCost) {
-	guardEntries(len(s.entries))
-	if len(s.slots) == 0 {
-		s.slots = make([]int32, 64)
-	}
-	if (len(s.entries)+1)*4 > len(s.slots)*3 {
-		grown := make([]int32, len(s.slots)*2)
-		mask := uint64(len(grown) - 1)
-		for ei := range s.entries {
-			for i := s.entries[ei].hash & mask; ; i = (i + 1) & mask {
-				if grown[i] == 0 {
-					grown[i] = int32(ei + 1)
-					break
-				}
-			}
-		}
-		s.slots = grown
-	}
-	s.entries = append(s.entries, cacheEntry{hash: h, off: off, klen: klen, c: c})
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		if s.slots[i] == 0 {
-			s.slots[i] = int32(len(s.entries))
-			return
-		}
-	}
+	mu sync.Mutex
+	m  map[string]*SubgraphCost
 }
 
 // costCache is one shared subgraph-cost cache: cacheShards independently
-// locked segments, each an open-addressed table over an append-only entry
-// array and key arena. It is owned by the GraphContext and keyed by core
-// geometry (hw.Core), because a subgraph's raw cost depends on the platform
-// ONLY through the per-core compute-cycle table — memory capacities, buffer
+// locked maps. It is owned by the GraphContext and keyed by core geometry
+// (hw.Core), because a subgraph's raw cost depends on the platform ONLY
+// through the per-core compute-cycle table — memory capacities, buffer
 // kind, core count, and batch all enter later, in Contribution. Every
 // evaluator fanned out of one context with the same core geometry therefore
 // shares one costCache read/write: in a DSE sweep only the first config per
 // geometry pays cold costing and every sibling gets warm hits. The
-// keep-first cold-miss contract (the first inserted *SubgraphCost wins,
-// losers discard their duplicate) holds across sibling evaluators exactly
+// keep-first contract of keepFirst holds across sibling evaluators exactly
 // as it holds across goroutines of one evaluator, so the pointer identity
 // delta handles rely on is cache-wide, never per-evaluator.
 type costCache struct {
@@ -265,10 +163,42 @@ func (cc *costCache) entries() int64 {
 	for i := range cc.shards {
 		s := &cc.shards[i]
 		s.mu.Lock()
-		n += int64(len(s.entries))
+		n += int64(len(s.m))
 		s.mu.Unlock()
 	}
 	return n
+}
+
+// keepFirst is the cache's one lookup-or-insert path, shared by Subgraph,
+// subgraphByKey and LoadCache. It returns the cost cached under key, and
+// hit = true when the first lookup found it. On a miss it calls compute
+// outside the shard lock, then re-checks under it: if another goroutine (or
+// a sibling evaluator, or a load) stored the key meanwhile, that FIRST
+// *SubgraphCost is returned and compute's duplicate is dropped, so every
+// caller of one key holds the same pointer. Generic over ~string | ~[]byte,
+// like hashKey, so the interned keys of PartitionDelta are stored as they
+// are and the scratch-buffer keys of Subgraph and LoadCache are copied into
+// a string only when inserted; it is a function because methods cannot take
+// a type parameter.
+func keepFirst[K ~string | ~[]byte](cc *costCache, key K, compute func() *SubgraphCost) (c *SubgraphCost, hit bool) {
+	s := &cc.shards[hashKey(key)>>(64-shardBits)]
+	s.mu.Lock()
+	c, hit = s.m[string(key)]
+	s.mu.Unlock()
+	if hit {
+		return c, true
+	}
+	c = compute()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if first, ok := s.m[string(key)]; ok {
+		return first, false
+	}
+	if s.m == nil {
+		s.m = make(map[string]*SubgraphCost)
+	}
+	s.m[string(key)] = c
+	return c, false
 }
 
 // Evaluator evaluates partitions of one graph on one platform.
@@ -384,12 +314,9 @@ func (e *Evaluator) DeltaStats() (reused int64) { return e.deltaReuse.Load() }
 // so an entry is inserted exactly once per distinct key).
 func (e *Evaluator) CacheEntries() int64 { return e.cache.entries() }
 
-// hashKey is 64-bit FNV-1a over the canonical member key — computed once per
-// lookup; the top bits pick the shard and the full hash drives the
-// open-addressed probe, so neither the shard choice nor the table walks the
-// key again (only a final confirming compare on a hash match does). Generic
-// over ~string | ~[]byte so the interned-key and scratch-buffer paths share
-// one body, as lookup and insert do.
+// hashKey is 64-bit FNV-1a over the canonical member key; its top bits pick
+// the cost-cache shard. Generic over ~string | ~[]byte so the interned-key
+// and scratch-buffer paths share one body, as they share keepFirst.
 func hashKey[K ~string | ~[]byte](key K) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -407,65 +334,35 @@ func (e *Evaluator) Subgraph(members []int) *SubgraphCost {
 	sc.members = append(sc.members[:0], members...)
 	sort.Ints(sc.members)
 	sc.keyBuf = partition.AppendMemberKey(sc.keyBuf[:0], sc.members)
-
-	h := hashKey(sc.keyBuf)
-	s := &e.cache.shards[h>>(64-shardBits)]
-	e.calls.Add(1)
-	s.mu.Lock()
-	if c := lookup(s, h, sc.keyBuf); c != nil {
-		s.mu.Unlock()
-		e.scratch.Put(sc)
-		e.hits.Add(1)
-		return c
-	}
-	s.mu.Unlock()
-
-	c := e.computeSubgraph(sc, sc.members)
-
-	s.mu.Lock()
-	if first := lookup(s, h, sc.keyBuf); first != nil {
-		s.mu.Unlock()
-		e.scratch.Put(sc)
-		return first
-	}
-	insert(s, h, sc.keyBuf, c)
-	s.mu.Unlock()
+	c, hit := keepFirst(e.cache, sc.keyBuf, func() *SubgraphCost {
+		return e.computeSubgraph(sc, sc.members)
+	})
 	e.scratch.Put(sc)
+	e.count(hit)
 	return c
 }
 
-// subgraphByKey looks the cost up by its canonical member key, computing and
-// inserting it on a miss. Two goroutines (or two sibling evaluators sharing
-// the cache) missing on the same cold key may both compute it; the insert
-// re-checks under the write lock and keeps the FIRST inserted *SubgraphCost,
-// discarding the duplicate, so the pointer identity that delta handles (and
-// entry stability) rely on holds even under a cold-miss race.
+// subgraphByKey looks the cost up by its canonical member key, decoding the
+// members and computing the cost only on a miss. The partition's interned
+// key string becomes the cache's key, so no key bytes are copied.
 func (e *Evaluator) subgraphByKey(key string) *SubgraphCost {
-	h := hashKey(key)
-	s := &e.cache.shards[h>>(64-shardBits)]
-
-	e.calls.Add(1)
-	s.mu.Lock()
-	if c := lookup(s, h, key); c != nil {
-		s.mu.Unlock()
-		e.hits.Add(1)
+	c, hit := keepFirst(e.cache, key, func() *SubgraphCost {
+		sc := e.scratch.Get().(*evalScratch)
+		sc.members = partition.AppendKeyMembers(sc.members[:0], key)
+		c := e.computeSubgraph(sc, sc.members)
+		e.scratch.Put(sc)
 		return c
-	}
-	s.mu.Unlock()
-
-	sc := e.scratch.Get().(*evalScratch)
-	sc.members = partition.AppendKeyMembers(sc.members[:0], key)
-	c := e.computeSubgraph(sc, sc.members)
-	e.scratch.Put(sc)
-
-	s.mu.Lock()
-	if first := lookup(s, h, key); first != nil {
-		s.mu.Unlock()
-		return first
-	}
-	insert(s, h, key, c)
-	s.mu.Unlock()
+	})
+	e.count(hit)
 	return c
+}
+
+// count records one cost-cache lookup in the evaluator's counters.
+func (e *Evaluator) count(hit bool) {
+	e.calls.Add(1)
+	if hit {
+		e.hits.Add(1)
+	}
 }
 
 // computeSubgraph prices one subgraph as table arithmetic over the member
@@ -534,25 +431,18 @@ func (e *Evaluator) computeSubgraph(sc *evalScratch, members []int) *SubgraphCos
 	return c
 }
 
-// Fits reports whether the subgraph fits the memory configuration:
-// activations in the global buffer and weights in the weight buffer for the
-// separate design, or their sum in the shared capacity.
+// Fits reports whether the subgraph fits the memory configuration by the
+// rule every Result applies (Contribution.Fits): its weights are sharded
+// across the platform's cores (§5.4.2), so activations must fit the global
+// buffer and one core's share ⌈W/cores⌉ the weight buffer for the separate
+// design, or their sum the shared capacity.
 //
 // Single-layer subgraphs always fit: a lone layer falls back to classic
 // layer-level output-tiled execution (§2.2.1), which handles tensors and
 // weights of any size by streaming — with the same EMA as our model already
 // charges (weights, inputs, and outputs each move once).
 func (e *Evaluator) Fits(c *SubgraphCost, mem hw.MemConfig) bool {
-	if c.Err != nil {
-		return false
-	}
-	if len(c.Members) == 1 {
-		return true
-	}
-	if mem.Kind == hw.SharedBuffer {
-		return c.ActFootprint+c.WeightBytes <= mem.GlobalBytes
-	}
-	return c.ActFootprint <= mem.GlobalBytes && c.WeightBytes <= mem.WeightBytes
+	return e.Contribution(c, mem).Fits
 }
 
 // Result is the full evaluation of a partition under a memory configuration.

@@ -3,15 +3,16 @@ package eval
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"cocco/internal/partition"
 )
 
-// Cost-cache snapshot/load: the open-addressed shards already keep their
-// state in exactly the flat layout that serializes as byte slices — an
-// append-only entry array plus a key arena, with the slot table rebuildable
-// from the entries — so exporting the cache is a per-shard copy and loading
-// one is a sequence of ordinary keep-first inserts. A loaded entry is
+// Cost-cache snapshot/load: exporting the cache collects every error-free
+// entry, sorts the entries by key and lays their keys out in one arena in
+// that order, so a snapshot's bytes depend only on the set of cached
+// subgraphs, never on which goroutine inserted what first. Loading one is a
+// sequence of ordinary keep-first inserts. A loaded entry is
 // indistinguishable from one the evaluator computed itself: *SubgraphCost
 // pointers stay stable forever, delta handles keep working, and a search
 // started from a snapshot is bit-identical to the same search run cold
@@ -77,40 +78,48 @@ func (e *Evaluator) CacheFingerprint() string {
 // ExportCache snapshots every error-free cached subgraph cost in the SHARED
 // cost cache — including entries computed by sibling evaluators of the same
 // core geometry, so one export captures a whole DSE geometry group's warm
-// state. It locks one shard at a time, so it is safe to call while other
-// goroutines use the cache; entries inserted after their shard was visited
-// are simply not in the snapshot (each entry is immutable once inserted, so
-// every exported record is complete and correct).
+// state. Records and their key windows follow ascending key order, so two
+// caches holding the same subgraphs export identical snapshots. It locks one
+// shard at a time, so it is safe to call while other goroutines use the
+// cache; entries inserted after their shard was visited are simply not in
+// the snapshot (each entry is immutable once inserted, so every exported
+// record is complete and correct).
 func (e *Evaluator) ExportCache() (*CacheSnapshot, error) {
-	snap := &CacheSnapshot{Fingerprint: e.CacheFingerprint()}
+	type entry struct {
+		key string
+		c   *SubgraphCost
+	}
+	var all []entry
 	for i := range e.cache.shards {
 		s := &e.cache.shards[i]
 		s.mu.Lock()
-		for j := range s.entries {
-			en := &s.entries[j]
-			if en.c.Err != nil {
-				continue
+		for k, c := range s.m {
+			if c.Err == nil {
+				all = append(all, entry{k, c})
 			}
-			off := len(snap.Arena)
-			if int64(off)+int64(en.klen) > math.MaxUint32 {
-				s.mu.Unlock()
-				return nil, fmt.Errorf("eval: cache snapshot arena exceeds the 4 GiB uint32 offset range")
-			}
-			snap.Arena = append(snap.Arena, s.arena[en.off:en.off+en.klen]...)
-			c := en.c
-			snap.Entries = append(snap.Entries, CacheRecord{
-				Off:            uint32(off),
-				KeyLen:         en.klen,
-				WeightBytes:    c.WeightBytes,
-				InBytes:        c.InBytes,
-				OutBytes:       c.OutBytes,
-				ActFootprint:   c.ActFootprint,
-				MACs:           c.MACs,
-				ComputeCycles:  c.ComputeCycles,
-				GLBAccessBytes: c.GLBAccessBytes,
-			})
 		}
 		s.mu.Unlock()
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	snap := &CacheSnapshot{Fingerprint: e.CacheFingerprint(), Entries: make([]CacheRecord, 0, len(all))}
+	for _, en := range all {
+		off := len(snap.Arena)
+		if int64(off)+int64(len(en.key)) > math.MaxUint32 {
+			return nil, fmt.Errorf("eval: cache snapshot arena exceeds the 4 GiB uint32 offset range")
+		}
+		snap.Arena = append(snap.Arena, en.key...)
+		c := en.c
+		snap.Entries = append(snap.Entries, CacheRecord{
+			Off:            uint32(off),
+			KeyLen:         uint32(len(en.key)),
+			WeightBytes:    c.WeightBytes,
+			InBytes:        c.InBytes,
+			OutBytes:       c.OutBytes,
+			ActFootprint:   c.ActFootprint,
+			MACs:           c.MACs,
+			ComputeCycles:  c.ComputeCycles,
+			GLBAccessBytes: c.GLBAccessBytes,
+		})
 	}
 	return snap, nil
 }
@@ -168,14 +177,9 @@ func (e *Evaluator) LoadCache(snap *CacheSnapshot) (added int, err error) {
 	for i, c := range costs {
 		r := &snap.Entries[i]
 		key := snap.Arena[r.Off : int64(r.Off)+int64(r.KeyLen)]
-		h := hashKey(key)
-		s := &e.cache.shards[h>>(64-shardBits)]
-		s.mu.Lock()
-		if lookup(s, h, key) == nil {
-			insert(s, h, key, c)
+		if stored, _ := keepFirst(e.cache, key, func() *SubgraphCost { return c }); stored == c {
 			added++
 		}
-		s.mu.Unlock()
 	}
 	return added, nil
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -258,29 +257,6 @@ func TestLoadCacheRederivesSample(t *testing.T) {
 			t.Errorf("unsampled record 1, field %d changed: added %d, err %v; records outside the sample are trusted", f, added, err)
 		}
 	}
-}
-
-// TestCacheOverflowGuards exercises the arena/entry-count guards that keep
-// the uint32 offsets and int32 slot indices from silently wrapping.
-func TestCacheOverflowGuards(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	// In range: no panic.
-	guardArena(0, 16)
-	guardArena(math.MaxUint32-8, 8)
-	guardEntries(0)
-	guardEntries(math.MaxInt32 - 1)
-	// Over: panic with a clear message.
-	mustPanic("arena 4GiB", func() { guardArena(math.MaxUint32, 1) })
-	mustPanic("arena far over", func() { guardArena(math.MaxUint32, math.MaxInt32) })
-	mustPanic("entry index wrap", func() { guardEntries(math.MaxInt32) })
 }
 
 // TestLoadCacheConcurrentWithSearch loads a snapshot while worker

@@ -140,7 +140,7 @@ func (r MemRange) Count() int {
 	return int((r.Max-r.Min)/r.Step) + 1
 }
 
-// MaxRangeCandidates caps a searched range and a dse capacity axis; the
+// MaxRangeCandidates caps a searched range and each axis of a dse grid; the
 // paper's largest range has 47 candidates.
 const MaxRangeCandidates = 4_096
 

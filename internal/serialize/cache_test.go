@@ -57,6 +57,46 @@ func TestCostCacheCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCostCacheFrameIndependentOfOrder: a snapshot's bytes depend only on
+// the set of cached subgraphs. Two fresh evaluators that cost the same
+// subgraphs in opposite orders, and so insert them in opposite orders,
+// encode byte-identical frames.
+func TestCostCacheFrameIndependentOfOrder(t *testing.T) {
+	g := models.MustBuild("vgg16")
+	ids := g.ComputeIDs()
+	var subs [][]int
+	for i := range ids {
+		subs = append(subs, ids[i:i+1])
+		if i+1 < len(ids) {
+			subs = append(subs, ids[i:i+2])
+		}
+	}
+	frame := func(reverse bool) []byte {
+		ev := eval.MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
+		for i := range subs {
+			if reverse {
+				i = len(subs) - 1 - i
+			}
+			ev.Subgraph(subs[i])
+		}
+		snap, err := ev.ExportCache()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Entries) != len(subs) {
+			t.Fatalf("snapshot holds %d records, want %d", len(snap.Entries), len(subs))
+		}
+		data, err := EncodeCostCache(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if forward, backward := frame(false), frame(true); string(forward) != string(backward) {
+		t.Error("costing the same subgraphs in opposite orders exported different frames")
+	}
+}
+
 // rechecksum recomputes the trailing FNV-1a so a test can patch bytes and
 // still present a frame whose corruption is the patch, not the checksum.
 func rechecksum(data []byte) []byte {
