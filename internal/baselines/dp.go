@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"cocco/internal/eval"
+	"cocco/internal/graph"
 	"cocco/internal/hw"
 	"cocco/internal/partition"
 )
@@ -19,6 +20,31 @@ func weightPrune(ev *eval.Evaluator, mem hw.MemConfig) int64 {
 		wgtCap = mem.GlobalBytes
 	}
 	return wgtCap * int64(ev.Platform().Cores)
+}
+
+// connectivity decides whether candidate subgraphs are weakly connected in
+// g (§4.1.1's validity rule) with one reusable pair of Marks and one walk
+// buffer, so Enumerate and DP decide each candidate without allocating.
+type connectivity struct {
+	g        *graph.Graph
+	in, seen *graph.Marks
+	comp     []int32
+}
+
+func newConnectivity(g *graph.Graph) *connectivity {
+	return &connectivity{g: g, in: graph.NewMarks(g.Len()), seen: graph.NewMarks(g.Len())}
+}
+
+// connected reports whether the non-empty members form one component: a
+// walk from the first member reaches all of them.
+func (c *connectivity) connected(members []int) bool {
+	c.in.Reset()
+	for _, id := range members {
+		c.in.Set(id)
+	}
+	c.seen.Reset()
+	c.comp = c.g.AppendComponent(c.comp[:0], members[0], c.in, c.seen)
+	return len(c.comp) == len(members)
 }
 
 // DP implements the Irregular-NN scheduler (§4.2.3): layers are arranged by
@@ -42,6 +68,7 @@ func DP(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric) (*partition.Pa
 	cost := make([]float64, n+1)
 	cut := make([]int, n+1) // cut[i] = j such that order[j:i] is the last subgraph
 	wgtCap := weightPrune(ev, mem)
+	conn := newConnectivity(g)
 	for i := 1; i <= n; i++ {
 		cost[i] = math.Inf(1)
 		// Grow the final subgraph backwards from i; stop when its weights
@@ -54,11 +81,7 @@ func DP(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric) (*partition.Pa
 				break
 			}
 			members := order[j:i]
-			set := make(map[int]bool, len(members))
-			for _, id := range members {
-				set[id] = true
-			}
-			if len(members) > 1 && !g.IsConnected(set) {
+			if len(members) > 1 && !conn.connected(members) {
 				continue
 			}
 			c := ev.Subgraph(members)

@@ -141,6 +141,8 @@ func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric) (*parti
 	samples := 0
 	pairs := 0
 	diff := make([]uint64, words)
+	conn := newConnectivity(g)
+	var members []int
 	// Relax: for each smaller downset D, look at all supersets D'.
 	for _, di := range order { // descending popcount: supersets first
 		d := all[di]
@@ -179,7 +181,7 @@ func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric) (*parti
 			for w := 0; w < words; w++ {
 				size += bits.OnesCount64(diff[w])
 			}
-			members := make([]int, 0, size)
+			members = members[:0]
 			for w := 0; w < words; w++ {
 				m := diff[w]
 				for m != 0 {
@@ -192,11 +194,7 @@ func Enumerate(ev *eval.Evaluator, mem hw.MemConfig, metric eval.Metric) (*parti
 			if size > 1 && wgt > wgtCap {
 				continue
 			}
-			set := make(map[int]bool, size)
-			for _, id := range members {
-				set[id] = true
-			}
-			if size > 1 && !g.IsConnected(set) {
+			if size > 1 && !conn.connected(members) {
 				continue
 			}
 			c := ev.Subgraph(members)

@@ -13,6 +13,7 @@ package eval_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cocco/internal/core"
@@ -169,5 +170,45 @@ func TestDeltaPrefetchEquivalence(t *testing.T) {
 			p = core.ApplyRandomMutation(g, rng, p)
 		}
 		requireEqualResults(t, step, ev.PartitionDelta(p, mem), ev.Partition(p, mem))
+	}
+}
+
+// TestPrefetchInfeasibleMatchesPairRule checks the prefetch check's exact
+// Infeasible list on random resnet50 partitions at a tight weight buffer
+// against a reference built from Contribution: subgraph s fails when it
+// does not fit alone, or when it and s+1 are both multi-layer and their
+// per-core weights overflow the buffer together.
+func TestPrefetchInfeasibleMatchesPairRule(t *testing.T) {
+	g := models.MustBuild("resnet50")
+	ev := eval.MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
+	ev.EnablePrefetchCheck()
+	mem := hw.MemConfig{Kind: hw.SeparateBuffer, GlobalBytes: 1024 * hw.KiB, WeightBytes: 512 * hw.KiB}
+	pairOnly := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := core.RandomPartition(g, rng, 0.1+0.02*float64(seed%10))
+		n := p.NumSubgraphs()
+		ctrs := make([]eval.Contribution, n)
+		multi := make([]bool, n)
+		for s := range n {
+			c := ev.Subgraph(p.Members(s))
+			ctrs[s], multi[s] = ev.Contribution(c, mem), len(c.Members) > 1
+		}
+		var want []int
+		for s := range n {
+			pair := s+1 < n && multi[s] && multi[s+1] && ctrs[s].WgtPerCore+ctrs[s+1].WgtPerCore > mem.WeightBytes
+			if !ctrs[s].Fits || pair {
+				want = append(want, s)
+			}
+			if ctrs[s].Fits && pair {
+				pairOnly++
+			}
+		}
+		if got := ev.Partition(p, mem).Infeasible; !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Infeasible = %v, want %v", seed, got, want)
+		}
+	}
+	if pairOnly == 0 {
+		t.Fatal("no subgraph failed by the pair rule alone; tighten the buffer")
 	}
 }

@@ -208,7 +208,7 @@ func keepFirst[K ~string | ~[]byte](cc *costCache, key K, compute func() *Subgra
 // An Evaluator is a thin per-(platform, tiling-config) layer over a shared,
 // immutable GraphContext: the context owns every graph-derived table, the
 // tiling config's validation, and the per-core-geometry cost caches, while
-// the evaluator adds only its platform, hit/call counters, and scratch pools.
+// the evaluator adds only its platform, hit/call counters, and a scratch pool.
 // New builds a private context; GraphContext.NewEvaluator shares one across
 // many evaluators (the batched-DSE fast path), and evaluators with the same
 // core geometry share one cost cache through it.
@@ -231,11 +231,6 @@ type Evaluator struct {
 	// tiling Deriver, and the member-key decode buffer), making the whole
 	// cold path allocation-free apart from the SubgraphCost it produces.
 	scratch sync.Pool
-
-	// partPool pools partitionEval's prefetch-pass scratch (per-subgraph
-	// weight shares and flags), keeping warm partition evaluations
-	// allocation-free beyond the Result they return.
-	partPool sync.Pool
 
 	hits       atomic.Int64
 	calls      atomic.Int64
@@ -597,59 +592,38 @@ type costHandle struct {
 	c     *SubgraphCost
 }
 
-// partScratch is the pooled scratch of partitionEval's prefetch pass: the
-// per-subgraph weight shares and flags the cross-subgraph double-buffering
-// check re-reads after the main accumulation loop. Every field is fully
-// overwritten for each subgraph, so no clearing is needed between calls.
-type partScratch struct {
-	wgts   []int64
-	single []bool
-	bad    []bool
-}
-
-// grow sizes the scratch slices to n subgraphs, reusing capacity.
-func (ps *partScratch) grow(n int) {
-	if cap(ps.wgts) < n {
-		ps.wgts = make([]int64, n)
-		ps.single = make([]bool, n)
-		ps.bad = make([]bool, n)
-	}
-	ps.wgts = ps.wgts[:n]
-	ps.single = ps.single[:n]
-	ps.bad = ps.bad[:n]
-}
-
 // partitionEval is the shared aggregation core of Partition and
 // PartitionDelta: costOf supplies subgraph si's raw cost, and the aggregates
-// (sums, maxes, infeasibility, prefetch pass) are accumulated in ascending
-// subgraph order so every caller produces bit-identical results, float
-// summation included.
+// (sums, maxes, infeasibility) are accumulated in ascending subgraph order
+// so every caller produces bit-identical results, float summation included.
+// The aggregates accumulate straight into the Result, so a warm delta
+// evaluation allocates nothing but the Result itself (plus its Infeasible
+// slice when subgraphs do not fit).
 //
-// With prefetch off the aggregates accumulate straight into the Result, so a
-// warm delta evaluation allocates nothing but the Result itself (plus its
-// Infeasible slice when subgraphs do not fit). The prefetch pass re-reads
-// every subgraph's weight share and singleton flag after the main loop, so
-// that path borrows pooled scratch instead of allocating per call.
+// With the prefetch check on, subgraph si-1 and its prefetched successor si
+// hold their weights together (double buffering), so si-1's verdict is
+// final only once si is priced: each subgraph joins Infeasible one step
+// late, which keeps the list ascending. Singletons stream (the layer-level
+// tiling fallback) and are exempt, as in Fits.
 func (e *Evaluator) partitionEval(nsub int, mem hw.MemConfig, costOf func(si int) *SubgraphCost) *Result {
 	res := &Result{NumSubgraphs: nsub}
-	var ps *partScratch
-	if e.prefetch {
-		ps, _ = e.partPool.Get().(*partScratch)
-		if ps == nil {
-			ps = &partScratch{}
-		}
-		ps.grow(nsub)
+	wgtCap := mem.WeightBytes
+	if mem.Kind == hw.SharedBuffer {
+		wgtCap = mem.GlobalBytes
 	}
+	var prevWgt int64
+	prevMulti, prevBad := false, false
 	for si := 0; si < nsub; si++ {
 		c := costOf(si)
 		ctr := e.Contribution(c, mem)
-		if ps != nil {
-			ps.wgts[si] = ctr.WgtPerCore
-			ps.single[si] = len(c.Members) <= 1
-			ps.bad[si] = !ctr.Fits
-		} else if !ctr.Fits {
-			res.Infeasible = append(res.Infeasible, si)
+		multi := len(c.Members) > 1
+		if e.prefetch && prevMulti && multi && prevWgt+ctr.WgtPerCore > wgtCap {
+			prevBad = true
 		}
+		if prevBad {
+			res.Infeasible = append(res.Infeasible, si-1)
+		}
+		prevWgt, prevMulti, prevBad = ctr.WgtPerCore, multi, !ctr.Fits
 		if c.ActFootprint > res.MaxActFootprint {
 			res.MaxActFootprint = c.ActFootprint
 		}
@@ -660,28 +634,8 @@ func (e *Evaluator) partitionEval(nsub int, mem hw.MemConfig, costOf func(si int
 		res.EnergyPJ += ctr.EnergyPJ
 		res.LatencyCycles += ctr.LatencyCycles
 	}
-	if ps != nil {
-		// Double-buffered weights: subgraph i and its prefetched successor
-		// i+1 are resident together. Singletons stream (layer-level tiling
-		// fallback) and are exempt, as in Fits.
-		wgtCap := mem.WeightBytes
-		if mem.Kind == hw.SharedBuffer {
-			wgtCap = mem.GlobalBytes
-		}
-		for si := 0; si+1 < nsub; si++ {
-			if ps.single[si] || ps.single[si+1] {
-				continue
-			}
-			if ps.wgts[si]+ps.wgts[si+1] > wgtCap {
-				ps.bad[si] = true
-			}
-		}
-		for si := 0; si < nsub; si++ {
-			if ps.bad[si] {
-				res.Infeasible = append(res.Infeasible, si)
-			}
-		}
-		e.partPool.Put(ps)
+	if prevBad {
+		res.Infeasible = append(res.Infeasible, nsub-1)
 	}
 	if res.LatencyCycles > 0 {
 		res.AvgBWBytesPerSec = float64(res.EMABytes) / e.LatencySeconds(res.LatencyCycles)

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -260,44 +262,68 @@ func TestMultiCoreScaling(t *testing.T) {
 	}
 }
 
-func TestPrefetchCheck(t *testing.T) {
-	// Two adjacent two-layer subgraphs whose weights fit individually but
-	// not together must be flagged only under the prefetch check.
+// prefetchChain builds a chain of 64→64 convolutions over an 8×8 input,
+// one per kernel size (a 3×3 carries 36,864 B of weights, a 1×1 4,096 B),
+// and partitions it into consecutive groups of the given sizes.
+func prefetchChain(t *testing.T, kernels, groups []int) *partition.Partition {
+	t.Helper()
 	b := graph.NewBuilder("pf")
-	in := b.Input("in", 64, 8, 8)
-	c1 := b.Conv("c1", in, 64, 3, 1)
-	c2 := b.Conv("c2", c1, 64, 3, 1)
-	c3 := b.Conv("c3", c2, 64, 3, 1)
-	c4 := b.Conv("c4", c3, 64, 3, 1)
+	prev := b.Input("in", 64, 8, 8)
+	for i, k := range kernels {
+		prev = b.Conv(fmt.Sprintf("c%d", i), prev, 64, k, 1)
+	}
 	g, err := b.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign := make([]int, g.Len())
-	assign[in] = partition.Unassigned
-	assign[c1], assign[c2] = 0, 0
-	assign[c3], assign[c4] = 1, 1
+	assign := []int{partition.Unassigned}
+	for s, n := range groups {
+		for range n {
+			assign = append(assign, s)
+		}
+	}
 	p, err := partition.From(g, assign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each subgraph: 2 convs × 36864B = 73728B of weights.
-	mem := hw.MemConfig{Kind: hw.SeparateBuffer, GlobalBytes: hw.MiB, WeightBytes: 100_000}
+	return p
+}
 
-	plain := MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
-	if res := plain.Partition(p, mem); !res.Feasible() {
-		t.Fatalf("single-buffered evaluation infeasible: %v", res.Infeasible)
+func TestPrefetchCheck(t *testing.T) {
+	// Adjacent multi-layer subgraphs whose weights fit individually but not
+	// together must be flagged only under the prefetch check, and exactly
+	// the earlier subgraph of each such pair.
+	heavy4 := []int{3, 3, 3, 3} // two subgraphs of 73,728 B each
+	cases := []struct {
+		name            string
+		kernels, groups []int
+		kind            hw.BufferKind
+		capacity        int64
+		want            []int
+	}{
+		{"over-capacity pair", heavy4, []int{2, 2}, hw.SeparateBuffer, 100_000, []int{0}},
+		{"capacity for both", heavy4, []int{2, 2}, hw.SeparateBuffer, 200_000, nil},
+		// 8,192 + 73,728 fits; 73,728 + 73,728 does not.
+		{"only the last pair", []int{1, 1, 3, 3, 3, 3}, []int{2, 2, 2}, hw.SeparateBuffer, 100_000, []int{1}},
+		// A singleton streams its weights, so neither of its pairs counts.
+		{"singleton between", []int{3, 3, 3, 3, 3}, []int{2, 1, 2}, hw.SeparateBuffer, 100_000, nil},
+		{"shared buffer", heavy4, []int{2, 2}, hw.SharedBuffer, 100_000, []int{0}},
 	}
-	pf := MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
-	pf.EnablePrefetchCheck()
-	res := pf.Partition(p, mem)
-	if res.Feasible() {
-		t.Error("prefetch check missed the over-capacity pair")
-	}
-	// A big enough weight buffer clears it.
-	mem.WeightBytes = 200_000
-	if res := pf.Partition(p, mem); !res.Feasible() {
-		t.Errorf("prefetch check false positive: %v", res.Infeasible)
+	for _, c := range cases {
+		p := prefetchChain(t, c.kernels, c.groups)
+		mem := hw.MemConfig{Kind: c.kind, GlobalBytes: hw.MiB, WeightBytes: c.capacity}
+		if c.kind == hw.SharedBuffer {
+			mem = hw.MemConfig{Kind: c.kind, GlobalBytes: c.capacity}
+		}
+		plain := MustNew(p.Graph(), hw.DefaultPlatform(), tiling.DefaultConfig())
+		if res := plain.Partition(p, mem); !res.Feasible() {
+			t.Fatalf("%s: single-buffered evaluation infeasible: %v", c.name, res.Infeasible)
+		}
+		pf := MustNew(p.Graph(), hw.DefaultPlatform(), tiling.DefaultConfig())
+		pf.EnablePrefetchCheck()
+		if res := pf.Partition(p, mem); !slices.Equal(res.Infeasible, c.want) {
+			t.Errorf("%s: Infeasible = %v, want %v", c.name, res.Infeasible, c.want)
+		}
 	}
 }
 

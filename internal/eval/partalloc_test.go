@@ -9,10 +9,10 @@ import (
 
 // TestPartitionEvalAllocs pins the aggregation core's allocation budget in
 // isolation (costOf serves precomputed costs, so nothing below the
-// aggregates can allocate): with prefetch off the only allocation is the
-// Result itself, and with prefetch on the pooled scratch keeps the
-// steady-state identical — the per-call infeasible/costs/wgts slices the
-// old implementation paid on every evaluation are gone.
+// aggregates can allocate): the only allocation is the Result itself, with
+// prefetch off and on alike, because the prefetch check runs in the same
+// single loop and carries one subgraph's verdict instead of per-subgraph
+// slices.
 func TestPartitionEvalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector disables sync.Pool reuse; alloc pins are meaningless")
@@ -38,10 +38,9 @@ func TestPartitionEvalAllocs(t *testing.T) {
 	}
 
 	ev.EnablePrefetchCheck()
-	ev.partitionEval(len(costs), mem, costOf) // warm the scratch pool
 	if allocs := testing.AllocsPerRun(100, func() {
 		ev.partitionEval(len(costs), mem, costOf)
 	}); allocs != 1 {
-		t.Errorf("partitionEval (prefetch on, warm pool) allocates %.1f per call, want 1 (the Result)", allocs)
+		t.Errorf("partitionEval (prefetch on) allocates %.1f per call, want 1 (the Result)", allocs)
 	}
 }

@@ -116,13 +116,15 @@ func TestSimulateInvariantsOnRealModels(t *testing.T) {
 		g := models.MustBuild(model)
 		// Fuse consecutive runs of 4 compute nodes.
 		nodes := g.ComputeNodes()
+		in, seen := graph.NewMarks(g.Len()), graph.NewMarks(g.Len())
 		for start := 0; start+4 <= len(nodes) && start < 40; start += 4 {
 			members := nodes[start : start+4]
-			set := map[int]bool{}
+			in.Reset()
 			for _, id := range members {
-				set[id] = true
+				in.Set(id)
 			}
-			if !g.IsConnected(set) {
+			seen.Reset()
+			if len(g.AppendComponent(nil, members[0], in, seen)) != len(members) {
 				continue
 			}
 			s, err := tiling.Derive(g, members, tiling.DefaultConfig())

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -232,74 +231,33 @@ func (g *Graph) TotalMACs() int64 {
 	return t
 }
 
-// IsConnected reports whether the given node set is weakly connected in g.
-// The empty set is not connected; a singleton is. This is the validity
-// condition the paper imposes on every subgraph ("any subgraph should be
-// connected in G, otherwise meaningless").
-func (g *Graph) IsConnected(set map[int]bool) bool {
-	if len(set) == 0 {
-		return false
-	}
-	var start int
-	for id := range set {
-		start = id
-		break
-	}
-	seen := map[int]bool{start: true}
-	stack := []int{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+// AppendComponent appends to dst every node of start's weakly connected
+// component within the set in (the nodes reachable from start over edges in
+// either direction without leaving in), marks each in seen, and returns the
+// extended slice. start must be in in and not in seen; nodes already in
+// seen are neither entered nor crossed. The walk is breadth-first with the
+// appended tail of dst as its worklist, so it allocates only when dst
+// grows.
+//
+// It is the one connectivity test the paper's validity rule needs ("any
+// subgraph should be connected in G, otherwise meaningless"): a set is
+// connected exactly when one walk from any member appends all of it, and
+// walks from each unseen member in turn split a set into its components.
+func (g *Graph) AppendComponent(dst []int32, start int, in, seen *Marks) []int32 {
+	seen.Set(start)
+	dst = append(dst, int32(start))
+	for head := len(dst) - 1; head < len(dst); head++ {
+		u := int(dst[head])
 		for _, run := range [2][]int32{g.SuccIDs(u), g.PredIDs(u)} {
-			for _, w := range run {
-				if v := int(w); set[v] && !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
+			for _, v := range run {
+				if in.Has(int(v)) && !seen.Has(int(v)) {
+					seen.Set(int(v))
+					dst = append(dst, v)
 				}
 			}
 		}
 	}
-	return len(seen) == len(set)
-}
-
-// ConnectedComponents splits the given node set into weakly connected
-// components within g. Components are returned with ids ascending inside each
-// component, ordered by their smallest id.
-func (g *Graph) ConnectedComponents(set map[int]bool) [][]int {
-	remaining := make(map[int]bool, len(set))
-	for id := range set {
-		remaining[id] = true
-	}
-	ids := make([]int, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var comps [][]int
-	for _, start := range ids {
-		if !remaining[start] {
-			continue
-		}
-		comp := []int{}
-		stack := []int{start}
-		delete(remaining, start)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, run := range [2][]int32{g.SuccIDs(u), g.PredIDs(u)} {
-				for _, w := range run {
-					if v := int(w); remaining[v] {
-						delete(remaining, v)
-						stack = append(stack, v)
-					}
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
+	return dst
 }
 
 // Builder constructs a Graph incrementally. It is not safe for concurrent

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -110,6 +111,35 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 	}
 }
 
+// components splits set into weakly connected components with
+// AppendComponent, walking from each unvisited member in ascending order.
+// Each component is returned sorted, so the components come out ordered by
+// their smallest id.
+func components(g *Graph, set []int) [][]int {
+	in, seen := NewMarks(g.Len()), NewMarks(g.Len())
+	for _, id := range set {
+		in.Set(id)
+	}
+	var comps [][]int
+	for _, id := range slices.Sorted(slices.Values(set)) {
+		if seen.Has(id) {
+			continue
+		}
+		var comp []int
+		for _, v := range g.AppendComponent(nil, id, in, seen) {
+			comp = append(comp, int(v))
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// connected reports whether set is non-empty and one walk covers it.
+func connected(g *Graph, set []int) bool {
+	return len(components(g, set)) == 1
+}
+
 func TestIsConnected(t *testing.T) {
 	g, ids := diamond(t)
 	_, c1, l, r, add := ids[0], ids[1], ids[2], ids[3], ids[4]
@@ -126,12 +156,8 @@ func TestIsConnected(t *testing.T) {
 		{[]int{c1, l, r, add}, true},
 	}
 	for _, c := range cases {
-		set := map[int]bool{}
-		for _, id := range c.set {
-			set[id] = true
-		}
-		if got := g.IsConnected(set); got != c.want {
-			t.Errorf("IsConnected(%v) = %v, want %v", c.set, got, c.want)
+		if got := connected(g, c.set); got != c.want {
+			t.Errorf("connected(%v) = %v, want %v", c.set, got, c.want)
 		}
 	}
 }
@@ -139,12 +165,29 @@ func TestIsConnected(t *testing.T) {
 func TestConnectedComponents(t *testing.T) {
 	g, ids := diamond(t)
 	l, r := ids[2], ids[3]
-	comps := g.ConnectedComponents(map[int]bool{l: true, r: true})
+	comps := components(g, []int{r, l})
 	if len(comps) != 2 {
 		t.Fatalf("components = %v", comps)
 	}
 	if comps[0][0] != l || comps[1][0] != r {
 		t.Errorf("components order = %v", comps)
+	}
+}
+
+// TestAppendComponentKeepsPrefix pins the walk's buffer contract: it
+// appends after what dst already holds, start first, and never enters a
+// node already seen.
+func TestAppendComponentKeepsPrefix(t *testing.T) {
+	g, ids := diamond(t)
+	c1, l, r, add := ids[1], ids[2], ids[3], ids[4]
+	in, seen := NewMarks(g.Len()), NewMarks(g.Len())
+	for _, id := range ids[1:] {
+		in.Set(id)
+	}
+	seen.Set(r) // cuts c1-r-add; l still joins c1 and add
+	got := g.AppendComponent([]int32{99}, add, in, seen)
+	if want := []int32{99, int32(add), int32(l), int32(c1)}; !slices.Equal(got, want) {
+		t.Errorf("AppendComponent = %v, want %v", got, want)
 	}
 }
 
@@ -258,26 +301,24 @@ func TestOpKindString(t *testing.T) {
 func TestConnectedComponentsPartitionProperty(t *testing.T) {
 	g, ids := diamond(t)
 	f := func(mask uint8) bool {
-		set := map[int]bool{}
+		var set []int
 		for i, id := range ids {
 			if mask&(1<<uint(i)) != 0 {
-				set[id] = true
+				set = append(set, id)
 			}
 		}
-		comps := g.ConnectedComponents(set)
+		comps := components(g, set)
 		total := 0
 		seen := map[int]bool{}
 		for _, comp := range comps {
-			cs := map[int]bool{}
 			for _, id := range comp {
-				if !set[id] || seen[id] {
+				if !slices.Contains(set, id) || seen[id] {
 					return false
 				}
 				seen[id] = true
-				cs[id] = true
 				total++
 			}
-			if !g.IsConnected(cs) {
+			if !connected(g, comp) {
 				return false
 			}
 		}

@@ -61,11 +61,12 @@ func TestStructuralInvariants(t *testing.T) {
 			if len(g.Outputs()) == 0 {
 				t.Error("no outputs")
 			}
-			set := map[int]bool{}
-			for _, id := range g.ComputeNodes() {
-				set[id] = true
+			compute := g.ComputeIDs()
+			in := graph.NewMarks(g.Len())
+			for _, id := range compute {
+				in.Set(id)
 			}
-			if !g.IsConnected(set) {
+			if comp := g.AppendComponent(nil, compute[0], in, graph.NewMarks(g.Len())); len(comp) != len(compute) {
 				t.Error("compute nodes not weakly connected")
 			}
 			for u := 0; u < g.Len(); u++ {

@@ -2,17 +2,18 @@ package partition
 
 // The dense mutation workspace. TryModifyNode/TrySplit/TryMerge used to pay a
 // full Clone plus a map-heavy repair+normalize per candidate: O(V·S) Members
-// scans to find each subgraph's members, a map[int]bool per multi-node
+// scans to find each subgraph's members, a map-based node set per multi-node
 // subgraph for the connectivity split, per-label maps for the quotient
 // adjacency, and an O(n²) ready-selection in Kahn's algorithm. Ops replaces
-// all of it with flat counting-sorted buffers and epoch-stamped graph.Marks
-// sets, reused across calls, and the *Into operator variants write into a
-// pooled destination partition so a rejected candidate costs no allocation at
-// all. Results are bit-identical to the historical implementation: the final
-// labels of repair+normalize depend only on the resulting node grouping (the
-// Kahn tie-break keys — each subgraph's smallest node id — are distinct, so
-// the schedule order is unique), and the oracle equivalence suite in
-// oracle_test.go pins this against the retired map-based code.
+// all of it with flat counting-sorted buffers, epoch-stamped graph.Marks
+// sets and graph.AppendComponent's walk, reused across calls, and the *Into
+// operator variants write into a pooled destination partition so a rejected
+// candidate costs no allocation at all. Results are bit-identical to the
+// historical implementation: the final labels of repair+normalize depend
+// only on the resulting node grouping (the Kahn tie-break keys — each
+// subgraph's smallest node id — are distinct, so the schedule order is
+// unique), and the oracle equivalence suite in oracle_test.go pins this
+// against the retired map-based code.
 
 import (
 	"errors"
@@ -46,9 +47,9 @@ type Ops struct {
 	memIDs []int32
 
 	inSub   *graph.Marks // node membership of the label being processed
-	visited *graph.Marks // DFS visited set / general node scratch
+	visited *graph.Marks // component-walk visited set / general node scratch
 	labels  *graph.Marks // label-space scratch set (edge dedup, CrossEdges)
-	stack   []int32      // DFS stack
+	stack   []int32      // component-walk worklist (graph.AppendComponent)
 
 	// normalize scratch.
 	denseOf []int32 // old label → dense index (-1 = unseen)
@@ -350,46 +351,21 @@ func (o *Ops) repair(q *Partition) error {
 			o.inSub.Set(int(id))
 		}
 		o.visited.Reset()
-		first := true
-		for _, id32 := range ms {
-			if o.visited.Has(int(id32)) {
+		// Walk each weakly connected component from its smallest member. The
+		// first (from ms[0]) keeps label s; later ones are split off under
+		// fresh labels.
+		for _, id := range ms {
+			if o.visited.Has(int(id)) {
 				continue
 			}
-			// DFS one weakly connected component. The first keeps label s;
-			// later ones are split off under fresh labels.
-			label := -1
-			if !first {
-				label = next
-				next++
+			o.stack = g.AppendComponent(o.stack[:0], int(id), o.inSub, o.visited)
+			if id == ms[0] {
+				continue
 			}
-			o.stack = append(o.stack[:0], id32)
-			o.visited.Set(int(id32))
-			if label >= 0 {
-				assign[int(id32)] = label
+			for _, v := range o.stack {
+				assign[v] = next
 			}
-			for len(o.stack) > 0 {
-				u := int(o.stack[len(o.stack)-1])
-				o.stack = o.stack[:len(o.stack)-1]
-				for _, v := range g.SuccIDs(u) {
-					if o.inSub.Has(int(v)) && !o.visited.Has(int(v)) {
-						o.visited.Set(int(v))
-						if label >= 0 {
-							assign[int(v)] = label
-						}
-						o.stack = append(o.stack, v)
-					}
-				}
-				for _, v := range g.PredIDs(u) {
-					if o.inSub.Has(int(v)) && !o.visited.Has(int(v)) {
-						o.visited.Set(int(v))
-						if label >= 0 {
-							assign[int(v)] = label
-						}
-						o.stack = append(o.stack, v)
-					}
-				}
-			}
-			first = false
+			next++
 		}
 	}
 	q.count = next
@@ -602,28 +578,8 @@ func (o *Ops) validate(p *Partition) error {
 			o.inSub.Set(int(id))
 		}
 		o.visited.Reset()
-		o.stack = append(o.stack[:0], ms[0])
-		o.visited.Set(int(ms[0]))
-		reached := 1
-		for len(o.stack) > 0 {
-			u := int(o.stack[len(o.stack)-1])
-			o.stack = o.stack[:len(o.stack)-1]
-			for _, v := range g.SuccIDs(u) {
-				if o.inSub.Has(int(v)) && !o.visited.Has(int(v)) {
-					o.visited.Set(int(v))
-					reached++
-					o.stack = append(o.stack, v)
-				}
-			}
-			for _, v := range g.PredIDs(u) {
-				if o.inSub.Has(int(v)) && !o.visited.Has(int(v)) {
-					o.visited.Set(int(v))
-					reached++
-					o.stack = append(o.stack, v)
-				}
-			}
-		}
-		if reached != len(ms) {
+		o.stack = g.AppendComponent(o.stack[:0], int(ms[0]), o.inSub, o.visited)
+		if len(o.stack) != len(ms) {
 			o.members = p.AppendMembers(o.members[:0], s)
 			return fmt.Errorf("partition: subgraph %d not connected: %v", s, o.members)
 		}

@@ -11,6 +11,7 @@ package partition
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cocco/internal/graph"
@@ -140,6 +141,47 @@ func (e oracleErr) Error() string { return string(e) }
 
 const errOracleCyclic = oracleErr("partition: quotient graph is cyclic (unschedulable)")
 
+// oracleComponents is the retired map-based Graph.ConnectedComponents: it
+// splits the given node set into weakly connected components within g.
+// Components are returned with ids ascending inside each component, ordered
+// by their smallest id.
+func oracleComponents(g *graph.Graph, set map[int]bool) [][]int {
+	remaining := make(map[int]bool, len(set))
+	for id := range set {
+		remaining[id] = true
+	}
+	ids := make([]int, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var comps [][]int
+	for _, start := range ids {
+		if !remaining[start] {
+			continue
+		}
+		comp := []int{}
+		stack := []int{start}
+		delete(remaining, start)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp = append(comp, u)
+			for _, run := range [2][]int32{g.SuccIDs(u), g.PredIDs(u)} {
+				for _, w := range run {
+					if v := int(w); remaining[v] {
+						delete(remaining, v)
+						stack = append(stack, v)
+					}
+				}
+			}
+		}
+		sort.Ints(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
 // oracleRepair is the retired Members-scan repair.
 func oracleRepair(p *Partition) (*Partition, error) {
 	next := 0
@@ -157,7 +199,7 @@ func oracleRepair(p *Partition) (*Partition, error) {
 		for _, id := range members {
 			set[id] = true
 		}
-		comps := p.g.ConnectedComponents(set)
+		comps := oracleComponents(p.g, set)
 		for i := 1; i < len(comps); i++ {
 			for _, id := range comps[i] {
 				p.assign[id] = next

@@ -337,14 +337,23 @@ func (d *Deriver) solveUpd(dm dim) error {
 			for _, mm := range adjOf(n) {
 				m := int(mm)
 				// Determine edge direction to apply prod(u) = prod(v)·s(v).
-				var pm ratVal
+				num, den, ok := pnNum, pnDen, false
 				if isPredCSR(g, m, n) { // m -> n (m producer)
-					pm = reduceRat(pnNum*dm.s(g.Node(n)), pnDen)
+					num, ok = mul64(pnNum, dm.s(g.Node(n)))
 				} else { // n -> m (m consumer): prod(m) = prod(n)/s(m)
-					pm = reduceRat(pnNum, pnDen*dm.s(g.Node(m)))
+					den, ok = mul64(pnDen, dm.s(g.Node(m)))
 				}
+				if !ok {
+					return errUpdOverflow(m)
+				}
+				pm := reduceRat(num, den)
 				if d.prodSet.Has(m) {
-					if d.prodNum[m]*pm.den != pm.num*d.prodDen[m] {
+					lhs, okL := mul64(d.prodNum[m], pm.den)
+					rhs, okR := mul64(pm.num, d.prodDen[m])
+					if !okL || !okR {
+						return errUpdOverflow(m)
+					}
+					if lhs != rhs {
 						return fmt.Errorf("tiling: inconsistent update rates at node %d (%d/%d vs %d/%d)",
 							m, d.prodNum[m], d.prodDen[m], pm.num, pm.den)
 					}
@@ -362,10 +371,13 @@ func (d *Deriver) solveUpd(dm dim) error {
 	// then divide by the overall GCD for the unique co-prime solution.
 	var denLCM int64 = 1
 	for _, id := range d.ids {
-		r := reduceRat(d.prodNum[id], d.prodDen[id]*dm.delta(&d.ns[id]))
+		den, ok := mul64(d.prodDen[id], dm.delta(&d.ns[id]))
+		if !ok {
+			return errUpdOverflow(id)
+		}
+		r := reduceRat(d.prodNum[id], den)
 		d.updNum[id] = r.num
 		d.updDen[id] = r.den
-		var ok bool
 		if denLCM, ok = lcm64(denLCM, r.den); !ok {
 			return fmt.Errorf("tiling: upd_num denominator overflow")
 		}
@@ -386,6 +398,12 @@ func (d *Deriver) solveUpd(dm dim) error {
 		dm.setUpd(&d.ns[id], d.updNum[id]/all)
 	}
 	return nil
+}
+
+// errUpdOverflow is stage 3's error for a rational product that does not fit
+// in an int64.
+func errUpdOverflow(id int) error {
+	return fmt.Errorf("tiling: update-rate overflow at node %d", id)
 }
 
 // isPredCSR reports whether u is a producer of v, via the CSR view.

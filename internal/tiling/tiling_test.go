@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"strings"
 	"testing"
 
 	"cocco/internal/graph"
@@ -231,6 +232,34 @@ func TestDeriveRejectsWrappedLCM(t *testing.T) {
 	}
 	if fp, err := d.TotalFootprint(members); err == nil {
 		t.Errorf("TotalFootprint succeeded with %d bytes", fp)
+	}
+}
+
+// TestDeriveRejectsWrappedUpdateRate pins stage 3's overflow checks. n4
+// reads both the input and the end of a chain whose strides multiply past
+// 2^63, so the rational propagation of prod = upd·Δ around that cycle
+// wraps: unchecked, the consistency test compared 2^40/1 with a wrapped 0/1
+// and reported inconsistent update rates instead of the overflow.
+func TestDeriveRejectsWrappedUpdateRate(t *testing.T) {
+	b := graph.NewBuilder("wrapped-rates")
+	in := b.Input("in", 1, 1, 1)
+	n0 := b.Custom("n0", graph.OpConv, 2, 1, 1, 1, 1, 1, in)
+	n1 := b.Custom("n1", graph.OpConv, 2, 16, 1, 1, 1, 1, n0)
+	n2 := b.Custom("n2", graph.OpConv, 3, 5, 1, 1, 1, 1, n1)
+	n3 := b.Custom("n3", graph.OpConv, 2, 1<<21, 1, 1, 1, 1, n2)
+	b.Custom("n4", graph.OpConv, 3, 1<<18, 1, 1, 1, 1, in, n3)
+	g := b.MustFinalize()
+	members := g.ComputeNodes()
+	const want = "tiling: update-rate overflow at node"
+	if _, err := Derive(g, members, DefaultConfig()); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("Derive: err = %v, want %q", err, want)
+	}
+	d, err := NewDeriver(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.TotalFootprint(members); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("TotalFootprint: err = %v, want %q", err, want)
 	}
 }
 
