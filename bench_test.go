@@ -152,20 +152,6 @@ func BenchmarkAblationCostCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDeltaEval compares the incremental (delta) evaluation
-// engine against the full-recompute path on the same co-exploration search.
-func BenchmarkAblationDeltaEval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, s := experiments.AblationDeltaEval(benchCfg())
-		for _, r := range rows {
-			if !r.CostsEqual {
-				b.Fatalf("%s: delta and full engines disagree", r.Model)
-			}
-		}
-		logOnce(b, "abl-delta", s)
-	}
-}
-
 // BenchmarkAblationPrefetch compares single- vs double-buffered weight
 // feasibility (the §5.1.2 prefetch).
 func BenchmarkAblationPrefetch(b *testing.B) {
@@ -240,12 +226,10 @@ func BenchmarkGAGeneration(b *testing.B) {
 
 // BenchmarkGAParallel measures the deterministic parallel evaluation engine
 // at increasing worker counts on a cold cost cache (a fresh evaluator per
-// iteration, like a real search), for both evaluation engines (incremental
-// PartitionDelta vs full-recompute Partition). Every sub-benchmark reports
-// evals/s (genome evaluations per second) and allocs/op; parallel variants
-// additionally report a "speedup" metric relative to the workers=1 run of
-// the same engine. Every (engine, workers) combination is checked to reach
-// the same best cost — the engines are bit-identical by contract.
+// iteration, like a real search). Every sub-benchmark reports evals/s
+// (genome evaluations per second) and allocs/op; parallel variants
+// additionally report a "speedup" metric relative to the workers=1 run.
+// Every worker count is checked to reach the same best cost.
 func BenchmarkGAParallel(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n > 4 {
@@ -254,90 +238,36 @@ func BenchmarkGAParallel(b *testing.B) {
 	const samples = 1000
 	mem := hw.MemConfig{Kind: hw.SeparateBuffer, GlobalBytes: 1024 * hw.KiB, WeightBytes: 1152 * hw.KiB}
 	g := models.MustBuild("resnet50")
-	var refBest float64
-	for _, mode := range []string{"delta", "full"} {
-		var serialNs float64
-		for _, workers := range counts {
-			b.Run(fmt.Sprintf("eval=%s/workers=%d", mode, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var last float64
-				for i := 0; i < b.N; i++ {
-					ev := eval.MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
-					best, _, err := core.Run(ev, core.Options{
-						Seed: 7, Workers: workers, Population: 50, MaxSamples: samples,
-						Objective:        eval.Objective{Metric: eval.MetricEMA},
-						Mem:              core.MemSearch{Fixed: mem},
-						DisableDeltaEval: mode == "full",
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = best.Cost
-				}
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				b.ReportMetric(float64(samples)*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
-				if refBest == 0 {
-					refBest = last
-				} else if last != refBest {
-					b.Fatalf("eval=%s workers=%d best cost %g != reference %g", mode, workers, last, refBest)
-				}
-				if workers == 1 {
-					serialNs = ns
-					return
-				}
-				if serialNs > 0 {
-					b.ReportMetric(serialNs/ns, "speedup")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkDeltaEval measures the delta-evaluation layer on the GA's
-// steady-state workload: every evaluated partition is one mutation away from
-// an evaluated parent, so almost all subgraphs carry cost handles and only
-// the operator-touched ones re-enter the cost cache. The full variant
-// re-walks every subgraph through the memoized cache (copy, sort, key build,
-// shard lock, map lookup per subgraph); both engines see the same partitions
-// and a warm cost cache, so the gap is pure evaluation-path overhead. The
-// delta variant reports a "speedup" metric vs the full variant of the same
-// invocation; the acceptance floor is 2×.
-func BenchmarkDeltaEval(b *testing.B) {
-	g := models.MustBuild("resnet50")
-	mem := hw.MemConfig{Kind: hw.SeparateBuffer, GlobalBytes: 1024 * hw.KiB, WeightBytes: 1152 * hw.KiB}
-	ev := eval.MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
-	rng := rand.New(rand.NewSource(11))
-
-	// An evaluated base partition plus a pool of single-mutation children.
-	// Deriving from the evaluated base carries handles for every untouched
-	// subgraph, exactly like GA offspring.
-	base := core.RandomPartition(g, rng, 0.3)
-	ev.PartitionDelta(base, mem)
-	pool := make([]*partition.Partition, 64)
-	for i := range pool {
-		pool[i] = core.ApplyRandomMutation(g, rng, base)
-		ev.Partition(pool[i], mem) // warm the cost cache for the dirty halves
-	}
-
-	var fullNs float64
-	for _, mode := range []string{"full", "delta"} {
-		b.Run(mode, func(b *testing.B) {
+	var refBest, serialNs float64
+	for _, workers := range counts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
+			var last float64
 			for i := 0; i < b.N; i++ {
-				q := pool[i%len(pool)].Clone()
-				if mode == "full" {
-					ev.Partition(q, mem)
-				} else {
-					ev.PartitionDelta(q, mem)
+				ev := eval.MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
+				best, _, err := core.Run(ev, core.Options{
+					Seed: 7, Workers: workers, Population: 50, MaxSamples: samples,
+					Objective: eval.Objective{Metric: eval.MetricEMA},
+					Mem:       core.MemSearch{Fixed: mem},
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
+				last = best.Cost
 			}
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "evals/s")
-			if mode == "full" {
-				fullNs = ns
-			} else if fullNs > 0 {
-				b.ReportMetric(fullNs/ns, "speedup")
+			b.ReportMetric(float64(samples)*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
+			if refBest == 0 {
+				refBest = last
+			} else if last != refBest {
+				b.Fatalf("workers=%d best cost %g != reference %g", workers, last, refBest)
+			}
+			if workers == 1 {
+				serialNs = ns
+				return
+			}
+			if serialNs > 0 {
+				b.ReportMetric(serialNs/ns, "speedup")
 			}
 		})
 	}
@@ -347,7 +277,7 @@ func BenchmarkDeltaEval(b *testing.B) {
 // evaluator per iteration scores a fixed seeded set of random partitions, so
 // (almost) every subgraph lookup is a miss and pays the full computeSubgraph
 // + tiling derivation. This is the workload that dominates real searches now
-// that the warm path (handles + delta re-scoring) is cheap. Reports evals/s
+// that the warm path is cheap. Reports evals/s
 // (partition evaluations per second) and allocs/op; EXPERIMENTS.md records
 // its history, and TestColdPathAllocs pins the per-subgraph allocations.
 func BenchmarkColdEval(b *testing.B) {

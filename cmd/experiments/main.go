@@ -65,9 +65,8 @@ func main() {
 			_, c := experiments.AblationCache(cfg)
 			_, d := experiments.AblationPrefetch(cfg)
 			_, e := experiments.AblationSeeding(cfg)
-			_, f := experiments.AblationDeltaEval(cfg)
-			_, g := experiments.AblationIslands(cfg)
-			return a + b + c + d + e + f + g
+			_, f := experiments.AblationIslands(cfg)
+			return a + b + c + d + e + f
 		}},
 		{"bounds", experiments.MinEMABounds},
 	}

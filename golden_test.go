@@ -3,8 +3,8 @@ package cocco
 // Golden-regression corpus: one small, fully seeded GA run per model in the
 // zoo, with the best partition and its evaluation pinned under
 // testdata/golden/. Any change to the search trajectory, the evaluation
-// model, or the delta-evaluation layer that alters results shows up as a
-// readable JSON diff here. Regenerate intentionally with
+// model, or the evaluation path that alters results shows up as a readable
+// JSON diff here. Regenerate intentionally with
 //
 //	go test -run TestGoldenRegression -update .
 //

@@ -14,7 +14,9 @@ import (
 // scoring goroutine. Samples 1–2,000 warm the cost cache and are not
 // counted. Each scored sample used to seed a 4.9 KB math/rand source for its
 // repair stream, and the step allocated about 6,010 B a sample with go1.24;
-// with an 8-byte splitmix64 source it allocates about 3,650 B.
+// with an 8-byte splitmix64 source it allocated about 3,650 B, and since
+// Evaluator.Partition sorts member runs into pooled scratch (allocating only
+// its Result) about 1,800 B.
 func TestGAStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins describe the build without the race detector")
@@ -39,8 +41,8 @@ func TestGAStepAllocs(t *testing.T) {
 	if samples != 10_000 {
 		t.Fatalf("measured %d samples, want 10000", samples)
 	}
-	if perSample := (after.TotalAlloc - before.TotalAlloc) / uint64(samples); perSample > 4_500 {
-		t.Errorf("a warm GA step allocates %d B per sample, want at most 4500", perSample)
+	if perSample := (after.TotalAlloc - before.TotalAlloc) / uint64(samples); perSample > 2_500 {
+		t.Errorf("a warm GA step allocates %d B per sample, want at most 2500", perSample)
 	}
 }
 

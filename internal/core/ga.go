@@ -346,14 +346,10 @@ func (o *Optimizer) score(c candidate, sample int) *Genome {
 	g := &Genome{P: c.p, Mem: c.mem}
 	var res *eval.Result
 	if o.opt.DisableInSituSplit {
-		if o.opt.DisableDeltaEval {
-			res = o.ev.Partition(g.P, g.Mem)
-		} else {
-			res = o.ev.PartitionDelta(g.P, g.Mem)
-		}
+		res = o.ev.Partition(g.P, g.Mem)
 	} else {
 		rng := rand.New(NewSource(ChildSeedStream(o.opt.Seed, StreamSamples, sample)))
-		g.P, res = repairInSitu(o.ev, rng, g.P, g.Mem, o.opt.DisableDeltaEval)
+		g.P, res = RepairInSitu(o.ev, rng, g.P, g.Mem)
 	}
 	g.Res = res
 	g.Cost = o.opt.Objective.Cost(res, g.Mem)

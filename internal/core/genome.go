@@ -127,11 +127,6 @@ type Options struct {
 	// benchmarks; both default to enabled behavior.
 	DisableCrossover   bool
 	DisableInSituSplit bool
-	// DisableDeltaEval scores genomes with the full from-scratch
-	// Evaluator.Partition instead of the incremental PartitionDelta. The two
-	// paths are bit-identical (the equivalence suite pins this), so the flag
-	// only exists for the delta-vs-full ablation and benchmarks.
-	DisableDeltaEval bool
 	// DisableGenomeMemo scores every candidate from scratch instead of
 	// replaying the committed result of an identical earlier candidate
 	// (same partition labels and memory configuration). The memo only replays

@@ -130,8 +130,8 @@ func (o *Optimizer) memoizable(g *Genome, c candidate) bool {
 }
 
 // memoHit materializes a stored genome for re-commit. The stored partition is
-// shared, not cloned: it is fully evaluated (all cost handles filled) and the
-// GA never mutates a committed genome's partition — offspring clone it before
+// shared, not cloned: evaluation only reads a partition, and the GA never
+// mutates a committed genome's partition — offspring clone it before
 // mutating, exactly as population genomes are reused by tournament selection.
 func memoHit(g *Genome) *Genome {
 	return &Genome{P: g.P, Mem: g.Mem, Cost: g.Cost, Res: g.Res}

@@ -103,33 +103,11 @@ func ApplyRandomMutation(g *graph.Graph, rng *rand.Rand, p *partition.Partition)
 
 // RepairInSitu applies the in-situ split repair of §4.4.4 outside the GA:
 // infeasible subgraphs are split until everything fits or no split applies.
-// Returns the repaired partition and its evaluation. Re-evaluations after
-// each split go through Evaluator.PartitionDelta — the split carries every
-// untouched subgraph's cost handle, so a repair iteration only re-derives
-// the two halves it created.
+// Returns the repaired partition and its evaluation. p is only read: each
+// split yields a new partition, so a shared p may be repaired from many
+// goroutines at once.
 func RepairInSitu(ev *eval.Evaluator, rng *rand.Rand, p *partition.Partition, mem hw.MemConfig) (*partition.Partition, *eval.Result) {
-	return repairInSitu(ev, rng, p, mem, false)
-}
-
-// memberCount counts the members of subgraph s without materializing them.
-func memberCount(p *partition.Partition, s int) int {
-	n := 0
-	for _, id := range p.Graph().ComputeIDs() {
-		if p.Of(id) == s {
-			n++
-		}
-	}
-	return n
-}
-
-// repairInSitu is RepairInSitu with a switch for the full-recompute
-// evaluation path (the delta-vs-full ablation); both paths are bit-identical.
-func repairInSitu(ev *eval.Evaluator, rng *rand.Rand, p *partition.Partition, mem hw.MemConfig, fullEval bool) (*partition.Partition, *eval.Result) {
-	evaluate := ev.PartitionDelta
-	if fullEval {
-		evaluate = ev.Partition
-	}
-	res := evaluate(p, mem)
+	res := ev.Partition(p, mem)
 	for iter := 0; iter < 64 && !res.Feasible(); iter++ {
 		split := false
 		for _, s := range res.Infeasible {
@@ -145,9 +123,20 @@ func repairInSitu(ev *eval.Evaluator, rng *rand.Rand, p *partition.Partition, me
 		if !split {
 			break
 		}
-		res = evaluate(p, mem)
+		res = ev.Partition(p, mem)
 	}
 	return p, res
+}
+
+// memberCount counts the members of subgraph s without materializing them.
+func memberCount(p *partition.Partition, s int) int {
+	n := 0
+	for _, id := range p.Graph().ComputeIDs() {
+		if p.Of(id) == s {
+			n++
+		}
+	}
+	return n
 }
 
 // crossoverPartition implements the paper's customized crossover

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cocco/internal/eval"
 	"cocco/internal/hw"
+	"cocco/internal/models"
 )
 
 // runTraced executes one search and captures everything an observer can see:
@@ -63,6 +67,55 @@ func TestWorkersDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedPartitionConcurrentEval pins that evaluation only reads a
+// partition: 8 goroutines run RepairInSitu and Evaluator.Partition on one
+// shared, feasible partition through one cold evaluator, and every result
+// must equal the serial one, with the partition left as it was. CI repeats
+// it under -race, which reports any write to the shared partition.
+func TestSharedPartitionConcurrentEval(t *testing.T) {
+	const workers, rounds = 8, 4
+	g := models.MustBuild("googlenet")
+	mem := fixedMem()
+	rng := rand.New(NewSource(5))
+	p, want := RepairInSitu(testEval(t, "googlenet"), rng, RandomPartition(g, rng, 0.3), mem)
+	if !want.Feasible() {
+		t.Fatal("the shared partition is infeasible; repair would replace it")
+	}
+	key := p.Key()
+	ev := testEval(t, "googlenet") // cold, so the goroutines race cache misses too
+	type outcome struct {
+		same          bool
+		repaired, got *eval.Result
+	}
+	out := make([][rounds]outcome, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				q, res := RepairInSitu(ev, rand.New(NewSource(int64(w*rounds+r))), p, mem)
+				out[w][r] = outcome{same: q == p, repaired: res, got: ev.Partition(p, mem)}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range out {
+		for r, o := range out[w] {
+			if !o.same {
+				t.Errorf("goroutine %d round %d: RepairInSitu replaced a feasible partition", w, r)
+			}
+			if !reflect.DeepEqual(o.repaired, want) || !reflect.DeepEqual(o.got, want) {
+				t.Errorf("goroutine %d round %d: results differ from the serial one\n repair: %+v\n   eval: %+v\n   want: %+v",
+					w, r, o.repaired, o.got, want)
+			}
+		}
+	}
+	if p.Key() != key {
+		t.Error("evaluation changed the shared partition")
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 //   - population and best genomes only feed the search through their
 //     partition assignments, memory configs, and costs, all captured here.
 //
-// Cost handles, evaluator-cache contents, and the genome memo are
-// deliberately absent: all three are pure caches whose presence changes
-// wall-clock time, never results. A restored optimizer starts with an empty
-// memo, so its Stats.MemoHits can only fall short of an uninterrupted run's.
+// Evaluator-cache contents and the genome memo are deliberately absent:
+// both are pure caches whose presence changes wall-clock time, never
+// results. A restored optimizer starts with an empty memo, so its
+// Stats.MemoHits can only fall short of an uninterrupted run's.
 type OptimizerState struct {
 	// State is the master RNG state. Seed always equals the option's run
 	// seed; it is stored so restores can cross-check.

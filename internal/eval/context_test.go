@@ -82,11 +82,6 @@ func TestSharedContextEquivalenceZoo(t *testing.T) {
 							want := fresh.Partition(p, mem)
 							got := shared.Partition(p, mem)
 							requireEqualResults(t, step, got, want)
-							// The delta engine must agree through carried
-							// handles too; clone so handle state stays
-							// evaluator-local.
-							gotDelta := shared.PartitionDelta(p.Clone(), mem)
-							requireEqualResults(t, step, gotDelta, want)
 						}
 					}
 				}
@@ -146,8 +141,7 @@ func TestSharedContextSubgraphIdentity(t *testing.T) {
 // geometry, different cores/batch) are evaluated INTERLEAVED, so almost
 // every subgraph one config costs is served warm to the others from entries
 // it never computed itself, and every Result must still equal a fresh
-// standalone evaluator's bit for bit — including the delta engine reusing
-// handles a sibling filled.
+// standalone evaluator's bit for bit.
 func TestSharedCacheCrossConfigEquivalenceZoo(t *testing.T) {
 	siblings := func() []hw.Platform {
 		a := hw.DefaultPlatform()
@@ -176,8 +170,6 @@ func TestSharedCacheCrossConfigEquivalenceZoo(t *testing.T) {
 					want := fresh[i].Partition(p, mem)
 					got := shared[i].Partition(p, mem)
 					requireEqualResults(t, step*len(siblings)+i, got, want)
-					gotDelta := shared[i].PartitionDelta(p.Clone(), mem)
-					requireEqualResults(t, step*len(siblings)+i, gotDelta, want)
 				}
 			}
 			// Configs after the first ran warm: sibling hit rates prove the
@@ -186,38 +178,6 @@ func TestSharedCacheCrossConfigEquivalenceZoo(t *testing.T) {
 				t.Fatalf("last sibling: %d hits of %d calls, want all warm hits", hits, calls)
 			}
 		})
-	}
-}
-
-// TestSharedCacheDeltaHandlesAcrossSiblings pins the costHandle re-keying:
-// a partition whose handles were filled by one evaluator keeps them warm
-// when a same-geometry sibling evaluates it (same shared cache), while a
-// different-geometry evaluator treats them as dirty and recomputes — costs
-// never cross geometries through a migrating partition.
-func TestSharedCacheDeltaHandlesAcrossSiblings(t *testing.T) {
-	g := models.MustBuild("googlenet")
-	gc := eval.NewGraphContext(g, tiling.DefaultConfig())
-	base := hw.DefaultPlatform()
-	sibling := base
-	sibling.Cores = 4
-	otherGeom := base
-	otherGeom.Core.PERows = 2
-	mem := memFor(hw.SeparateBuffer)
-
-	e1 := gc.MustNewEvaluator(base)
-	e2 := gc.MustNewEvaluator(sibling)
-	e3 := gc.MustNewEvaluator(otherGeom)
-	for step, p := range seededPartitions(t, "googlenet", 3) {
-		e1.PartitionDelta(p, mem) // fills p's handles against the shared cache
-		want2 := eval.MustNew(g, sibling, tiling.DefaultConfig()).Partition(p, mem)
-		requireEqualResults(t, step, e2.PartitionDelta(p, mem), want2)
-		// The sibling resolved the partition purely through carried handles
-		// and shared entries: no cold calls of its own.
-		if hits, calls := e2.CacheStats(); hits != calls {
-			t.Fatalf("sibling evaluator went cold: %d hits of %d calls", hits, calls)
-		}
-		want3 := eval.MustNew(g, otherGeom, tiling.DefaultConfig()).Partition(p, mem)
-		requireEqualResults(t, step, e3.PartitionDelta(p, mem), want3)
 	}
 }
 

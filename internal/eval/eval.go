@@ -12,6 +12,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,7 +134,7 @@ const (
 // cacheShard is one independently locked segment of the cost cache, a map
 // from canonical member key to cost, made on its first insert. Entries are
 // never deleted or replaced, so a *SubgraphCost handed out stays the cost of
-// its key forever — the invariant delta handles rely on.
+// its key forever.
 type cacheShard struct {
 	mu sync.Mutex
 	m  map[string]*SubgraphCost
@@ -148,8 +149,8 @@ type cacheShard struct {
 // shares one costCache read/write: in a DSE sweep only the first config per
 // geometry pays cold costing and every sibling gets warm hits. The
 // keep-first contract of keepFirst holds across sibling evaluators exactly
-// as it holds across goroutines of one evaluator, so the pointer identity
-// delta handles rely on is cache-wide, never per-evaluator.
+// as it holds across goroutines of one evaluator, so every caller of one
+// key, in any sibling, holds the same *SubgraphCost.
 type costCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -169,18 +170,15 @@ func (cc *costCache) entries() int64 {
 	return n
 }
 
-// keepFirst is the cache's one lookup-or-insert path, shared by Subgraph,
-// subgraphByKey and LoadCache. It returns the cost cached under key, and
-// hit = true when the first lookup found it. On a miss it calls compute
-// outside the shard lock, then re-checks under it: if another goroutine (or
-// a sibling evaluator, or a load) stored the key meanwhile, that FIRST
-// *SubgraphCost is returned and compute's duplicate is dropped, so every
-// caller of one key holds the same pointer. Generic over ~string | ~[]byte,
-// like hashKey, so the interned keys of PartitionDelta are stored as they
-// are and the scratch-buffer keys of Subgraph and LoadCache are copied into
-// a string only when inserted; it is a function because methods cannot take
-// a type parameter.
-func keepFirst[K ~string | ~[]byte](cc *costCache, key K, compute func() *SubgraphCost) (c *SubgraphCost, hit bool) {
+// keepFirst is the cache's one lookup-or-insert path, shared by lookup (so
+// Subgraph and Partition) and LoadCache. It returns the cost cached under
+// key, and hit = true when the first lookup found it. On a miss it calls
+// compute outside the shard lock, then re-checks under it: if another
+// goroutine (or a sibling evaluator, or a load) stored the key meanwhile,
+// that FIRST *SubgraphCost is returned and compute's duplicate is dropped,
+// so every caller of one key holds the same pointer. The key bytes are
+// copied into a string only when inserted.
+func keepFirst(cc *costCache, key []byte, compute func() *SubgraphCost) (c *SubgraphCost, hit bool) {
 	s := &cc.shards[hashKey(key)>>(64-shardBits)]
 	s.mu.Lock()
 	c, hit = s.m[string(key)]
@@ -228,21 +226,21 @@ type Evaluator struct {
 	cache *costCache
 
 	// scratch pools per-goroutine evalScratch state (membership marks, the
-	// tiling Deriver, and the member-key decode buffer), making the whole
-	// cold path allocation-free apart from the SubgraphCost it produces.
+	// tiling Deriver, member and key buffers), making the whole cold path
+	// allocation-free apart from the SubgraphCost it produces.
 	scratch sync.Pool
 
-	hits       atomic.Int64
-	calls      atomic.Int64
-	deltaReuse atomic.Int64
+	hits  atomic.Int64
+	calls atomic.Int64
 }
 
-// evalScratch is the reusable per-goroutine state of one cold evaluation.
+// evalScratch is the reusable per-goroutine state of one evaluation.
 type evalScratch struct {
 	inSet   *graph.Marks    // subgraph membership
 	seenExt *graph.Marks    // external producers already charged
 	der     *tiling.Deriver // nil when the tiling config is invalid
-	members []int           // sorted-members / member-key decode buffer
+	members []int           // Subgraph's sorted copy, or Partition's member runs
+	runOff  []int           // Partition's run bounds: members[runOff[s]:runOff[s+1]]
 	keyBuf  []byte          // member-key build buffer
 }
 
@@ -295,10 +293,10 @@ func (e *Evaluator) CacheStats() (hits, calls int64) {
 	return e.hits.Load(), e.calls.Load()
 }
 
-// DeltaStats reports how many subgraph costs PartitionDelta served straight
-// from carried handles — lookups that never touched the cost cache (and so
-// are invisible to CacheStats).
-func (e *Evaluator) DeltaStats() (reused int64) { return e.deltaReuse.Load() }
+// DeltaStats always returns 0: every subgraph lookup goes through the cost
+// cache, and CacheStats counts it. It remains only for the benchmark
+// harness (bench/), whose eval.delta_reuse_ratio row reads it.
+func (e *Evaluator) DeltaStats() (reused int64) { return 0 }
 
 // CacheEntries reports the number of distinct subgraphs in the SHARED cost
 // cache this evaluator uses — sibling evaluators of the same core geometry
@@ -310,9 +308,8 @@ func (e *Evaluator) DeltaStats() (reused int64) { return e.deltaReuse.Load() }
 func (e *Evaluator) CacheEntries() int64 { return e.cache.entries() }
 
 // hashKey is 64-bit FNV-1a over the canonical member key; its top bits pick
-// the cost-cache shard. Generic over ~string | ~[]byte so the interned-key
-// and scratch-buffer paths share one body, as they share keepFirst.
-func hashKey[K ~string | ~[]byte](key K) uint64 {
+// the cost-cache shard.
+func hashKey(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -328,36 +325,24 @@ func (e *Evaluator) Subgraph(members []int) *SubgraphCost {
 	sc := e.scratch.Get().(*evalScratch)
 	sc.members = append(sc.members[:0], members...)
 	sort.Ints(sc.members)
-	sc.keyBuf = partition.AppendMemberKey(sc.keyBuf[:0], sc.members)
-	c, hit := keepFirst(e.cache, sc.keyBuf, func() *SubgraphCost {
-		return e.computeSubgraph(sc, sc.members)
-	})
+	c := e.lookup(sc, sc.members)
 	e.scratch.Put(sc)
-	e.count(hit)
 	return c
 }
 
-// subgraphByKey looks the cost up by its canonical member key, decoding the
-// members and computing the cost only on a miss. The partition's interned
-// key string becomes the cache's key, so no key bytes are copied.
-func (e *Evaluator) subgraphByKey(key string) *SubgraphCost {
-	c, hit := keepFirst(e.cache, key, func() *SubgraphCost {
-		sc := e.scratch.Get().(*evalScratch)
-		sc.members = partition.AppendKeyMembers(sc.members[:0], key)
-		c := e.computeSubgraph(sc, sc.members)
-		e.scratch.Put(sc)
-		return c
+// lookup returns the cost of the ascending member ids from the cache,
+// computing it on a miss, and counts the lookup. The key is built in sc, so
+// a hit allocates nothing; members is borrowed.
+func (e *Evaluator) lookup(sc *evalScratch, members []int) *SubgraphCost {
+	sc.keyBuf = partition.AppendMemberKey(sc.keyBuf[:0], members)
+	c, hit := keepFirst(e.cache, sc.keyBuf, func() *SubgraphCost {
+		return e.computeSubgraph(sc, members)
 	})
-	e.count(hit)
-	return c
-}
-
-// count records one cost-cache lookup in the evaluator's counters.
-func (e *Evaluator) count(hit bool) {
 	e.calls.Add(1)
 	if hit {
 		e.hits.Add(1)
 	}
+	return c
 }
 
 // computeSubgraph prices one subgraph as table arithmetic over the member
@@ -545,60 +530,54 @@ func (e *Evaluator) SubgraphMetric(c *SubgraphCost, mem hw.MemConfig, m Metric) 
 }
 
 // Partition evaluates the whole partition under mem by summing per-subgraph
-// contributions.
+// contributions. It counting-sorts the assignment into pooled scratch, one
+// ascending member run per subgraph, and looks each run up like Subgraph:
+// a warm evaluation allocates only the Result (and its Infeasible list when
+// subgraphs do not fit). p is only read, so one partition may be evaluated
+// from many goroutines at once.
 func (e *Evaluator) Partition(p *partition.Partition, mem hw.MemConfig) *Result {
-	subs := p.Subgraphs()
-	return e.partitionEval(len(subs), mem, func(si int) *SubgraphCost {
-		return e.Subgraph(subs[si])
+	sc := e.scratch.Get().(*evalScratch)
+	sc.sortRuns(p)
+	res := e.partitionEval(p.NumSubgraphs(), mem, func(si int) *SubgraphCost {
+		return e.lookup(sc, sc.members[sc.runOff[si]:sc.runOff[si+1]])
 	})
+	e.scratch.Put(sc)
+	return res
 }
 
-// PartitionDelta evaluates the partition like Partition but through the
-// per-subgraph cost handles carried on the partition itself: subgraphs whose
-// handle survived the producing operator (TryModifyNode/TrySplit/TryMerge
-// carry handles for every untouched subgraph) cost one pointer load, and only
-// the dirty ones re-enter the cost cache — via the subgraph's interned member
-// key, so even those skip the per-lookup copy/sort/string build. Partitions
-// with no carried state (fresh, crossover-built, or deserialized) fall back
-// to a full recompute that fills every handle.
-//
-// The result is bit-identical to Partition: both paths feed the same
-// contributions through partitionEval in the same subgraph order, and a
-// handle is only ever carried when the member set is provably unchanged.
-// Handle fills mutate p's caches, so the caller must own p (single writer).
-func (e *Evaluator) PartitionDelta(p *partition.Partition, mem hw.MemConfig) *Result {
-	return e.partitionEval(p.NumSubgraphs(), mem, func(si int) *SubgraphCost {
-		if h, ok := p.CostHandle(si).(costHandle); ok && h.cache == e.cache {
-			e.deltaReuse.Add(1)
-			return h.c
+// sortRuns counting-sorts p's assignment into sc.members, subgraph s's
+// members ascending at members[runOff[s]:runOff[s+1]].
+func (sc *evalScratch) sortRuns(p *partition.Partition) {
+	n, nodes := p.NumSubgraphs(), p.Graph().Len()
+	off := slices.Grow(sc.runOff[:0], n+1)[:n+1]
+	clear(off)
+	for id := range nodes {
+		if s := p.Of(id); s >= 0 {
+			off[s+1]++
 		}
-		c := e.subgraphByKey(p.SubgraphKey(si))
-		p.SetCostHandle(si, costHandle{cache: e.cache, c: c})
-		return c
-	})
+	}
+	for s := range n {
+		off[s+1] += off[s]
+	}
+	ids := slices.Grow(sc.members[:0], off[n])[:off[n]]
+	// off[s] is the next free slot of run s; after the fill it is the start
+	// of run s+1, so shifting by one restores the bounds.
+	for id := range nodes {
+		if s := p.Of(id); s >= 0 {
+			ids[off[s]] = id
+			off[s]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	sc.runOff, sc.members = off, ids
 }
 
-// costHandle is the opaque per-subgraph cache entry PartitionDelta stores on
-// partitions. It records the owning SHARED cost cache, not the evaluator:
-// raw subgraph costs depend only on (graph, tiling config, core geometry),
-// so a handle filled by one evaluator stays valid for every sibling sharing
-// its cache — a partition migrating between same-geometry DSE configs keeps
-// its handles warm. A handle from a different cache (another graph, tiling
-// config, or core geometry — e.g. an Options.Init seed from a search on
-// different hardware) must not be reused: it is treated as dirty and
-// recomputed here, so costs never cross geometries.
-type costHandle struct {
-	cache *costCache
-	c     *SubgraphCost
-}
-
-// partitionEval is the shared aggregation core of Partition and
-// PartitionDelta: costOf supplies subgraph si's raw cost, and the aggregates
-// (sums, maxes, infeasibility) are accumulated in ascending subgraph order
-// so every caller produces bit-identical results, float summation included.
-// The aggregates accumulate straight into the Result, so a warm delta
-// evaluation allocates nothing but the Result itself (plus its Infeasible
-// slice when subgraphs do not fit).
+// partitionEval is Partition's aggregation core: costOf supplies subgraph
+// si's raw cost, and the aggregates (sums, maxes, infeasibility) are
+// accumulated in ascending subgraph order, float summation included. They
+// accumulate straight into the Result, so the loop allocates nothing but the
+// Result itself (plus its Infeasible slice when subgraphs do not fit).
 //
 // With the prefetch check on, subgraph si-1 and its prefetched successor si
 // hold their weights together (double buffering), so si-1's verdict is

@@ -14,8 +14,8 @@ import (
 // subgraphs, never on which goroutine inserted what first. Loading one is a
 // sequence of ordinary keep-first inserts. A loaded entry is
 // indistinguishable from one the evaluator computed itself: *SubgraphCost
-// pointers stay stable forever, delta handles keep working, and a search
-// started from a snapshot is bit-identical to the same search run cold
+// pointers stay stable forever, and a search started from a snapshot is
+// bit-identical to the same search run cold
 // (entries change only WHEN costs are computed, never what they are).
 //
 // Snapshots are keyed by CacheFingerprint — (key-format version, graph
@@ -29,7 +29,7 @@ import (
 // before any fingerprint comparison happens.
 
 // cacheKeyFormat versions the canonical member-key encoding the cache is
-// keyed by (partition.MemberKey: 4-byte big-endian ids, ascending). Any
+// keyed by (partition.AppendMemberKey: 4-byte big-endian ids, ascending). Any
 // change to that encoding must bump this, invalidating every snapshot
 // written under the old format.
 const cacheKeyFormat = 1
@@ -127,9 +127,8 @@ func (e *Evaluator) ExportCache() (*CacheSnapshot, error) {
 // LoadCache inserts every snapshot record the SHARED cache does not already
 // hold, returning the number added — sibling evaluators of the same core
 // geometry see the loaded entries immediately. Loads are keep-first: a key
-// already present keeps its existing *SubgraphCost (pointer stability for
-// delta handles), and concurrent Subgraph callers racing a load behave
-// exactly as they do racing each other.
+// already present keeps its existing *SubgraphCost, and concurrent Subgraph
+// callers racing a load behave exactly as they do racing each other.
 //
 // The whole snapshot is checked before anything is inserted, so a refused
 // load adds nothing. It must carry this evaluator's fingerprint; every

@@ -224,71 +224,6 @@ func AblationCache(cfg Config) ([]AblationCacheRow, string) {
 	return rows, t.String()
 }
 
-// AblationDeltaRow compares the incremental (delta) evaluation engine
-// against the full-recompute path on the same search.
-type AblationDeltaRow struct {
-	Model string
-	// FullEvalsPerSec and DeltaEvalsPerSec are genome evaluations per
-	// wall-clock second for each engine.
-	FullEvalsPerSec, DeltaEvalsPerSec float64
-	// Speedup is DeltaEvalsPerSec / FullEvalsPerSec.
-	Speedup float64
-	// HandleReuse is the fraction of subgraph-cost lookups the delta engine
-	// served straight from carried handles (never touching the cost cache).
-	HandleReuse float64
-	// CostsEqual records the bit-identity cross-check of the two engines'
-	// best costs; anything but true is a correctness bug.
-	CostsEqual bool
-}
-
-// AblationDeltaEval quantifies the delta-evaluation tentpole: the same
-// seeded co-exploration search run through Evaluator.PartitionDelta and
-// through the full-recompute Evaluator.Partition, reporting throughput,
-// handle-reuse rate, and the equality cross-check. Wall-clock numbers vary
-// by machine; the equality column must not.
-func AblationDeltaEval(cfg Config) ([]AblationDeltaRow, string) {
-	modelsUnderTest := []string{"resnet50", "googlenet"}
-	obj := eval.Objective{Metric: eval.MetricEnergy, Alpha: PaperAlpha}
-	var rows []AblationDeltaRow
-	t := report.NewTable("Ablation: incremental (delta) vs full partition evaluation",
-		"model", "full evals/s", "delta evals/s", "speedup", "handle reuse", "costs equal")
-	for _, m := range modelsUnderTest {
-		run := func(disableDelta bool) (cost, evalsPerSec, reuse float64, ok bool) {
-			ev := evaluatorFor(m, platform1())
-			t0 := time.Now()
-			best, stats, err := core.Run(ev, core.Options{
-				Seed: cfg.Seed, Workers: cfg.Workers, Population: cfg.Population, MaxSamples: cfg.CoOptSamples,
-				Objective:        obj,
-				DisableDeltaEval: disableDelta,
-				Mem:              core.PaperSpace(hw.SeparateBuffer),
-			})
-			el := time.Since(t0).Seconds()
-			if err != nil || stats == nil {
-				return math.Inf(1), 0, 0, false
-			}
-			_, calls := ev.CacheStats()
-			if tot := calls + ev.DeltaStats(); tot > 0 {
-				reuse = float64(ev.DeltaStats()) / float64(tot)
-			}
-			return best.Cost, float64(stats.Samples) / el, reuse, true
-		}
-		fullCost, fullRate, _, fullOK := run(true)
-		deltaCost, deltaRate, reuse, deltaOK := run(false)
-		row := AblationDeltaRow{Model: m,
-			FullEvalsPerSec: fullRate, DeltaEvalsPerSec: deltaRate,
-			HandleReuse: reuse,
-			CostsEqual:  fullOK && deltaOK && fullCost == deltaCost,
-		}
-		if fullRate > 0 {
-			row.Speedup = deltaRate / fullRate
-		}
-		rows = append(rows, row)
-		t.AddRow(m, fmt.Sprintf("%.0f", fullRate), fmt.Sprintf("%.0f", deltaRate),
-			fmt.Sprintf("%.2f", row.Speedup), fmt.Sprintf("%.3f", reuse), row.CostsEqual)
-	}
-	return rows, t.String()
-}
-
 // AblationIslandRow is one (model, island count) point of the island-model
 // ablation.
 type AblationIslandRow struct {

@@ -43,7 +43,10 @@ const (
 	OpMatmul
 )
 
-var opKindNames = map[OpKind]string{
+// opKindNames is the one table of op-kind names: String prints them,
+// ParseOpKind reads them, and the graph wire format (internal/serialize)
+// stores them.
+var opKindNames = [...]string{
 	OpInput:   "input",
 	OpConv:    "conv",
 	OpDWConv:  "dwconv",
@@ -54,10 +57,21 @@ var opKindNames = map[OpKind]string{
 }
 
 func (k OpKind) String() string {
-	if s, ok := opKindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(opKindNames) {
+		return opKindNames[k]
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
+}
+
+// ParseOpKind is the inverse of OpKind.String: "input", "conv", "dwconv",
+// "pool", "eltwise", "concat" or "matmul". Any other name is an error.
+func ParseOpKind(s string) (OpKind, error) {
+	for k, name := range opKindNames {
+		if s == name {
+			return OpKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("graph: unknown op kind %q", s)
 }
 
 // HasWeights reports whether layers of this kind carry weight tensors.

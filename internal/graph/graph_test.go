@@ -23,6 +23,21 @@ func diamond(t *testing.T) (*Graph, []int) {
 	return g, []int{in, c1, l, r, add}
 }
 
+// TestParseOpKindRoundTrip pins ParseOpKind as String's inverse over every
+// kind, and that it refuses other names, String's fallback among them.
+func TestParseOpKindRoundTrip(t *testing.T) {
+	for k := OpInput; k <= OpMatmul; k++ {
+		if got, err := ParseOpKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseOpKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, s := range []string{"", "Conv", "warp", OpKind(99).String()} {
+		if _, err := ParseOpKind(s); err == nil {
+			t.Errorf("ParseOpKind(%q) accepted", s)
+		}
+	}
+}
+
 func TestBuilderShapes(t *testing.T) {
 	b := NewBuilder("shapes")
 	in := b.Input("in", 3, 224, 224)

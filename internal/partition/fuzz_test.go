@@ -1,15 +1,14 @@
 package partition_test
 
-// Native fuzz targets for the partition-operator invariants the delta
-// evaluation layer leans on: every successful TryModifyNode/TrySplit/TryMerge
-// must yield a valid schedulable partition (precedence + connectivity +
-// acyclic quotient, all checked by Validate), keep the assignment vector a
-// proper partition of the compute nodes, and carry per-subgraph cache entries
-// (interned member keys, opaque cost handles) only when the member set is
-// unchanged — a stale carry is exactly the bug that would silently corrupt
-// incremental evaluation.
+// Native fuzz targets for the partition-operator invariants the search leans
+// on: every successful TryModifyNode/TrySplit/TryMerge must yield a valid
+// schedulable partition (precedence + connectivity + acyclic quotient, all
+// checked by Validate) and keep the assignment vector a proper partition of
+// the compute nodes; the member key that names a subgraph in the cost cache
+// must round-trip and never collide.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"sort"
@@ -21,7 +20,7 @@ import (
 	"cocco/internal/testutil"
 )
 
-// checkInvariants asserts validity and cache integrity of p.
+// checkInvariants asserts validity of p.
 func checkInvariants(t *testing.T, g *graph.Graph, p *partition.Partition, op string) {
 	t.Helper()
 	if err := p.Validate(); err != nil {
@@ -48,28 +47,6 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *partition.Partition, op st
 			t.Fatalf("%s: subgraph id %d has no members", op, s)
 		}
 	}
-	// Cache integrity: the interned key and any carried handle must match a
-	// freshly computed canonical key of the subgraph's current member set.
-	for s := 0; s < p.NumSubgraphs(); s++ {
-		fresh := partition.MemberKey(p.Members(s))
-		if got := p.SubgraphKey(s); got != fresh {
-			t.Fatalf("%s: subgraph %d carries stale interned key", op, s)
-		}
-		if h := p.CostHandle(s); h != nil {
-			if key, ok := h.(string); !ok || key != fresh {
-				t.Fatalf("%s: subgraph %d carries a stale cost handle", op, s)
-			}
-		}
-	}
-}
-
-// tagHandles stamps every subgraph's cost handle with its canonical member
-// key, standing in for the evaluator's *SubgraphCost (which likewise depends
-// only on the member set).
-func tagHandles(p *partition.Partition) {
-	for s := 0; s < p.NumSubgraphs(); s++ {
-		p.SetCostHandle(s, p.SubgraphKey(s))
-	}
 }
 
 // FuzzPartitionOps drives random operator sequences over seeded random DAGs.
@@ -84,7 +61,6 @@ func FuzzPartitionOps(f *testing.F) {
 		g := testutil.RandomGraph(seed%16, 16+int(uint64(seed)%16))
 		rng := rand.New(rand.NewSource(seed))
 		p := partition.Singletons(g)
-		tagHandles(p)
 		nodes := g.ComputeNodes()
 		for _, b := range ops {
 			var q *partition.Partition
@@ -133,7 +109,6 @@ func FuzzPartitionOps(f *testing.F) {
 			}
 			checkInvariants(t, g, q, op)
 			p = q
-			tagHandles(p) // dirty subgraphs get fresh handles, like the evaluator
 		}
 	})
 }
@@ -161,7 +136,6 @@ func FuzzOpsWorkspace(f *testing.F) {
 		for gi, g := range graphs {
 			rng := rand.New(rand.NewSource(seed + int64(gi)))
 			p := partition.Singletons(g)
-			tagHandles(p)
 			nodes := g.ComputeNodes()
 			var spare *partition.Partition // retired states recycled as destinations
 			for _, b := range ops {
@@ -217,17 +191,16 @@ func FuzzOpsWorkspace(f *testing.F) {
 					spare = p // recycle the retired state as the next destination
 				}
 				p = q
-				tagHandles(p)
 			}
 		}
 	})
 }
 
 // decodeMemberKey unpacks a canonical member key back into ids.
-func decodeMemberKey(key string) []int {
+func decodeMemberKey(key []byte) []int {
 	ids := make([]int, 0, len(key)/4)
 	for i := 0; i+4 <= len(key); i += 4 {
-		ids = append(ids, int(binary.BigEndian.Uint32([]byte(key[i:i+4]))))
+		ids = append(ids, int(binary.BigEndian.Uint32(key[i:i+4])))
 	}
 	return ids
 }
@@ -251,7 +224,7 @@ func FuzzMemberKey(f *testing.F) {
 				uniq = append(uniq, id)
 			}
 		}
-		key := partition.MemberKey(uniq)
+		key := partition.AppendMemberKey(nil, uniq)
 		if len(key) != 4*len(uniq) {
 			t.Fatalf("key length %d for %d ids", len(key), len(uniq))
 		}
@@ -273,7 +246,7 @@ func FuzzMemberKey(f *testing.F) {
 				mut[0]--
 			}
 			sort.Ints(mut)
-			if partition.MemberKey(mut) == key {
+			if bytes.Equal(partition.AppendMemberKey(nil, mut), key) {
 				t.Fatalf("distinct member sets share key: %v vs %v", uniq, mut)
 			}
 		}
@@ -286,10 +259,10 @@ func TestMemberKeyGuard(t *testing.T) {
 	mustPanic := func(name string, ids []int) {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: MemberKey did not panic", name)
+				t.Errorf("%s: AppendMemberKey did not panic", name)
 			}
 		}()
-		partition.MemberKey(ids)
+		partition.AppendMemberKey(nil, ids)
 	}
 	mustPanic("negative id", []int{-1})
 	if strconv.IntSize == 64 {
@@ -297,41 +270,5 @@ func TestMemberKeyGuard(t *testing.T) {
 		// where the guard skips this case.
 		one := 1
 		mustPanic("id over 2^32", []int{one << 32})
-	}
-}
-
-// TestSubgraphKeyInterned verifies the interning contract of the delta
-// layer: after the first build, repeated key lookups are allocation-free,
-// and derived partitions inherit the interned keys of untouched subgraphs.
-func TestSubgraphKeyInterned(t *testing.T) {
-	g := testutil.RandomGraph(3, 24)
-	p := partition.Singletons(g)
-	for s := 0; s < p.NumSubgraphs(); s++ {
-		p.SubgraphKey(s)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for s := 0; s < p.NumSubgraphs(); s++ {
-			p.SubgraphKey(s)
-		}
-	}); allocs != 0 {
-		t.Errorf("interned SubgraphKey allocates %.1f per run, want 0", allocs)
-	}
-	// Some singleton pairs are unschedulable to merge (a path through a
-	// third subgraph); take the first pair that works.
-	var q *partition.Partition
-	for a := 0; a+1 < p.NumSubgraphs() && q == nil; a++ {
-		if m, err := p.TryMerge(a, a+1); err == nil {
-			q = m
-		}
-	}
-	if q == nil {
-		t.Fatal("no mergeable singleton pair")
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for s := 0; s < q.NumSubgraphs(); s++ {
-			q.SubgraphKey(s)
-		}
-	}); allocs != 0 {
-		t.Errorf("carried SubgraphKey allocates %.1f per run, want 0", allocs)
 	}
 }

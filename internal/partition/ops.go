@@ -35,9 +35,9 @@ var errCyclic = errors.New("partition: quotient graph is cyclic (unschedulable)"
 // any size.
 //
 // An Ops is not safe for concurrent use; pool one per goroutine (the package
-// keeps an internal pool behind the Try* wrappers). The single-writer rule of
-// Partition extends to Ops: the destination partition an *Into call produces
-// is owned by the caller and must not be mutated concurrently.
+// keeps an internal pool behind the Try* wrappers). The destination partition
+// an *Into call produces is owned by the caller and must not be mutated
+// concurrently; the source partition is only read.
 type Ops struct {
 	// Member CSR over subgraph labels: memIDs[memOff[s]:memOff[s+1]] are the
 	// node ids of label s in ascending order. cnt doubles as the counting-sort
@@ -151,7 +151,6 @@ func (o *Ops) ModifyNodeInto(dst, p *Partition, u, target int) (*Partition, erro
 	if target < 0 || target > p.count {
 		return nil, fmt.Errorf("partition: target subgraph %d out of range", target)
 	}
-	src := p.assign[u]
 	q, owned := o.takeDst(dst, p)
 	q.assign[u] = target
 	if target == p.count {
@@ -161,7 +160,6 @@ func (o *Ops) ModifyNodeInto(dst, p *Partition, u, target int) (*Partition, erro
 		o.keepDst(q, owned)
 		return nil, err
 	}
-	o.carry(q, p, src, target)
 	return q, nil
 }
 
@@ -207,7 +205,6 @@ func (o *Ops) SplitInto(dst, p *Partition, s int, parts [][]int) (*Partition, er
 		o.keepDst(q, owned)
 		return nil, err
 	}
-	o.carry(q, p, s, s)
 	return q, nil
 }
 
@@ -230,7 +227,6 @@ func (o *Ops) MergeInto(dst, p *Partition, a, b int) (*Partition, error) {
 		o.keepDst(q, owned)
 		return nil, err
 	}
-	o.carry(q, p, a, b)
 	return q, nil
 }
 
@@ -239,54 +235,6 @@ func (o *Ops) MergeInto(dst, p *Partition, a, b int) (*Partition, error) {
 // for split parts) plus at most one new label per node from the connectivity
 // split.
 func labelSpace(p *Partition) int { return p.count + 2*len(p.assign) + 2 }
-
-// carry copies the key/cost caches from parent p into q for every subgraph
-// whose member set is provably unchanged — the single-pass equivalent of the
-// historical carryFrom: untouched parent labels keep exactly their members,
-// so the new label is found through any member node. t1/t2 are the parent
-// labels the operator touched (pass the same label twice for one).
-func (o *Ops) carry(q, p *Partition, t1, t2 int) {
-	if p.keys == nil && p.costs == nil {
-		q.keys, q.costs = nil, nil
-		return
-	}
-	q.keys = growStrings(q.keys, q.count)
-	q.costs = growAnys(q.costs, q.count)
-	for id, a := range p.assign {
-		if a < 0 || a == t1 || a == t2 {
-			continue
-		}
-		n := q.assign[id]
-		if p.keys != nil {
-			q.keys[n] = p.keys[a]
-		}
-		if p.costs != nil {
-			q.costs[n] = p.costs[a]
-		}
-	}
-}
-
-func growStrings(s []string, n int) []string {
-	if cap(s) < n {
-		return make([]string, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = ""
-	}
-	return s
-}
-
-func growAnys(s []any, n int) []any {
-	if cap(s) < n {
-		return make([]any, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
-	}
-	return s
-}
 
 // buildMemberCSR counting-sorts the assignment into the workspace member CSR
 // for labels [0, next). Members are ascending within each label because node

@@ -106,22 +106,12 @@ func opsChain(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-// cachedPartition returns a singleton partition with its per-subgraph key and
-// cost caches filled, so the pins cover the carry path too.
-func cachedPartition(g *graph.Graph) *Partition {
-	p := Singletons(g)
-	for s := 0; s < p.count; s++ {
-		p.SetCostHandle(s, p.SubgraphKey(s))
-	}
-	return p
-}
-
 // TestOpsIntoAllocFree pins the in-place operator contract: once the
 // workspace and destination are warm, ModifyNodeInto / SplitInto / MergeInto
-// perform zero allocations even when carrying key/cost caches.
+// perform zero allocations.
 func TestOpsIntoAllocFree(t *testing.T) {
 	g := opsChain(t, 16)
-	p := cachedPartition(g)
+	p := Singletons(g)
 	o := NewOps()
 	ids := g.ComputeIDs()
 
@@ -178,49 +168,37 @@ func TestOpsIntoAllocFree(t *testing.T) {
 }
 
 // TestTryWrappersAllocLean pins the pooled-wrapper budget: a warm Try* call
-// on a cache-less partition allocates only the escaping destination (the
-// Partition struct and its assignment vector — ≤ 2 allocations), and ≤ 4
-// when the parent carries key/cost caches.
+// allocates only the escaping destination (the Partition struct and its
+// assignment vector — ≤ 2 allocations).
 func TestTryWrappersAllocLean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector disables sync.Pool reuse; alloc pins do not hold")
 	}
 	g := opsChain(t, 16)
-	plain := Singletons(g)
-	cached := cachedPartition(g)
+	p := Singletons(g)
 	ids := g.ComputeIDs()
 
 	// Warm the package pool (and its spare destination).
-	if _, err := plain.TryModifyNode(ids[1], plain.Of(ids[0])); err != nil {
+	if _, err := p.TryModifyNode(ids[1], p.Of(ids[0])); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name   string
-		p      *Partition
-		budget float64
+	ops := []struct {
+		name string
+		run  func() error
 	}{
-		{"plain", plain, 2},
-		{"cached", cached, 4},
+		{"TryModifyNode", func() error { _, err := p.TryModifyNode(ids[1], p.Of(ids[0])); return err }},
+		{"TryMerge", func() error { _, err := p.TryMerge(0, 1); return err }},
 	}
-	for _, tc := range cases {
-		ops := []struct {
-			name string
-			run  func() error
-		}{
-			{"TryModifyNode", func() error { _, err := tc.p.TryModifyNode(ids[1], tc.p.Of(ids[0])); return err }},
-			{"TryMerge", func() error { _, err := tc.p.TryMerge(0, 1); return err }},
+	for _, op := range ops {
+		if err := op.run(); err != nil {
+			t.Fatal(err)
 		}
-		for _, op := range ops {
+		if allocs := testing.AllocsPerRun(200, func() {
 			if err := op.run(); err != nil {
 				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(200, func() {
-				if err := op.run(); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs > tc.budget {
-				t.Errorf("%s/%s allocates %.1f per op, want <= %.0f", tc.name, op.name, allocs, tc.budget)
-			}
+		}); allocs > 2 {
+			t.Errorf("%s allocates %.1f per op, want <= 2", op.name, allocs)
 		}
 	}
 }

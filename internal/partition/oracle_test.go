@@ -1,13 +1,13 @@
 package partition
 
 // The reference oracle for the dense mutation workspace: a verbatim copy of
-// the retired map-based repair/normalize/carryFrom pipeline and the
-// Clone-then-repair Try* operators built on it. The equivalence tests drive
-// randomized operator sequences through both implementations and require
-// bit-identical outcomes — assignment vector, subgraph count, carried keys
-// and cost handles, and error/no-error agreement — so any behavioral drift in
-// the Ops rewrite shows up as a readable diff against known-good code rather
-// than as a silent search-trajectory change.
+// the retired map-based repair/normalize pipeline and the Clone-then-repair
+// Try* operators built on it, plus a map-based Validate. The equivalence
+// tests drive randomized operator sequences through both implementations and
+// require bit-identical outcomes — assignment vector, subgraph count, and
+// error/no-error agreement — so any behavioral drift in the Ops rewrite shows
+// up as a readable diff against known-good code rather than as a silent
+// search-trajectory change.
 
 import (
 	"math/rand"
@@ -17,37 +17,6 @@ import (
 	"cocco/internal/graph"
 	"cocco/internal/testutil"
 )
-
-// oracleCarryFrom is the retired carryFrom.
-func oracleCarryFrom(q, p *Partition, touched ...int) {
-	if p.keys == nil && p.costs == nil {
-		return
-	}
-	q.keys = make([]string, q.count)
-	q.costs = make([]any, q.count)
-	for id, a := range p.assign {
-		if a < 0 {
-			continue
-		}
-		skip := false
-		for _, t := range touched {
-			if a == t {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
-		}
-		n := q.assign[id]
-		if p.keys != nil {
-			q.keys[n] = p.keys[a]
-		}
-		if p.costs != nil {
-			q.costs[n] = p.costs[a]
-		}
-	}
-}
 
 // oracleNormalize is the retired map-based normalize.
 func oracleNormalize(p *Partition) error {
@@ -223,7 +192,6 @@ func oracleTryModifyNode(p *Partition, u, target int) (*Partition, error) {
 	if target < 0 || target > p.count {
 		return nil, oracleErr("target out of range")
 	}
-	src := p.assign[u]
 	q := p.Clone()
 	q.assign[u] = target
 	if target == p.count {
@@ -233,7 +201,6 @@ func oracleTryModifyNode(p *Partition, u, target int) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracleCarryFrom(q, p, src, target)
 	return q, nil
 }
 
@@ -271,7 +238,6 @@ func oracleTrySplit(p *Partition, s int, parts [][]int) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracleCarryFrom(q, p, s)
 	return q, nil
 }
 
@@ -292,12 +258,37 @@ func oracleTryMerge(p *Partition, a, b int) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracleCarryFrom(q, p, a, b)
 	return q, nil
 }
 
-// requireSamePartition fails unless got and want agree on every observable:
-// assignment, count, interned keys, and cost handles.
+// oracleValidate is the map-based Validate: precedence on every edge between
+// compute nodes, then every subgraph non-empty and one oracleComponents
+// component, so it shares no code with the dense walk under test.
+func oracleValidate(p *Partition) error {
+	for _, u := range p.g.ComputeIDs() {
+		for _, v := range p.g.SuccIDs(u) {
+			if a := p.assign[int(v)]; a != Unassigned && p.assign[u] > a {
+				return oracleErr("precedence violated")
+			}
+		}
+	}
+	for s := 0; s < p.count; s++ {
+		set := map[int]bool{}
+		for _, id := range p.Members(s) {
+			set[id] = true
+		}
+		if len(set) == 0 {
+			return oracleErr("empty subgraph")
+		}
+		if len(oracleComponents(p.g, set)) != 1 {
+			return oracleErr("subgraph not connected")
+		}
+	}
+	return nil
+}
+
+// requireSamePartition fails unless got and want agree on the assignment
+// and the subgraph count.
 func requireSamePartition(t *testing.T, step int, op string, got, want *Partition) {
 	t.Helper()
 	if got.count != want.count {
@@ -309,25 +300,16 @@ func requireSamePartition(t *testing.T, step int, op string, got, want *Partitio
 				step, op, id, got.assign[id], want.assign[id])
 		}
 	}
-	if (got.keys == nil) != (want.keys == nil) || (got.costs == nil) != (want.costs == nil) {
-		t.Fatalf("step %d %s: cache presence differs (keys %v/%v costs %v/%v)",
-			step, op, got.keys != nil, want.keys != nil, got.costs != nil, want.costs != nil)
-	}
-	for s := 0; s < want.count; s++ {
-		if want.keys != nil && got.keys[s] != want.keys[s] {
-			t.Fatalf("step %d %s: carried key of subgraph %d differs", step, op, s)
-		}
-		if want.costs != nil && got.costs[s] != want.costs[s] {
-			t.Fatalf("step %d %s: carried cost handle of subgraph %d differs", step, op, s)
-		}
-	}
 }
 
-// tagOracleHandles fills every subgraph's key and stamps its cost handle with
-// the canonical member key, standing in for the evaluator's *SubgraphCost.
-func tagOracleHandles(p *Partition) {
-	for s := 0; s < p.count; s++ {
-		p.SetCostHandle(s, p.SubgraphKey(s))
+// oracleGraphs returns the graphs seed drives the oracle suites over: a
+// testutil.RandomGraph and a join-heavy testutil.RandomDAG of n compute
+// nodes. The DAG's branches often meet only at a join, so a subgraph is
+// connected there only through edges walked against their direction.
+func oracleGraphs(seed int64, n int) []*graph.Graph {
+	return []*graph.Graph{
+		testutil.RandomGraph(seed, n),
+		testutil.RandomDAG(seed, n, testutil.DAGOpts{PJoin: 0.6, MaxFanIn: 3}),
 	}
 }
 
@@ -335,65 +317,70 @@ func tagOracleHandles(p *Partition) {
 // through the dense workspace and the retired map-based oracle in lockstep.
 func TestOpsMatchOracle(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(seed, 12+int(seed%3)*13)
-		p := Singletons(g)
-		tagOracleHandles(p)
-		nodes := g.ComputeNodes()
-		for step := 0; step < 120; step++ {
-			var got, want *Partition
-			var gotErr, wantErr error
-			var op string
-			switch rng.Intn(3) {
-			case 0:
-				op = "modify"
-				u := nodes[rng.Intn(len(nodes))]
-				target := rng.Intn(p.count + 1)
-				got, gotErr = p.TryModifyNode(u, target)
-				want, wantErr = oracleTryModifyNode(p, u, target)
-			case 1:
-				op = "split"
-				s := rng.Intn(p.count)
-				members := p.Members(s)
-				if len(members) < 2 {
-					continue
-				}
-				var a, b []int
-				for _, id := range members {
-					if rng.Intn(2) == 0 {
-						a = append(a, id)
-					} else {
-						b = append(b, id)
-					}
-				}
-				if len(a) == 0 || len(b) == 0 {
-					continue
-				}
-				got, gotErr = p.TrySplit(s, [][]int{a, b})
-				want, wantErr = oracleTrySplit(p, s, [][]int{a, b})
-			default:
-				op = "merge"
-				if p.count < 2 {
-					continue
-				}
-				a, b := rng.Intn(p.count), rng.Intn(p.count)
-				if a == b {
-					continue
-				}
-				got, gotErr = p.TryMerge(a, b)
-				want, wantErr = oracleTryMerge(p, a, b)
-			}
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d step %d %s: error disagreement: ops %v, oracle %v",
-					seed, step, op, gotErr, wantErr)
-			}
-			if gotErr != nil {
+		for _, g := range oracleGraphs(seed, 12+int(seed%3)*13) {
+			opsMatchOracle(t, seed, g)
+		}
+	}
+}
+
+// opsMatchOracle runs one seeded 120-step operator sequence on g.
+func opsMatchOracle(t *testing.T, seed int64, g *graph.Graph) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	p := Singletons(g)
+	nodes := g.ComputeNodes()
+	for step := 0; step < 120; step++ {
+		var got, want *Partition
+		var gotErr, wantErr error
+		var op string
+		switch rng.Intn(3) {
+		case 0:
+			op = "modify"
+			u := nodes[rng.Intn(len(nodes))]
+			target := rng.Intn(p.count + 1)
+			got, gotErr = p.TryModifyNode(u, target)
+			want, wantErr = oracleTryModifyNode(p, u, target)
+		case 1:
+			op = "split"
+			s := rng.Intn(p.count)
+			members := p.Members(s)
+			if len(members) < 2 {
 				continue
 			}
-			requireSamePartition(t, step, op, got, want)
-			p = got
-			tagOracleHandles(p)
+			var a, b []int
+			for _, id := range members {
+				if rng.Intn(2) == 0 {
+					a = append(a, id)
+				} else {
+					b = append(b, id)
+				}
+			}
+			if len(a) == 0 || len(b) == 0 {
+				continue
+			}
+			got, gotErr = p.TrySplit(s, [][]int{a, b})
+			want, wantErr = oracleTrySplit(p, s, [][]int{a, b})
+		default:
+			op = "merge"
+			if p.count < 2 {
+				continue
+			}
+			a, b := rng.Intn(p.count), rng.Intn(p.count)
+			if a == b {
+				continue
+			}
+			got, gotErr = p.TryMerge(a, b)
+			want, wantErr = oracleTryMerge(p, a, b)
 		}
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s seed %d step %d %s: error disagreement: ops %v, oracle %v",
+				g.Name, seed, step, op, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		requireSamePartition(t, step, g.Name+" "+op, got, want)
+		p = got
 	}
 }
 
@@ -401,35 +388,43 @@ func TestOpsMatchOracle(t *testing.T) {
 // labels) against the oracle on random assignments, including rejected ones.
 func TestFromMatchesOracleNormalize(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
-		rng := rand.New(rand.NewSource(seed + 100))
-		g := testutil.RandomGraph(seed, 20)
-		// Random (often invalid) labelings over a small label alphabet, with
-		// arbitrary gaps and order.
-		assign := make([]int, g.Len())
-		for trial := 0; trial < 40; trial++ {
-			labels := 1 + rng.Intn(6)
-			for _, n := range g.Nodes() {
-				if n.Kind == graph.OpInput {
-					assign[n.ID] = Unassigned
-				} else {
-					assign[n.ID] = rng.Intn(labels) * (1 + rng.Intn(3)) // gappy labels
-				}
-			}
-			got, gotErr := From(g, assign)
-
-			want := &Partition{g: g, assign: append([]int(nil), assign...)}
-			wantErr := oracleNormalize(want)
-			if wantErr == nil {
-				wantErr = want.Validate()
-			}
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d trial %d: error disagreement: From %v, oracle %v",
-					seed, trial, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				continue
-			}
-			requireSamePartition(t, trial, "from", got, want)
+		for _, g := range oracleGraphs(seed, 20) {
+			fromMatchesOracle(t, seed, g)
 		}
+	}
+}
+
+// fromMatchesOracle runs 40 seeded random labelings of g through From and
+// through oracleNormalize plus oracleValidate.
+func fromMatchesOracle(t *testing.T, seed int64, g *graph.Graph) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed + 100))
+	// Random (often invalid) labelings over a small label alphabet, with
+	// arbitrary gaps and order.
+	assign := make([]int, g.Len())
+	for trial := 0; trial < 40; trial++ {
+		labels := 1 + rng.Intn(6)
+		for _, n := range g.Nodes() {
+			if n.Kind == graph.OpInput {
+				assign[n.ID] = Unassigned
+			} else {
+				assign[n.ID] = rng.Intn(labels) * (1 + rng.Intn(3)) // gappy labels
+			}
+		}
+		got, gotErr := From(g, assign)
+
+		want := &Partition{g: g, assign: append([]int(nil), assign...)}
+		wantErr := oracleNormalize(want)
+		if wantErr == nil {
+			wantErr = oracleValidate(want)
+		}
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s seed %d trial %d: error disagreement: From %v, oracle %v",
+				g.Name, seed, trial, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		requireSamePartition(t, trial, g.Name+" from", got, want)
 	}
 }

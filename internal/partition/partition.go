@@ -26,19 +26,6 @@ type Partition struct {
 	assign []int // node id → subgraph id, Unassigned for inputs
 	count  int   // number of subgraphs
 
-	// keys and costs are per-subgraph evaluation caches: keys[s] is the
-	// interned MemberKey of subgraph s ("" until built), costs[s] an opaque
-	// cost handle owned by the evaluation layer (nil = dirty). Both are
-	// carried across TryModifyNode/TrySplit/TryMerge for subgraphs whose
-	// member set is unchanged, so the evaluator re-derives costs only for
-	// the subgraphs an operator actually touched. nil slices mean no cache.
-	//
-	// The caches make a Partition single-writer: fills must come from the
-	// goroutine that owns the partition (readers of a committed, shared
-	// partition must not trigger fills concurrently with other writers).
-	keys  []string
-	costs []any
-
 	// hash caches AssignHash (0 = not yet computed). The operator pipeline
 	// fills it for free during normalize's final relabel pass; Clone copies
 	// it, so un-mutated offspring — exactly the duplicates a memo catches —
@@ -56,7 +43,8 @@ const (
 // folded FNV-1a style, Unassigned as 0xFFFFFFFF), for memo tables that
 // verify matches exactly and only need a cheap discriminator. Computed
 // lazily and cached; partitions produced by the operator pipeline carry it
-// precomputed. Single-writer like the other caches.
+// precomputed. The lazy fill writes p, so the first call on a partition
+// that carries no hash must come from its owner.
 func (p *Partition) AssignHash() uint64 {
 	if p.hash == 0 {
 		h := uint64(hashOffset)
@@ -68,18 +56,12 @@ func (p *Partition) AssignHash() uint64 {
 	return p.hash
 }
 
-// MemberKey packs a sorted member-id slice into the canonical subgraph cache
-// key, 4 bytes per id. Ids outside [0, 2^32) would alias another subgraph's
-// key, so they panic instead of silently corrupting cost caches. Callers must
-// pass ids in ascending order for the key to be canonical.
-func MemberKey(members []int) string {
-	return string(AppendMemberKey(make([]byte, 0, len(members)*4), members))
-}
-
-// AppendMemberKey appends the canonical key bytes of members to dst and
-// returns it — MemberKey without the string conversion, for callers that
-// build keys into a reusable scratch buffer (the evaluator's per-lookup
-// path). Same ordering contract and 32-bit guard as MemberKey.
+// AppendMemberKey appends the canonical subgraph cache key of members to dst,
+// 4 big-endian bytes per id, and returns it; callers build keys into a
+// reusable scratch buffer (the evaluator's per-lookup path). Ids must be
+// ascending for the key to be canonical. Ids outside [0, 2^32) would alias
+// another subgraph's key, so they panic instead of silently corrupting cost
+// caches.
 func AppendMemberKey(dst []byte, members []int) []byte {
 	for _, id := range members {
 		if id < 0 || uint64(id) > math.MaxUint32 {
@@ -90,11 +72,10 @@ func AppendMemberKey(dst []byte, members []int) []byte {
 	return dst
 }
 
-// AppendKeyMembers decodes a canonical MemberKey back into its sorted member
-// ids, appending to dst (pass dst[:0] to reuse a scratch buffer — the decode
-// is the evaluator's cold-miss path and must not allocate per subgraph when
-// the caller provides capacity). The key is the member list, so decoding
-// never needs the assignment vector. Inverse of MemberKey.
+// AppendKeyMembers decodes a canonical member key back into its sorted member
+// ids, appending to dst (pass dst[:0] to reuse a scratch buffer). The key is
+// the member list, so decoding never needs the assignment vector. Inverse of
+// AppendMemberKey.
 func AppendKeyMembers(dst []int, key string) []int {
 	n := len(key) / 4
 	for i := 0; i < n; i++ {
@@ -102,53 +83,6 @@ func AppendKeyMembers(dst []int, key string) []int {
 			uint32(key[4*i+2])<<8|uint32(key[4*i+3])))
 	}
 	return dst
-}
-
-// SubgraphKey returns the interned MemberKey of subgraph s. Missing keys are
-// built for every key-less subgraph at once in a single assignment-vector
-// pass (a fresh partition needs all of them, a mutated one the touched few),
-// so key building is O(V) total rather than O(V) per subgraph. Repeated
-// calls are allocation-free.
-func (p *Partition) SubgraphKey(s int) string {
-	if p.keys == nil {
-		p.keys = make([]string, p.count)
-	}
-	if p.keys[s] == "" {
-		members := make([][]int, p.count)
-		for id, a := range p.assign {
-			if a >= 0 && p.keys[a] == "" {
-				members[a] = append(members[a], id)
-			}
-		}
-		for t, m := range members {
-			if m != nil {
-				p.keys[t] = MemberKey(m)
-			}
-		}
-	}
-	return p.keys[s]
-}
-
-// CostHandle returns the opaque evaluation handle of subgraph s, or nil if
-// the subgraph is dirty (membership changed since the handle was set, or it
-// was never evaluated).
-func (p *Partition) CostHandle(s int) any {
-	if p.costs == nil {
-		return nil
-	}
-	return p.costs[s]
-}
-
-// SetCostHandle attaches an evaluation handle to subgraph s. Ops carry the
-// handle to derived partitions whenever the member set is preserved, so its
-// value must be a pure function of the member set plus whatever context the
-// setting layer encodes inside the handle itself (the evaluator tags handles
-// with their owning evaluator for exactly this reason).
-func (p *Partition) SetCostHandle(s int, h any) {
-	if p.costs == nil {
-		p.costs = make([]any, p.count)
-	}
-	p.costs[s] = h
 }
 
 // Singletons returns the partition with every compute node in its own
@@ -279,18 +213,9 @@ func (p *Partition) Of(id int) int { return p.assign[id] }
 // Assignment returns a copy of the raw assignment slice.
 func (p *Partition) Assignment() []int { return append([]int(nil), p.assign...) }
 
-// Clone returns a deep copy. The key/cost caches are copied into fresh
-// backing arrays (the interned keys and handles themselves are shared; they
-// are immutable), so the clone's owner can fill its caches independently.
+// Clone returns a deep copy.
 func (p *Partition) Clone() *Partition {
-	q := &Partition{g: p.g, assign: append([]int(nil), p.assign...), count: p.count, hash: p.hash}
-	if p.keys != nil {
-		q.keys = append([]string(nil), p.keys...)
-	}
-	if p.costs != nil {
-		q.costs = append([]any(nil), p.costs...)
-	}
-	return q
+	return &Partition{g: p.g, assign: append([]int(nil), p.assign...), count: p.count, hash: p.hash}
 }
 
 // Members returns the node ids of subgraph s in ascending order.

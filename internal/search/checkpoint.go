@@ -28,7 +28,9 @@ func Fingerprint(opt Options) string { return fingerprint(opt.WithDefaults()) }
 // changes results — so a checkpoint taken on one machine resumes on another
 // with a different worker count. The GA hyper-parameters are core
 // constants; the string still prints them, where builds that had them as
-// options did, so those builds' checkpoints and fleets still match.
+// options did, so those builds' checkpoints and fleets still match. For the
+// same reason the third flag is a literal false, where builds with the
+// retired delta evaluation engine printed its off switch.
 func fingerprint(opt Options) string {
 	c := opt.Core
 	var initHashes []uint64
@@ -42,7 +44,7 @@ func fingerprint(opt Options) string {
 		c.Population, c.MaxSamples, core.Tournament, core.CrossoverProb, core.PNewInit,
 		core.MutModify, core.MutSplit, core.MutMerge, core.MutDSE, core.DSESigmaSteps,
 		c.Objective.Metric, c.Objective.Alpha, c.Mem,
-		c.DisableCrossover, c.DisableInSituSplit, c.DisableDeltaEval, c.DisableGenomeMemo,
+		c.DisableCrossover, c.DisableInSituSplit, false, c.DisableGenomeMemo,
 		initHashes,
 	)
 }

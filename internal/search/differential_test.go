@@ -17,8 +17,7 @@ import (
 // ~50 generated random DAGs it asserts that every engine configuration the
 // stack claims equivalent actually produces identical results —
 //
-//   - Evaluator.Partition vs Evaluator.PartitionDelta on mutated partitions,
-//   - the GA with delta eval vs full recompute (DisableDeltaEval),
+//   - a warm evaluator vs a cold one on mutated partitions,
 //   - the GA with the genome memo on vs off (DisableGenomeMemo),
 //   - Workers=1 vs Workers=7,
 //   - Islands=1 under the orchestrator vs plain core.Run,
@@ -50,15 +49,15 @@ func TestDifferentialRandomDAGs(t *testing.T) {
 				return eval.MustNew(g, hw.DefaultPlatform(), tiling.DefaultConfig())
 			}
 
-			// Delta vs full evaluation over a mutated-partition stream.
+			// Warm vs cold evaluation over a mutated-partition stream.
 			e := ev()
 			rng := rand.New(rand.NewSource(int64(i)))
 			p := core.RandomPartition(g, rng, 0.3)
 			for k := 0; k < 8; k++ {
-				full := e.Partition(p.Clone(), mem)
-				delta := e.PartitionDelta(p, mem)
-				if !reflect.DeepEqual(full, delta) {
-					t.Fatalf("delta vs full eval differ on mutation %d:\nfull:  %+v\ndelta: %+v", k, full, delta)
+				cold := ev().Partition(p, mem)
+				warm := e.Partition(p, mem)
+				if !reflect.DeepEqual(cold, warm) {
+					t.Fatalf("warm vs cold eval differ on mutation %d:\ncold: %+v\nwarm: %+v", k, cold, warm)
 				}
 				p = core.ApplyRandomMutation(g, rng, p)
 			}
@@ -88,7 +87,6 @@ func TestDifferentialRandomDAGs(t *testing.T) {
 			}
 			ref := do("ref", nil)
 			variants := []run{
-				do("full-eval", func(o *core.Options) { o.DisableDeltaEval = true }),
 				do("no-memo", func(o *core.Options) { o.DisableGenomeMemo = true }),
 				do("workers-1", func(o *core.Options) { o.Workers = 1 }),
 				do("workers-7", func(o *core.Options) { o.Workers = 7 }),

@@ -446,8 +446,7 @@ func (l *loop) tally() (*core.Genome, *Stats, error) {
 }
 
 // localRing is a RingHost over the whole ring, driven in this process.
-// Migration hands each emigrant clone itself to the successor island, cost
-// handles included.
+// Migration hands each emigrant clone itself to the successor island.
 type localRing struct{ h *RingHost }
 
 func (r localRing) Step() (progressed, done bool, err error) {

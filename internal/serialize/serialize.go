@@ -33,30 +33,12 @@ type GraphJSON struct {
 	Nodes []NodeJSON `json:"nodes"`
 }
 
-var kindNames = map[graph.OpKind]string{
-	graph.OpInput:   "input",
-	graph.OpConv:    "conv",
-	graph.OpDWConv:  "dwconv",
-	graph.OpPool:    "pool",
-	graph.OpEltwise: "eltwise",
-	graph.OpConcat:  "concat",
-	graph.OpMatmul:  "matmul",
-}
-
-var kindValues = func() map[string]graph.OpKind {
-	m := map[string]graph.OpKind{}
-	for k, n := range kindNames {
-		m[n] = k
-	}
-	return m
-}()
-
 // EncodeGraph marshals g.
 func EncodeGraph(g *graph.Graph) ([]byte, error) {
 	out := GraphJSON{Name: g.Name}
 	for _, n := range g.Nodes() {
-		kn, ok := kindNames[n.Kind]
-		if !ok {
+		kn := n.Kind.String()
+		if _, err := graph.ParseOpKind(kn); err != nil {
 			return nil, fmt.Errorf("serialize: unknown kind %v on node %d", n.Kind, n.ID)
 		}
 		var preds []int
@@ -86,8 +68,8 @@ func DecodeGraph(data []byte) (*graph.Graph, error) {
 		if n.ID != i {
 			return nil, fmt.Errorf("serialize: node %d has id %d (ids must be dense, in order)", i, n.ID)
 		}
-		kind, ok := kindValues[n.Kind]
-		if !ok {
+		kind, err := graph.ParseOpKind(n.Kind)
+		if err != nil {
 			return nil, fmt.Errorf("serialize: node %q: unknown kind %q", n.Name, n.Kind)
 		}
 		var id int
