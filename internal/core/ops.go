@@ -111,9 +111,8 @@ func RepairInSitu(ev *eval.Evaluator, rng *rand.Rand, p *partition.Partition, me
 	for iter := 0; iter < 64 && !res.Feasible(); iter++ {
 		split := false
 		for _, s := range res.Infeasible {
-			if memberCount(p, s) < 2 {
-				continue
-			}
+			// splitRandom returns p itself, before any draw, for a subgraph
+			// of fewer than two members.
 			if q, err := splitRandom(ev.Graph(), rng, p, s); err == nil && q != p {
 				p = q
 				split = true
@@ -126,17 +125,6 @@ func RepairInSitu(ev *eval.Evaluator, rng *rand.Rand, p *partition.Partition, me
 		res = ev.Partition(p, mem)
 	}
 	return p, res
-}
-
-// memberCount counts the members of subgraph s without materializing them.
-func memberCount(p *partition.Partition, s int) int {
-	n := 0
-	for _, id := range p.Graph().ComputeIDs() {
-		if p.Of(id) == s {
-			n++
-		}
-	}
-	return n
 }
 
 // crossoverPartition implements the paper's customized crossover

@@ -6,10 +6,10 @@
 // The driver is built directly on the GraphContext/Evaluator split: every
 // model in the grid gets ONE shared eval.GraphContext, and each grid point
 // derives its thin per-platform Evaluator from it, so the graph-derived
-// cold path (per-node tables, tiling Deriver validation, compute-cycle
-// tables per core geometry) is paid once per model instead of once per
-// config. Each config then runs the island-model search orchestrator
-// (internal/search) with its memory configuration fixed.
+// cold path (per-node tables, compute-cycle tables per core geometry) is
+// paid once per model instead of once per config. Each config then runs
+// the island-model search orchestrator (internal/search) with its memory
+// configuration fixed.
 //
 // Sweeps are resumable. With a CheckpointDir set, every completed config
 // persists a SweepOutcome file (<ID>.done.json) and every in-flight search

@@ -139,9 +139,10 @@ func kibs(n int) []int64 {
 	return out
 }
 
-// TestRunRefusesInadmissibleOptions: each input cmd/dse once ran anyway is
+// TestRunRefusesInadmissibleOptions: each input a sweep once ran anyway is
 // refused with its rule's message before any config runs, so no outcome is
-// reported and the checkpoint dir stays untouched.
+// reported and the checkpoint dir stays untouched. The invalid grid tiling
+// used to search every config and record it infeasible.
 func TestRunRefusesInadmissibleOptions(t *testing.T) {
 	cases := []struct {
 		name string
@@ -155,6 +156,8 @@ func TestRunRefusesInadmissibleOptions(t *testing.T) {
 		{"-alpha NaN", func(o *Options) { o.Search.Core.Objective.Alpha = math.NaN() }, "alpha must be a finite number >= 0"},
 		{"-cores 300", func(o *Options) { o.Grid.Cores = []int{300} }, "cores must be <= 256"},
 		{"-islands -1", func(o *Options) { o.Search.Islands = -1 }, "islands must be >= 1"},
+		{"Grid.Tiling 0x2", func(o *Options) { o.Grid.Tiling = tiling.Config{BaseTileH: 0, BaseTileW: 2} },
+			"dse: grid tiling: tiling: base tile must be >= 1, got 0x2"},
 	}
 	for _, tc := range cases {
 		dir := filepath.Join(t.TempDir(), "sweep")

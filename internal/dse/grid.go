@@ -76,11 +76,11 @@ const MaxGridPoints = 100_000
 
 // Configs expands the grid into its points, in a fixed deterministic order
 // (model-major, then kind, capacities, cores, batch), validating the point
-// count and every memory configuration, model name and platform value up
-// front, and rejecting axes longer than hw.MaxRangeCandidates and grids
-// whose points would share a Config.ID (a repeated model or axis value), so
-// a sweep never fails halfway through on a malformed point and no two
-// points share checkpoint files.
+// count, the tiling config and every memory configuration, model name and
+// platform value up front, and rejecting axes longer than
+// hw.MaxRangeCandidates and grids whose points would share a Config.ID (a
+// repeated model or axis value), so a sweep never fails halfway through on
+// a malformed point and no two points share checkpoint files.
 func (g Grid) Configs() ([]Config, error) {
 	g = g.withDefaults()
 	if len(g.Models) == 0 {
@@ -107,6 +107,9 @@ func (g Grid) Configs() ([]Config, error) {
 		if err := models.CheckName(m); err != nil {
 			return nil, fmt.Errorf("dse: grid model: %w", err)
 		}
+	}
+	if err := g.Tiling.Validate(); err != nil {
+		return nil, fmt.Errorf("dse: grid tiling: %w", err)
 	}
 	platform := hw.DefaultPlatform()
 	for _, cores := range g.Cores {

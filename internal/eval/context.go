@@ -11,11 +11,11 @@ import (
 
 // GraphContext is the immutable, platform-independent half of an Evaluator:
 // everything New derives from the graph (and the tiling config) alone —
-// per-node weight/output-byte/MAC tables, the GLB window-replication
-// factors, and the tiling config's validation result. It is computed once
-// per graph and shared read-only by any number of Evaluators, which is what
-// makes batched multi-config DSE cheap: sweeping N hardware configs over one
-// model pays the graph-derived cold path once instead of N times.
+// per-node weight/output-byte/MAC tables and the GLB window-replication
+// factors. It is computed once per graph and shared read-only by any number
+// of Evaluators, which is what makes batched multi-config DSE cheap:
+// sweeping N hardware configs over one model pays the graph-derived cold
+// path once instead of N times.
 //
 // The context also owns the shared subgraph-cost caches, one per core
 // geometry (hw.Core) — the only part of a platform subgraph costing depends
@@ -31,9 +31,8 @@ import (
 // concurrent NewEvaluator calls and concurrent use by the evaluators it
 // produced.
 type GraphContext struct {
-	g       *graph.Graph
-	tcfg    tiling.Config
-	tcfgErr error // invalid tiling config; every subgraph derivation fails
+	g    *graph.Graph
+	tcfg tiling.Config
 
 	// Per-node tables indexed by node id. Subgraph costing is a pure sum of
 	// these over members (plus the platform's cycle table).
@@ -55,12 +54,11 @@ type GraphContext struct {
 }
 
 // NewGraphContext computes the graph-derived evaluation tables for g under
-// the given tiling config. An invalid tiling config is not a constructor
-// error: it is recorded and surfaces as a per-subgraph derivation error,
-// exactly as eval.New always behaved.
+// the given tiling config. The config is checked by NewEvaluator, which
+// refuses an invalid one.
 func NewGraphContext(g *graph.Graph, tcfg tiling.Config) *GraphContext {
 	gc := &GraphContext{
-		g: g, tcfg: tcfg, tcfgErr: tcfg.Validate(),
+		g: g, tcfg: tcfg,
 		cycles: make(map[hw.Core][]int64),
 		caches: make(map[hw.Core]*costCache),
 	}
@@ -137,9 +135,13 @@ func (gc *GraphContext) cacheFor(core hw.Core) *costCache {
 // are bit-identical to a standalone eval.New evaluator for the same (graph,
 // platform, tiling config) — the equivalence suite pins this across the
 // model zoo. Sharing the cost cache cannot change results either: cache
-// entries change only WHEN costs are computed, never what they are.
+// entries change only WHEN costs are computed, never what they are. An
+// invalid platform or tiling config is refused.
 func (gc *GraphContext) NewEvaluator(p hw.Platform) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := gc.tcfg.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Evaluator{ctx: gc, platform: p, cycles: gc.cyclesFor(p.Core), cache: gc.cacheFor(p.Core)}
@@ -150,10 +152,8 @@ func (gc *GraphContext) NewEvaluator(p hw.Platform) (*Evaluator, error) {
 			seenExt: graph.NewMarks(n),
 			members: make([]int, 0, n),
 		}
-		if gc.tcfgErr == nil {
-			// The config is valid, so NewDeriver cannot fail.
-			sc.der, _ = tiling.NewDeriver(gc.g, gc.tcfg)
-		}
+		// The config passed Validate above, so NewDeriver cannot fail.
+		sc.der, _ = tiling.NewDeriver(gc.g, gc.tcfg)
 		return sc
 	}
 	return e, nil

@@ -248,25 +248,19 @@ func dedupKeys(subs [][]int) map[string]bool {
 	return seen
 }
 
-// TestSharedContextInvalidTiling pins that an invalid tiling config behaves
-// identically through both construction paths: not a constructor error, but
-// a per-subgraph derivation failure.
+// TestSharedContextInvalidTiling pins that an invalid tiling config is
+// refused alike through both construction paths: a constructor error with
+// the same text from NewEvaluator and from eval.New.
 func TestSharedContextInvalidTiling(t *testing.T) {
 	g := models.MustBuild("resnet50")
 	bad := tiling.Config{BaseTileH: 0, BaseTileW: 2}
-	gc := eval.NewGraphContext(g, bad)
-	shared, err := gc.NewEvaluator(hw.DefaultPlatform())
-	if err != nil {
-		t.Fatalf("invalid tiling config must not fail construction: %v", err)
+	shared, sharedErr := eval.NewGraphContext(g, bad).NewEvaluator(hw.DefaultPlatform())
+	fresh, freshErr := eval.New(g, hw.DefaultPlatform(), bad)
+	if sharedErr == nil || freshErr == nil {
+		t.Fatalf("invalid tiling config accepted: NewEvaluator %v, %v; New %v, %v", shared, sharedErr, fresh, freshErr)
 	}
-	fresh := eval.MustNew(g, hw.DefaultPlatform(), bad)
-	members := g.ComputeIDs()[:2]
-	cs, cf := shared.Subgraph(members), fresh.Subgraph(members)
-	if cs.Err == nil || cf.Err == nil {
-		t.Fatal("invalid tiling config must surface as a subgraph error")
-	}
-	if cs.Err.Error() != cf.Err.Error() {
-		t.Fatalf("error text diverges: %q vs %q", cs.Err, cf.Err)
+	if sharedErr.Error() != freshErr.Error() {
+		t.Fatalf("error text diverges: %q vs %q", sharedErr, freshErr)
 	}
 }
 

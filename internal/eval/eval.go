@@ -238,7 +238,7 @@ type Evaluator struct {
 type evalScratch struct {
 	inSet   *graph.Marks    // subgraph membership
 	seenExt *graph.Marks    // external producers already charged
-	der     *tiling.Deriver // nil when the tiling config is invalid
+	der     *tiling.Deriver // activation footprints (TotalFootprint)
 	members []int           // Subgraph's sorted copy, or Partition's member runs
 	runOff  []int           // Partition's run bounds: members[runOff[s]:runOff[s+1]]
 	keyBuf  []byte          // member-key build buffer
@@ -254,7 +254,8 @@ func (e *Evaluator) EnablePrefetchCheck() { e.prefetch = true }
 
 // New returns an Evaluator for g on the given platform, precomputing the
 // per-node cost tables (weights, output bytes, MACs, best-mapping compute
-// cycles, GLB replication factors) the subgraph costing sums over.
+// cycles, GLB replication factors) the subgraph costing sums over. An
+// invalid platform or tiling config is refused.
 //
 // New builds a private GraphContext per call. Callers evaluating one graph
 // under many platform or memory configurations should build the context
@@ -354,10 +355,6 @@ func (e *Evaluator) computeSubgraph(sc *evalScratch, members []int) *SubgraphCos
 	c := &SubgraphCost{Members: append([]int(nil), members...)}
 
 	gc := e.ctx
-	if gc.tcfgErr != nil {
-		c.Err = fmt.Errorf("eval: subgraph %v: %w", c.Members, gc.tcfgErr)
-		return c
-	}
 	fp, err := sc.der.TotalFootprint(c.Members)
 	if err != nil {
 		c.Err = fmt.Errorf("eval: subgraph %v: %w", c.Members, err)

@@ -336,18 +336,14 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-// TestInvalidTilingErrorText pins the error an invalid tiling config gives
-// every subgraph: the config's own validation error, as NewDeriver words it,
-// under the subgraph's members.
+// TestInvalidTilingErrorText pins the error an invalid tiling config gives:
+// New refuses it with the config's own validation error, as it refuses an
+// invalid platform.
 func TestInvalidTilingErrorText(t *testing.T) {
-	g, ids := toy(t)
-	ev, err := New(g, hw.DefaultPlatform(), tiling.Config{BaseTileH: 0, BaseTileW: 2})
-	if err != nil {
-		t.Fatalf("invalid tiling config must not fail construction: %v", err)
-	}
-	const want = "eval: subgraph [1 2]: tiling: base tile must be >= 1, got 0x2"
-	if c := ev.Subgraph(ids[1:3]); c.Err == nil || c.Err.Error() != want {
-		t.Fatalf("err = %v, want %q", c.Err, want)
+	g, _ := toy(t)
+	const want = "tiling: base tile must be >= 1, got 0x2"
+	if ev, err := New(g, hw.DefaultPlatform(), tiling.Config{BaseTileH: 0, BaseTileW: 2}); err == nil || err.Error() != want {
+		t.Fatalf("New = %v, %v; want the error %q", ev, err, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"cocco/internal/graph"
 	"cocco/internal/hw"
 	"cocco/internal/models"
 	"cocco/internal/partition"
@@ -144,15 +145,24 @@ func TestLoadCacheForeignFingerprint(t *testing.T) {
 
 // TestExportCacheSkipsErrEntries: subgraphs whose tiling derivation failed
 // are cached in memory (so the error is computed once) but never exported —
-// a warm evaluator recomputes the identical error on demand.
+// a warm evaluator recomputes the identical error on demand. The failing
+// subgraph is tiling's wrapped-rates chain (TestDeriveRejectsWrappedUpdateRate),
+// whose strides multiply past 2^63.
 func TestExportCacheSkipsErrEntries(t *testing.T) {
-	g, ids := toy(t)
-	ev, err := New(g, hw.DefaultPlatform(), tiling.Config{BaseTileH: 0, BaseTileW: 2})
+	b := graph.NewBuilder("wrapped-rates")
+	in := b.Input("in", 1, 1, 1)
+	n0 := b.Custom("n0", graph.OpConv, 2, 1, 1, 1, 1, 1, in)
+	n1 := b.Custom("n1", graph.OpConv, 2, 16, 1, 1, 1, 1, n0)
+	n2 := b.Custom("n2", graph.OpConv, 3, 5, 1, 1, 1, 1, n1)
+	n3 := b.Custom("n3", graph.OpConv, 2, 1<<21, 1, 1, 1, 1, n2)
+	b.Custom("n4", graph.OpConv, 3, 1<<18, 1, 1, 1, 1, in, n3)
+	g := b.MustFinalize()
+	ev, err := New(g, hw.DefaultPlatform(), tiling.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := ev.Subgraph([]int{ids[1], ids[2]}); c.Err == nil {
-		t.Fatal("invalid tiling config produced an error-free cost")
+	if c := ev.Subgraph(g.ComputeNodes()); c.Err == nil {
+		t.Fatal("the wrapped-rates chain produced an error-free cost")
 	}
 	if n := ev.CacheEntries(); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)

@@ -1,15 +1,15 @@
 package partition
 
 // The dense mutation workspace. TryModifyNode/TrySplit/TryMerge used to pay a
-// full Clone plus a map-heavy repair+normalize per candidate: O(V·S) Members
-// scans to find each subgraph's members, a map-based node set per multi-node
-// subgraph for the connectivity split, per-label maps for the quotient
-// adjacency, and an O(n²) ready-selection in Kahn's algorithm. Ops replaces
-// all of it with flat counting-sorted buffers, epoch-stamped graph.Marks
-// sets and graph.AppendComponent's walk, reused across calls, and the *Into
-// operator variants write into a pooled destination partition so a rejected
-// candidate costs no allocation at all. Results are bit-identical to the
-// historical implementation: the final labels of repair+normalize depend
+// full Clone plus a map-heavy repair and renumbering per candidate: O(V·S)
+// Members scans to find each subgraph's members, a map-based node set per
+// multi-node subgraph for the connectivity split, per-label maps for the
+// quotient adjacency, and an O(n²) ready-selection in Kahn's algorithm. Ops
+// replaces all of it with one schedule pass over flat buffers, epoch-stamped
+// graph.Marks sets and graph.AppendComponent's walk, reused across calls,
+// and the *Into operator variants write into a pooled destination partition
+// so a rejected candidate costs no allocation at all. Results are
+// bit-identical to the historical implementation: the final labels depend
 // only on the resulting node grouping (the Kahn tie-break keys — each
 // subgraph's smallest node id — are distinct, so the schedule order is
 // unique), and the oracle equivalence suite in oracle_test.go pins this
@@ -23,16 +23,19 @@ import (
 	"cocco/internal/graph"
 )
 
-// errCyclic is the unschedulable-quotient rejection. A sentinel (not a fresh
-// fmt.Errorf) so the mutation operators' common failure path allocates
-// nothing: the GA probes many cyclic merges per generation.
-var errCyclic = errors.New("partition: quotient graph is cyclic (unschedulable)")
+// errCyclic and errDisconnected are the schedule pass's rejections.
+// Sentinels (not fresh fmt.Errorf values) so the failure paths allocate
+// nothing: the GA probes many cyclic merges per generation, and crossover
+// hands From many disconnected labelings.
+var (
+	errCyclic       = errors.New("partition: quotient graph is cyclic (unschedulable)")
+	errDisconnected = errors.New("partition: a subgraph is not connected")
+)
 
 // Ops is a reusable dense scratch workspace for the partition mutation path:
-// member-CSR buffers, connectivity/visited Marks, the flat quotient-adjacency
-// builder, and the Kahn ready-heap. A zero-value-ish Ops from NewOps grows
-// its buffers on demand, so one workspace serves graphs (and label spaces) of
-// any size.
+// the member CSR, the component buffers, connectivity/visited Marks, and the
+// Kahn ready-heap. A zero-value-ish Ops from NewOps grows its buffers on
+// demand, so one workspace serves graphs (and label spaces) of any size.
 //
 // An Ops is not safe for concurrent use; pool one per goroutine (the package
 // keeps an internal pool behind the Try* wrappers). The destination partition
@@ -40,30 +43,22 @@ var errCyclic = errors.New("partition: quotient graph is cyclic (unschedulable)"
 // concurrently; the source partition is only read.
 type Ops struct {
 	// Member CSR over subgraph labels: memIDs[memOff[s]:memOff[s+1]] are the
-	// node ids of label s in ascending order. cnt doubles as the counting-sort
-	// count/cursor buffer.
-	cnt    []int32
+	// node ids of label s in ascending order.
 	memOff []int32
 	memIDs []int32
 
-	inSub   *graph.Marks // node membership of the label being processed
-	visited *graph.Marks // component-walk visited set / general node scratch
-	labels  *graph.Marks // label-space scratch set (edge dedup, CrossEdges)
-	stack   []int32      // component-walk worklist (graph.AppendComponent)
+	// Weakly connected components of every label: comps[compOff[c]:
+	// compOff[c+1]] are the members of component c, its smallest node
+	// first; compOf maps a compute node to its component.
+	comps   []int32
+	compOff []int32
+	compOf  []int32
 
-	// normalize scratch.
-	denseOf []int32 // old label → dense index (-1 = unseen)
-	minNode []int32 // dense label → smallest member node id
-	newID   []int32 // dense label → final schedule label
-	indeg   []int32
-	edgeSrc []int32 // quotient cross-edge multiset (pre-dedup)
-	edgeDst []int32
-	qOff    []int32 // deduped quotient CSR: qAdj[qOff[s]:qEnd[s]]
-	qEnd    []int32
-	qAdj    []int32
-	heap    []int32 // ready min-heap of dense labels keyed by minNode
+	inSub   *graph.Marks // members of the label being walked
+	visited *graph.Marks // component-walk visited set / SplitInto's claimed nodes
 
-	members []int // member list scratch (error paths, Validate)
+	indeg []int32 // per component, duplicate cross edges included
+	heap  []int32 // Kahn ready set: the smallest node of each ready component
 
 	spare *Partition // recycled destination for the Try* wrappers
 }
@@ -71,16 +66,11 @@ type Ops struct {
 // NewOps returns an empty workspace. Buffers are grown lazily to fit the
 // graphs it is used on.
 func NewOps() *Ops {
-	return &Ops{
-		inSub:   graph.NewMarks(0),
-		visited: graph.NewMarks(0),
-		labels:  graph.NewMarks(0),
-	}
+	return &Ops{inSub: graph.NewMarks(0), visited: graph.NewMarks(0)}
 }
 
-// opsPool backs the Try* wrappers (and Validate/From/CrossEdges) so the
-// public API stays allocation-lean without threading a workspace through
-// every caller.
+// opsPool backs the Try* wrappers (and Validate/From) so the public API
+// stays allocation-lean without threading a workspace through every caller.
 var opsPool = sync.Pool{New: func() any { return NewOps() }}
 
 func getOps() *Ops  { return opsPool.Get().(*Ops) }
@@ -90,22 +80,13 @@ func putOps(o *Ops) { opsPool.Put(o) }
 func (o *Ops) ensure(n, lab int) {
 	o.inSub.Grow(n)
 	o.visited.Grow(n)
-	o.labels.Grow(lab)
-	if cap(o.cnt) < lab {
-		o.cnt = make([]int32, lab)
-		o.denseOf = make([]int32, lab)
-		o.minNode = make([]int32, lab)
-		o.newID = make([]int32, lab)
-		o.indeg = make([]int32, lab)
-		o.qOff = make([]int32, lab+1)
-		o.qEnd = make([]int32, lab)
-	}
 	if cap(o.memOff) < lab+1 {
 		o.memOff = make([]int32, lab+1)
 	}
 	if cap(o.memIDs) < n {
 		o.memIDs = make([]int32, n)
-		o.stack = make([]int32, 0, n)
+		o.compOf = make([]int32, n)
+		o.indeg = make([]int32, n)
 	}
 }
 
@@ -128,7 +109,7 @@ func (o *Ops) takeDst(dst, p *Partition) (q *Partition, owned bool) {
 	dst.g = p.g
 	dst.assign = append(dst.assign[:0], p.assign...)
 	dst.count = p.count
-	dst.hash = 0 // set by normalize on success
+	dst.hash = 0 // set by schedule on success
 	return dst, owned
 }
 
@@ -156,11 +137,7 @@ func (o *Ops) ModifyNodeInto(dst, p *Partition, u, target int) (*Partition, erro
 	if target == p.count {
 		q.count++
 	}
-	if err := o.repair(q); err != nil {
-		o.keepDst(q, owned)
-		return nil, err
-	}
-	return q, nil
+	return o.finish(q, owned)
 }
 
 // SplitInto is the in-place TrySplit; same destination contract as
@@ -172,7 +149,7 @@ func (o *Ops) SplitInto(dst, p *Partition, s int, parts [][]int) (*Partition, er
 			members++
 		}
 	}
-	o.ensure(len(p.assign), labelSpace(p))
+	o.visited.Grow(len(p.assign))
 	o.visited.Reset() // nodes already claimed by a part
 	total := 0
 	for _, part := range parts {
@@ -201,11 +178,7 @@ func (o *Ops) SplitInto(dst, p *Partition, s int, parts [][]int) (*Partition, er
 			q.assign[id] = label
 		}
 	}
-	if err := o.repair(q); err != nil {
-		o.keepDst(q, owned)
-		return nil, err
-	}
-	return q, nil
+	return o.finish(q, owned)
 }
 
 // MergeInto is the in-place TryMerge; same destination contract as
@@ -223,244 +196,159 @@ func (o *Ops) MergeInto(dst, p *Partition, a, b int) (*Partition, error) {
 			q.assign[id] = a
 		}
 	}
-	if err := o.repair(q); err != nil {
+	return o.finish(q, owned)
+}
+
+// finish repairs an operator's destination: every component of its labels
+// becomes a subgraph, numbered in schedule order. A rejected destination
+// goes back to the workspace if it owns it.
+func (o *Ops) finish(q *Partition, owned bool) (*Partition, error) {
+	if err := o.schedule(q, true); err != nil {
 		o.keepDst(q, owned)
 		return nil, err
 	}
 	return q, nil
 }
 
-// labelSpace bounds the label ids repair can produce for a partition derived
-// from p: the starting labels (count, +1 for a fresh modify-node target, +V
-// for split parts) plus at most one new label per node from the connectivity
-// split.
-func labelSpace(p *Partition) int { return p.count + 2*len(p.assign) + 2 }
+// components walks the weakly connected components of every label of q in
+// [0, q.count) into o.comps, label by label, each from its smallest
+// unvisited member, so component c starts with its smallest node. Empty
+// labels yield no component. Without split it stops at the first label
+// with a second component and returns that label; otherwise it returns -1.
+func (o *Ops) components(q *Partition, split bool) int {
+	assign, lab := q.assign, q.count
+	o.ensure(len(assign), lab)
 
-// buildMemberCSR counting-sorts the assignment into the workspace member CSR
-// for labels [0, next). Members are ascending within each label because node
-// ids are scanned in order.
-func (o *Ops) buildMemberCSR(assign []int, next int) {
-	cnt := o.cnt[:next]
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	// Counting-sort the assignment into the member CSR: off[s] counts, then
+	// ends, and filling from the highest node id down leaves it at the start
+	// of label s with the members ascending.
+	off := o.memOff[:lab+1]
+	clear(off)
 	for _, a := range assign {
 		if a >= 0 {
-			cnt[a]++
+			off[a]++
 		}
 	}
-	off := o.memOff[:next+1]
-	total := int32(0)
-	for s := 0; s < next; s++ {
-		off[s] = total
-		total += cnt[s]
+	end := int32(0)
+	for s, n := range off {
+		end += n
+		off[s] = end
 	}
-	off[next] = total
-	cur := cnt // reuse as cursor: cur[s] = next write slot for label s
-	for s := 0; s < next; s++ {
-		cur[s] = off[s]
-	}
-	ids := o.memIDs[:total]
-	for id, a := range assign {
-		if a >= 0 {
-			ids[cur[a]] = int32(id)
-			cur[a]++
+	for id := len(assign) - 1; id >= 0; id-- {
+		if a := assign[id]; a >= 0 {
+			off[a]--
+			o.memIDs[off[a]] = int32(id)
 		}
 	}
-}
 
-// repair makes q valid if possible: split disconnected subgraphs into weakly
-// connected components, then renumber via the quotient topological order.
-// Returns an error only if the quotient graph is cyclic. Dense reimplementation
-// of the historical repair: identical grouping, hence identical final labels.
-func (o *Ops) repair(q *Partition) error {
-	assign := q.assign
-	next := 0
-	for _, a := range assign {
-		if a >= next {
-			next = a + 1
-		}
-	}
-	o.ensure(len(assign), next+len(assign)+1)
-	o.buildMemberCSR(assign, next)
-
-	// Labels split off below are weakly connected components by construction,
-	// so only the original label range needs a connectivity pass (the retired
-	// code rescanned the fresh labels too, as a no-op).
 	g := q.g
-	next0 := next
-	for s := 0; s < next0; s++ {
-		ms := o.memIDs[o.memOff[s]:o.memOff[s+1]]
-		if len(ms) <= 1 {
-			continue
+	o.comps, o.compOff = o.comps[:0], append(o.compOff[:0], 0)
+	o.visited.Reset()
+	for s := range lab {
+		ms := o.memIDs[off[s]:off[s+1]]
+		if len(ms) > 1 {
+			o.inSub.Reset()
+			for _, id := range ms {
+				o.inSub.Set(int(id))
+			}
 		}
-		o.inSub.Reset()
-		for _, id := range ms {
-			o.inSub.Set(int(id))
-		}
-		o.visited.Reset()
-		// Walk each weakly connected component from its smallest member. The
-		// first (from ms[0]) keeps label s; later ones are split off under
-		// fresh labels.
-		for _, id := range ms {
+		for i, id := range ms {
 			if o.visited.Has(int(id)) {
 				continue
 			}
-			o.stack = g.AppendComponent(o.stack[:0], int(id), o.inSub, o.visited)
-			if id == ms[0] {
-				continue
+			if i > 0 && !split {
+				return s
 			}
-			for _, v := range o.stack {
-				assign[v] = next
+			c := int32(len(o.compOff) - 1)
+			if len(ms) == 1 {
+				o.comps = append(o.comps, id)
+				o.compOf[id] = c
+			} else {
+				start := len(o.comps)
+				o.comps = g.AppendComponent(o.comps, int(id), o.inSub, o.visited)
+				for _, v := range o.comps[start:] {
+					o.compOf[v] = c
+				}
 			}
-			next++
+			o.compOff = append(o.compOff, int32(len(o.comps)))
 		}
 	}
-	q.count = next
-	return o.normalize(q)
+	return -1
 }
 
-// normalize renumbers q's subgraphs into schedule order: dense-relabel, flat
-// deduped quotient adjacency (counting sort), and Kahn's algorithm with the
-// ready set as a min-heap keyed by each subgraph's smallest node id — the
-// exact historical tie-break (keys are distinct, so the order is unique).
-// Returns an error if the quotient graph is cyclic.
-func (o *Ops) normalize(q *Partition) error {
-	assign := q.assign
-	lab := q.count
-	o.ensure(len(assign), lab+1)
-
-	// Old label → dense index, in node-scan order; minNode[d] is the smallest
-	// node id of dense label d (the first one seen, since ids ascend).
-	denseOf := o.denseOf[:lab]
-	for i := range denseOf {
-		denseOf[i] = -1
+// schedule makes q's components its subgraphs, numbered in schedule order:
+// Kahn's algorithm over the graph's own edges between components, with the
+// ready set a min-heap of each component's smallest node — the historical
+// tie-break (keys are distinct, so the order is unique). No quotient graph
+// is built: several edges from one component into another count that
+// predecessor as often as they are later subtracted, so a component still
+// becomes ready exactly when its last predecessor is popped. Without split
+// a label with a second component is refused instead. Returns an error if
+// a label is disconnected (without split) or the components' quotient is
+// cyclic.
+func (o *Ops) schedule(q *Partition, split bool) error {
+	if o.components(q, split) >= 0 {
+		return errDisconnected
 	}
-	n := 0
-	minNode := o.minNode[:lab]
-	for id, a := range assign {
-		if a >= 0 && denseOf[a] < 0 {
-			denseOf[a] = int32(n)
-			minNode[n] = int32(id)
-			n++
-		}
-	}
-
-	// Quotient cross edges, duplicates included.
 	g := q.g
-	es, ed := o.edgeSrc[:0], o.edgeDst[:0]
-	for _, u := range g.ComputeIDs() {
-		su := denseOf[assign[u]]
-		for _, v := range g.SuccIDs(u) {
-			av := assign[int(v)]
-			if av < 0 {
-				continue
-			}
-			if sv := denseOf[av]; sv != su {
-				es = append(es, su)
-				ed = append(ed, sv)
-			}
-		}
-	}
-	o.edgeSrc, o.edgeDst = es, ed
-
-	// Counting-sort the edges by source, then dedup each bucket in place with
-	// the label-space Marks while counting in-degrees.
-	cnt := o.cnt[:n]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for _, s := range es {
-		cnt[s]++
-	}
-	qOff := o.qOff[:n+1]
-	total := int32(0)
-	for s := 0; s < n; s++ {
-		qOff[s] = total
-		total += cnt[s]
-	}
-	qOff[n] = total
-	if cap(o.qAdj) < int(total) {
-		o.qAdj = make([]int32, total)
-	}
-	qAdj := o.qAdj[:total]
-	for s := 0; s < n; s++ {
-		cnt[s] = qOff[s]
-	}
-	for i, s := range es {
-		qAdj[cnt[s]] = ed[i]
-		cnt[s]++
-	}
-	indeg := o.indeg[:n]
-	for i := range indeg {
-		indeg[i] = 0
-	}
-	qEnd := o.qEnd[:n]
-	for s := 0; s < n; s++ {
-		o.labels.Reset()
-		w := qOff[s]
-		for i := qOff[s]; i < qOff[s+1]; i++ {
-			t := qAdj[i]
-			if !o.labels.Has(int(t)) {
-				o.labels.Set(int(t))
-				qAdj[w] = t
-				w++
-				indeg[t]++
+	nc := len(o.compOff) - 1
+	// Every successor of a compute node is a compute node (inputs have no
+	// producers), so compOf covers each edge's consumer.
+	indeg := o.indeg[:nc]
+	clear(indeg)
+	for c := range int32(nc) {
+		for _, u := range o.comps[o.compOff[c]:o.compOff[c+1]] {
+			for _, v := range g.SuccIDs(int(u)) {
+				if d := o.compOf[v]; d != c {
+					indeg[d]++
+				}
 			}
 		}
-		qEnd[s] = w
 	}
-
-	// Kahn with the min-heap ready set.
 	o.heap = o.heap[:0]
-	for s := 0; s < n; s++ {
-		if indeg[s] == 0 {
-			o.heapPush(int32(s))
+	for c := range nc {
+		if indeg[c] == 0 {
+			o.heapPush(o.comps[o.compOff[c]])
 		}
 	}
-	newID := o.newID[:n]
+	// Popping a component labels its members: the labels the walk read
+	// are no longer needed.
 	done := 0
 	for len(o.heap) > 0 {
-		s := o.heapPop()
-		newID[s] = int32(done)
-		done++
-		for i := qOff[s]; i < qEnd[s]; i++ {
-			t := qAdj[i]
-			indeg[t]--
-			if indeg[t] == 0 {
-				o.heapPush(t)
+		c := o.compOf[o.heapPop()]
+		for _, u := range o.comps[o.compOff[c]:o.compOff[c+1]] {
+			q.assign[u] = done
+			for _, v := range g.SuccIDs(int(u)) {
+				if d := o.compOf[v]; d != c {
+					if indeg[d]--; indeg[d] == 0 {
+						o.heapPush(o.comps[o.compOff[d]])
+					}
+				}
 			}
 		}
+		done++
 	}
-	if done != n {
+	if done != nc {
 		return errCyclic
 	}
-	// Final relabel; the AssignHash cache is folded in here for free (the
-	// loop already touches every entry).
+	// Cache AssignHash while the assignment is hot (Unassigned folds as
+	// 0xFFFFFFFF).
 	h := uint64(hashOffset)
-	for id, a := range assign {
-		if a < 0 {
-			assign[id] = Unassigned
-			h = (h ^ 0xFFFFFFFF) * hashPrime // uint32(Unassigned)
-		} else {
-			v := int(newID[denseOf[a]])
-			assign[id] = v
-			h = (h ^ uint64(uint32(v))) * hashPrime
-		}
+	for _, a := range q.assign {
+		h = (h ^ uint64(uint32(a))) * hashPrime
 	}
-	q.count = n
+	q.count = nc
 	q.hash = h
 	return nil
 }
 
-// heapPush/heapPop maintain the ready min-heap over dense labels, ordered by
-// minNode (distinct per label, so ordering is total).
-func (o *Ops) heapPush(s int32) {
-	h := append(o.heap, s)
+// heapPush/heapPop maintain the Kahn ready set as a min-heap of node ids.
+func (o *Ops) heapPush(v int32) {
+	h := append(o.heap, v)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if o.minNode[h[parent]] <= o.minNode[h[i]] {
+		if h[parent] <= h[i] {
 			break
 		}
 		h[parent], h[i] = h[i], h[parent]
@@ -479,10 +367,10 @@ func (o *Ops) heapPop() int32 {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(h) && o.minNode[h[l]] < o.minNode[h[small]] {
+		if l < len(h) && h[l] < h[small] {
 			small = l
 		}
-		if r < len(h) && o.minNode[h[r]] < o.minNode[h[small]] {
+		if r < len(h) && h[r] < h[small] {
 			small = r
 		}
 		if small == i {
@@ -493,44 +381,4 @@ func (o *Ops) heapPop() int32 {
 	}
 	o.heap = h
 	return top
-}
-
-// validate is the dense Validate: precedence over the CSR adjacency, then
-// per-subgraph emptiness and weak connectivity via the member CSR and Marks.
-// Error cases and ordering match the historical map-based implementation.
-func (o *Ops) validate(p *Partition) error {
-	g := p.g
-	for _, u := range g.ComputeIDs() {
-		for _, v := range g.SuccIDs(u) {
-			if p.assign[int(v)] == Unassigned {
-				continue
-			}
-			if p.assign[u] > p.assign[int(v)] {
-				return fmt.Errorf("partition: edge %d->%d violates precedence (P=%d > %d)",
-					u, int(v), p.assign[u], p.assign[int(v)])
-			}
-		}
-	}
-	o.ensure(len(p.assign), p.count+1)
-	o.buildMemberCSR(p.assign, p.count)
-	for s := 0; s < p.count; s++ {
-		ms := o.memIDs[o.memOff[s]:o.memOff[s+1]]
-		if len(ms) == 0 {
-			return fmt.Errorf("partition: subgraph %d empty", s)
-		}
-		if len(ms) == 1 {
-			continue
-		}
-		o.inSub.Reset()
-		for _, id := range ms {
-			o.inSub.Set(int(id))
-		}
-		o.visited.Reset()
-		o.stack = g.AppendComponent(o.stack[:0], int(ms[0]), o.inSub, o.visited)
-		if len(o.stack) != len(ms) {
-			o.members = p.AppendMembers(o.members[:0], s)
-			return fmt.Errorf("partition: subgraph %d not connected: %v", s, o.members)
-		}
-	}
-	return nil
 }

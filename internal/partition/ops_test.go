@@ -1,27 +1,12 @@
 package partition
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"cocco/internal/graph"
 )
-
-// bigChain builds a conv chain with n compute nodes (for the Key widening
-// test, which needs ≥ 2^16 subgraphs).
-func bigChain(t *testing.T, n int) *graph.Graph {
-	t.Helper()
-	b := graph.NewBuilder("bigchain")
-	prev := b.Input("in", 1, 4, 4)
-	for i := 0; i < n; i++ {
-		prev = b.Conv("c"+itoa(i), prev, 1, 1, 1)
-	}
-	g, err := b.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
 
 func itoa(v int) string {
 	if v == 0 {
@@ -35,60 +20,6 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// TestKeyWideLabels pins the 4-byte Key packing: the retired 2-byte packing
-// silently aliased label 2^16+k with label k (and Unassigned with label
-// 0xFFFF) on partitions with ≥ 2^16 subgraphs, corrupting memo lookups.
-func TestKeyWideLabels(t *testing.T) {
-	const n = 1<<16 + 2
-	g := bigChain(t, n)
-	p := Singletons(g) // labels 0 .. 2^16+1
-	key := p.Key()
-	if len(key) != 4*g.Len() {
-		t.Fatalf("key length %d, want 4 bytes per node (%d)", len(key), 4*g.Len())
-	}
-	// Node with label 2^16 must not encode like the node with label 0.
-	codeOf := func(nodeID int) string {
-		off := 4 * nodeID
-		return key[off : off+4]
-	}
-	var node0, node64k int
-	for _, id := range g.ComputeIDs() {
-		switch p.Of(id) {
-		case 0:
-			node0 = id
-		case 1 << 16:
-			node64k = id
-		}
-	}
-	if codeOf(node0) == codeOf(node64k) {
-		t.Fatalf("labels 0 and 2^16 alias in the key: % x", codeOf(node0))
-	}
-	if got, want := codeOf(node64k), "\x00\x01\x00\x00"; got != want {
-		t.Fatalf("label 2^16 encodes as % x, want % x", got, want)
-	}
-	// Unassigned (the input node, id 0) must not collide with label 0xFFFF.
-	if codeOf(0) != "\xff\xff\xff\xff" {
-		t.Fatalf("Unassigned encodes as % x", codeOf(0))
-	}
-	var nodeFFFF int
-	for _, id := range g.ComputeIDs() {
-		if p.Of(id) == 0xFFFF {
-			nodeFFFF = id
-		}
-	}
-	if codeOf(nodeFFFF) == codeOf(0) {
-		t.Fatal("label 0xFFFF aliases Unassigned in the key")
-	}
-	// Distinct partitions of the big graph keep distinct keys.
-	q, err := p.TryMerge(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Key() == key {
-		t.Fatal("distinct partitions share a key")
-	}
 }
 
 // opsChain builds a small conv chain for the allocation pins.
@@ -231,11 +162,11 @@ func TestOpsRejectedMoveReusesDestination(t *testing.T) {
 	}
 	o := NewOps()
 	a, c := p.Of(c1), p.Of(add)
-	before := p.Key()
+	before, count := p.Assignment(), p.NumSubgraphs()
 	if _, err := o.MergeInto(nil, p, a, c); err == nil {
 		t.Fatal("cyclic merge accepted")
 	}
-	if p.Key() != before {
+	if !slices.Equal(p.Assignment(), before) || p.NumSubgraphs() != count {
 		t.Fatal("rejected merge mutated the receiver")
 	}
 	// The failed destination is recycled: repeated rejections settle at zero
@@ -307,6 +238,45 @@ func TestFromSparseHugeLabels(t *testing.T) {
 	}
 	if q.NumSubgraphs() != 2 {
 		t.Fatalf("FromRepaired NumSubgraphs = %d, want 2", q.NumSubgraphs())
+	}
+}
+
+// TestFromRejectionAllocs pins From's refusals to the partition it builds
+// (the Partition and its assignment copy): the disconnected and cyclic
+// rejections are sentinels, and the schedule pass runs on a pooled
+// workspace.
+func TestFromRejectionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector disables sync.Pool reuse; alloc pins do not hold")
+	}
+	g, ids := diamond(t)
+	in, c1, l, r, add, c2 := ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]
+	disconnected := make([]int, g.Len())
+	disconnected[in] = Unassigned
+	disconnected[c1], disconnected[l], disconnected[r], disconnected[add], disconnected[c2] = 0, 1, 1, 2, 3
+	// {c1, l, add, c2} wraps around {r}: connected, but cyclic.
+	cyclic := make([]int, g.Len())
+	cyclic[in] = Unassigned
+	cyclic[c1], cyclic[l], cyclic[r], cyclic[add], cyclic[c2] = 0, 0, 1, 0, 0
+	cases := []struct {
+		name   string
+		assign []int
+		want   string
+	}{
+		{"disconnected", disconnected, "not connected"},
+		{"cyclic", cyclic, "cyclic"},
+	}
+	for _, tc := range cases {
+		if _, err := From(g, tc.assign); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := From(g, tc.assign); err == nil {
+				t.Fatalf("%s labeling accepted", tc.name)
+			}
+		}); allocs > 2 {
+			t.Errorf("From refusing a %s labeling allocates %.1f times, want <= 2", tc.name, allocs)
+		}
 	}
 }
 

@@ -10,7 +10,9 @@ package partition
 // search-trajectory change.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -384,8 +386,10 @@ func opsMatchOracle(t *testing.T, seed int64, g *graph.Graph) {
 	}
 }
 
-// TestFromMatchesOracleNormalize pins the From pipeline (normalize from raw
-// labels) against the oracle on random assignments, including rejected ones.
+// TestFromMatchesOracleNormalize pins From (the schedule pass refusing
+// disconnected subgraphs) against oracleNormalize plus oracleValidate, and
+// FromRepaired against oracleRepair, on random assignments, including
+// rejected ones.
 func TestFromMatchesOracleNormalize(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
 		for _, g := range oracleGraphs(seed, 20) {
@@ -394,8 +398,8 @@ func TestFromMatchesOracleNormalize(t *testing.T) {
 	}
 }
 
-// fromMatchesOracle runs 40 seeded random labelings of g through From and
-// through oracleNormalize plus oracleValidate.
+// fromMatchesOracle runs 40 seeded random labelings of g through both legs
+// of requireFromMatchesOracle.
 func fromMatchesOracle(t *testing.T, seed int64, g *graph.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed + 100))
@@ -411,20 +415,99 @@ func fromMatchesOracle(t *testing.T, seed int64, g *graph.Graph) {
 				assign[n.ID] = rng.Intn(labels) * (1 + rng.Intn(3)) // gappy labels
 			}
 		}
-		got, gotErr := From(g, assign)
-
-		want := &Partition{g: g, assign: append([]int(nil), assign...)}
-		wantErr := oracleNormalize(want)
-		if wantErr == nil {
-			wantErr = oracleValidate(want)
-		}
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s seed %d trial %d: error disagreement: From %v, oracle %v",
-				g.Name, seed, trial, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			continue
-		}
-		requireSamePartition(t, trial, g.Name+" from", got, want)
+		requireFromMatchesOracle(t, g, assign, fmt.Sprintf("%s seed %d trial %d", g.Name, seed, trial))
 	}
+}
+
+// requireFromMatchesOracle runs one labeling through From and through
+// oracleNormalize plus oracleValidate, then through FromRepaired and
+// through oracleRepair; each pair must agree on success and on the result.
+// oracleRepair visits every label up to the largest, so it gets the labels
+// ranked densely first: the final labels depend only on the grouping.
+func requireFromMatchesOracle(t *testing.T, g *graph.Graph, assign []int, tag string) {
+	t.Helper()
+	got, gotErr := From(g, assign)
+	want := &Partition{g: g, assign: append([]int(nil), assign...)}
+	wantErr := oracleNormalize(want)
+	if wantErr == nil {
+		wantErr = oracleValidate(want)
+	}
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: error disagreement: From %v, oracle %v", tag, gotErr, wantErr)
+	}
+	if gotErr == nil {
+		requireSamePartition(t, 0, tag+" from", got, want)
+	}
+
+	got, gotErr = FromRepaired(g, assign)
+	want, wantErr = oracleRepair(&Partition{g: g, assign: rankLabels(assign)})
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: error disagreement: FromRepaired %v, oracleRepair %v", tag, gotErr, wantErr)
+	}
+	if gotErr == nil {
+		requireSamePartition(t, 0, tag+" repaired", got, want)
+	}
+}
+
+// rankLabels returns assign with every label replaced by its rank among
+// the distinct labels.
+func rankLabels(assign []int) []int {
+	var labels []int
+	for _, a := range assign {
+		if a >= 0 {
+			labels = append(labels, a)
+		}
+	}
+	slices.Sort(labels)
+	labels = slices.Compact(labels)
+	out := make([]int, len(assign))
+	for id, a := range assign {
+		out[id] = a
+		if a >= 0 {
+			out[id], _ = slices.BinarySearch(labels, a)
+		}
+	}
+	return out
+}
+
+// FuzzFromMatchesOracle fuzzes labelings through both legs of
+// requireFromMatchesOracle. The seed picks a testutil.RandomGraph or a
+// join-heavy testutil.RandomDAG (oracleGraphs) of 8–39 compute nodes, and
+// each compute node takes the next byte of data, cycled: the low three bits
+// are a base label, and bits 3–4 spread it — kept, tripled (gaps), shifted
+// to 2V+2 or past 2^30. V is the node count; labels from 2V+2 up take
+// densifyLabels' remap.
+func FuzzFromMatchesOracle(f *testing.F) {
+	f.Add(int64(0), []byte{0, 1, 2, 3})
+	f.Add(int64(5), []byte{0x00, 0x08, 0x11, 0x1a, 0x03, 0x0c})
+	f.Add(int64(12), []byte{0x10, 0x10, 0x18, 0x01, 0x09})
+	f.Add(int64(-3), []byte{0x07, 0x1f, 0x00, 0x12, 0x0b, 0x15, 0x1c})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := oracleGraphs(seed, 8+int(uint64(seed)%32))[uint64(seed)/256%2]
+		v := g.Len()
+		assign := make([]int, v)
+		i := 0
+		for _, n := range g.Nodes() {
+			if n.Kind == graph.OpInput {
+				assign[n.ID] = Unassigned
+				continue
+			}
+			b := data[i%len(data)]
+			i++
+			label := int(b & 7)
+			switch b >> 3 & 3 {
+			case 1:
+				label *= 3
+			case 2:
+				label += 2*v + 2
+			case 3:
+				label += 1 << 30
+			}
+			assign[n.ID] = label
+		}
+		requireFromMatchesOracle(t, g, assign, fmt.Sprintf("%s seed %d %v", g.Name, seed, assign))
+	})
 }

@@ -11,7 +11,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"cocco/internal/graph"
 )
@@ -27,9 +26,9 @@ type Partition struct {
 	count  int   // number of subgraphs
 
 	// hash caches AssignHash (0 = not yet computed). The operator pipeline
-	// fills it for free during normalize's final relabel pass; Clone copies
-	// it, so un-mutated offspring — exactly the duplicates a memo catches —
-	// hash in O(1).
+	// fills it for free during the schedule pass's final relabel; Clone
+	// copies it, so un-mutated offspring — exactly the duplicates a memo
+	// catches — hash in O(1).
 	hash uint64
 }
 
@@ -114,8 +113,9 @@ func Whole(g *graph.Graph) *Partition {
 }
 
 // From builds a partition from an explicit assignment (node id → subgraph
-// id; input nodes must be Unassigned). The assignment is normalized (ids
-// renumbered into schedule order) and validated.
+// id; input nodes must be Unassigned). The ids are renumbered into schedule
+// order; an assignment with a disconnected subgraph or a cyclic quotient
+// graph is refused.
 func From(g *graph.Graph, assign []int) (*Partition, error) {
 	if len(assign) != g.Len() {
 		return nil, fmt.Errorf("partition: assignment length %d != %d nodes", len(assign), g.Len())
@@ -133,10 +133,7 @@ func From(g *graph.Graph, assign []int) (*Partition, error) {
 	p.densifyLabels()
 	o := getOps()
 	defer putOps(o)
-	if err := o.normalize(p); err != nil {
-		return nil, err
-	}
-	if err := o.validate(p); err != nil {
+	if err := o.schedule(p, false); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -195,7 +192,7 @@ func FromRepaired(g *graph.Graph, assign []int) (*Partition, error) {
 	p.densifyLabels()
 	o := getOps()
 	defer putOps(o)
-	if err := o.repair(p); err != nil {
+	if err := o.schedule(p, true); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -247,35 +244,32 @@ func (p *Partition) Subgraphs() [][]int {
 	return out
 }
 
-// Key returns a canonical string identity of the partition, usable as a map
-// key for memoization and dedup.
-func (p *Partition) Key() string {
-	return string(p.AppendKey(make([]byte, 0, len(p.assign)*4)))
-}
-
-// AppendKey appends the canonical identity bytes of the partition to dst and
-// returns it — Key without the string conversion, for callers building memo
-// keys into a reusable scratch buffer. Each label is packed into 4 bytes
-// (Unassigned as 0xFFFFFFFF); labels outside [0, 2^32-1) would alias another
-// partition's key, so they panic like AppendMemberKey instead of silently
-// colliding (the historical 2-byte packing aliased partitions with ≥ 2^16
-// subgraphs, and Unassigned with label 0xFFFF).
-func (p *Partition) AppendKey(dst []byte) []byte {
-	for _, a := range p.assign {
-		if a != Unassigned && (a < 0 || uint64(a) >= math.MaxUint32) {
-			panic(fmt.Sprintf("partition: subgraph label %d outside the 32-bit key range", a))
-		}
-		dst = append(dst, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	return dst
-}
-
-// Validate checks both validity conditions: precedence on every edge between
-// compute nodes and weak connectivity of every subgraph.
+// Validate checks both validity conditions under p's own numbering, which
+// need not be the schedule order: precedence on every edge between compute
+// nodes, then every subgraph non-empty and weakly connected.
 func (p *Partition) Validate() error {
+	g := p.g
+	for _, u := range g.ComputeIDs() {
+		for _, v := range g.SuccIDs(u) {
+			if a := p.assign[int(v)]; a != Unassigned && p.assign[u] > a {
+				return fmt.Errorf("partition: edge %d->%d violates precedence (P=%d > %d)",
+					u, int(v), p.assign[u], a)
+			}
+		}
+	}
 	o := getOps()
 	defer putOps(o)
-	return o.validate(p)
+	bad := o.components(p, false)
+	for s := 0; s < p.count; s++ {
+		ms := o.memIDs[o.memOff[s]:o.memOff[s+1]]
+		if len(ms) == 0 {
+			return fmt.Errorf("partition: subgraph %d empty", s)
+		}
+		if s == bad {
+			return fmt.Errorf("partition: subgraph %d not connected: %v", s, ms)
+		}
+	}
+	return nil
 }
 
 // --- mutation primitives (used by the GA, SA, and repair) -----------------
@@ -310,30 +304,4 @@ func (p *Partition) TryMerge(a, b int) (*Partition, error) {
 	q, err := o.MergeInto(nil, p, a, b)
 	putOps(o)
 	return q, err
-}
-
-// CrossEdges returns the tensors crossing subgraph boundaries: for each
-// producer node whose output is consumed by a later subgraph (or is a model
-// output), the set of consuming subgraphs. Used by cost models to decide
-// which activations hit DRAM.
-func (p *Partition) CrossEdges() map[int][]int {
-	o := getOps()
-	defer putOps(o)
-	o.labels.Grow(p.count)
-	out := map[int][]int{}
-	for _, u := range p.g.ComputeIDs() {
-		su := p.assign[u]
-		o.labels.Reset()
-		for _, v := range p.g.SuccIDs(u) {
-			sv := p.assign[int(v)]
-			if sv != su && sv != Unassigned && !o.labels.Has(sv) {
-				o.labels.Set(sv)
-				out[u] = append(out[u], sv)
-			}
-		}
-		if len(out[u]) > 1 {
-			sort.Ints(out[u])
-		}
-	}
-	return out
 }

@@ -92,6 +92,18 @@ func TestFromValidation(t *testing.T) {
 		t.Errorf("disconnected subgraph accepted: %v", err)
 	}
 
+	// A subgraph that is disconnected and also on a cycle of the label
+	// quotient ({c1, add} both feeds and consumes {l, r}): the connectivity
+	// refusal comes first.
+	assign4 := make([]int, g.Len())
+	assign4[in] = Unassigned
+	assign4[c1], assign4[add] = 0, 0
+	assign4[l], assign4[r] = 1, 1
+	assign4[c2] = 2
+	if _, err := From(g, assign4); err == nil || !strings.Contains(err.Error(), "not connected") {
+		t.Errorf("disconnected cyclic labeling: %v, want a not-connected refusal", err)
+	}
+
 	// Assigned input node must be rejected.
 	assign3 := append([]int(nil), assign...)
 	assign3[in] = 0
@@ -251,41 +263,6 @@ func TestTrySplit(t *testing.T) {
 	}
 	if q2.NumSubgraphs() != 3 { // {c1}, {c2}, {c3,c4}
 		t.Errorf("repaired split subgraphs = %d", q2.NumSubgraphs())
-	}
-}
-
-func TestCrossEdges(t *testing.T) {
-	g, ids := diamond(t)
-	in, c1, l, r, add, c2 := ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]
-	_ = in
-	assign := make([]int, g.Len())
-	assign[0] = Unassigned
-	assign[c1], assign[l], assign[r] = 0, 0, 0
-	assign[add], assign[c2] = 1, 1
-	p, err := From(g, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce := p.CrossEdges()
-	// l and r cross into subgraph 1; c1 does not; c2 is a model output but
-	// has no cross edge.
-	if len(ce[l]) != 1 || len(ce[r]) != 1 {
-		t.Errorf("cross edges = %v", ce)
-	}
-	if len(ce[c1]) != 0 {
-		t.Errorf("c1 should not cross: %v", ce[c1])
-	}
-}
-
-func TestKeyDistinguishesPartitions(t *testing.T) {
-	g, _ := chain(t)
-	a := Singletons(g)
-	b := Whole(g)
-	if a.Key() == b.Key() {
-		t.Error("keys collide")
-	}
-	if a.Key() != a.Clone().Key() {
-		t.Error("clone key differs")
 	}
 }
 

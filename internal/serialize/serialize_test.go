@@ -2,6 +2,7 @@ package serialize
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestPartitionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Key() != q.Key() {
+	if !slices.Equal(back.Assignment(), q.Assignment()) || back.NumSubgraphs() != q.NumSubgraphs() {
 		t.Error("partition changed across round trip")
 	}
 }
